@@ -6,15 +6,16 @@ nonzero off-diagonal entries live in the cross block Phi^T Psi, so gamma is
 the largest absolute entry of that block.  The incoherence of an s-sparse
 pair is bounded by s * gamma.
 
-RSC/RSS estimation samples index sets xi of a given size and extracts the
-extreme eigenvalues of the restricted Hessian
+RSC/RSS estimation samples index sets xi of a given size, forms the
+restricted Hessian
 
     H_xi = (1/m) (A Gamma_xi)^T diag(g'(A Gamma t_ref)) (A Gamma_xi)
 
-by power iteration (maximum) and shifted inverse iteration on the explicitly
-formed |xi| x |xi| matrix (minimum).  The result is a sampled estimate: the
-reported M_hat lower-bounds the true restricted supremum and m_hat
-upper-bounds the true infimum.
+explicitly as a |xi| x |xi| matrix, and takes its extreme eigenvalues
+exactly from one symmetric eigendecomposition.  The result is exact for
+each probed H_xi but sampled over supports: the reported M_hat
+lower-bounds the true restricted supremum and m_hat upper-bounds the true
+infimum.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from .links import CapabilityError, LinkFunction, link_deriv, link_eval
 from .measurement import MeasurementOperator
 from .solvers import DemixProblem
 from .transforms import Dictionary, _analysis, _synthesis, dict_apply
-
-_POWER_ITERS = 200
-_POWER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -151,47 +149,21 @@ def _gamma_columns(d: Dictionary, idx: np.ndarray) -> np.ndarray:
 
 
 def _restricted_gram_factor(problem: DemixProblem, idx: np.ndarray) -> np.ndarray:
-    """G = A Gamma_xi (m x |xi|)."""
-    B = _gamma_columns(problem.dictionary, idx)
-    if problem.A.kind in ("gaussian", "rademacher"):
-        return problem.A.dense() @ B
-    return np.column_stack([problem.A.apply(B[:, j]) for j in range(B.shape[1])])
+    """G = A Gamma_xi (m x |xi|).
 
-
-def _power_max(H: np.ndarray) -> float:
-    k = H.shape[0]
-    v = np.ones(k) / np.sqrt(k)
-    lam = 0.0
-    for _ in range(_POWER_ITERS):
-        w = H @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ H @ v)
-        if abs(lam_new - lam) <= _POWER_TOL * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
-
-
-def _inverse_min(H: np.ndarray) -> float:
-    k = H.shape[0]
-    shift = -1e-10 * max(1.0, float(np.trace(H)) / k)
-    M = H - shift * np.eye(k)
-    v = np.ones(k) / np.sqrt(k)
-    lam = np.inf
-    for _ in range(_POWER_ITERS):
-        try:
-            w = np.linalg.solve(M, v)
-        except np.linalg.LinAlgError:
-            return 0.0
-        v = w / np.linalg.norm(w)
-        lam_new = float(v @ H @ v)
-        if np.isfinite(lam) and abs(lam_new - lam) <= _POWER_TOL * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
+    On a dense A an identity-basis column of Gamma selects a column of A, so
+    only the atoms of the other bases are multiplied through.
+    """
+    A, d = problem.A, problem.dictionary
+    idx = np.asarray(idx)
+    if A.kind == "subfast":
+        B = _gamma_columns(d, idx)
+        return np.column_stack([A.apply(B[:, j]) for j in range(B.shape[1])])
+    ident = np.where(idx < d.n, d.phi.kind == "identity", d.psi.kind == "identity")
+    G = np.empty((A.m, idx.size))
+    G[:, ident] = A.dense()[:, idx[ident] % d.n]
+    G[:, ~ident] = A.dense() @ _gamma_columns(d, idx[~ident])
+    return G
 
 
 def estimate_rsc_rss(
@@ -246,9 +218,9 @@ def estimate_rsc_rss(
     M_hat = -np.inf
     for idx in supports:
         G = _restricted_gram_factor(problem, idx)
-        H = (G.T * gp) @ G / problem.A.m
-        M_hat = max(M_hat, _power_max(H))
-        m_hat = min(m_hat, _inverse_min(H))
+        eigs = np.linalg.eigvalsh((G.T * gp) @ G / problem.A.m)
+        M_hat = max(M_hat, float(eigs[-1]))
+        m_hat = min(m_hat, float(eigs[0]))
     return RscRssEstimate(
         m_hat=float(m_hat),
         M_hat=float(M_hat),

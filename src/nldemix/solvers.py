@@ -24,6 +24,7 @@ Algorithms:
 Steps: "auto" sets eta = 1/M_hat from the restricted-Hessian smoothness
 estimate on the initializer's top-6s support, with per-iteration halving
 whenever the objective would increase (composite F + beta ||t||_1 for dst).
+When no halving lowers it, the solve keeps its iterate and stops unconverged.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class DemixProblem:
             )
         if y.shape != (self.A.m,):
             raise ValueError(f"y must have length {self.A.m}, got shape {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y must be finite; it holds NaN or infinite entries")
         if self.s < 0:
             raise ValueError(f"sparsity target must be nonnegative, got {self.s}")
         if self.s > self.A.n:
@@ -167,8 +170,17 @@ def hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros_like(v)
     if k == 0:
         return out
-    idx = np.argsort(-np.abs(v), kind="stable")[:k]
-    out[idx] = v[idx]
+    # Keep what a stable argsort of -|v| would put first: every key below the
+    # k-th smallest, then keys equal to it lowest index first.  NaN keys sort
+    # last, so a NaN k-th key ties exactly the NaN entries.
+    key = -np.abs(v)
+    kth = np.partition(key, k - 1)[k - 1]
+    if np.isnan(kth):
+        keep, tied = ~np.isnan(key), np.isnan(key)
+    else:
+        keep, tied = key < kth, key == kth
+    keep[np.flatnonzero(tied)[: k - np.count_nonzero(keep)]] = True
+    out[keep] = v[keep]
     return out
 
 
@@ -219,21 +231,31 @@ def _check_t(problem: DemixProblem, t: np.ndarray) -> np.ndarray:
     return t
 
 
+# The _at forms take the forward product u = A Gamma t, so a solver that has
+# just evaluated F at t reuses u for the gradient instead of recomputing it.
+def _forward(problem: DemixProblem, t: np.ndarray) -> np.ndarray:
+    return problem.A.apply(dict_apply(problem.dictionary, t))
+
+
+def _loss_at(problem: DemixProblem, u: np.ndarray) -> float:
+    return float(np.mean(link_potential(problem.link, u) - problem.y * u))
+
+
+def _gradient_at(problem: DemixProblem, u: np.ndarray) -> np.ndarray:
+    resid = link_eval(problem.link, u) - problem.y
+    return dict_adjoint(problem.dictionary, problem.A.adjoint(resid)) / problem.A.m
+
+
 def loss(problem: DemixProblem, t: np.ndarray) -> float:
     """F(t) = (1/m) sum Theta(a_i^T Gamma t) - y_i a_i^T Gamma t."""
     _require(problem, potential=True, who="loss")
-    t = _check_t(problem, t)
-    u = problem.A.apply(dict_apply(problem.dictionary, t))
-    return float(np.mean(link_potential(problem.link, u) - problem.y * u))
+    return _loss_at(problem, _forward(problem, _check_t(problem, t)))
 
 
 def loss_gradient(problem: DemixProblem, t: np.ndarray) -> np.ndarray:
     """grad F(t) = (1/m) Gamma^T A^T (g(A Gamma t) - y)."""
     _require(problem, potential=True, who="loss_gradient")
-    t = _check_t(problem, t)
-    u = problem.A.apply(dict_apply(problem.dictionary, t))
-    resid = link_eval(problem.link, u) - problem.y
-    return dict_adjoint(problem.dictionary, problem.A.adjoint(resid)) / problem.A.m
+    return _gradient_at(problem, _forward(problem, _check_t(problem, t)))
 
 
 def loss_hessian_matvec(problem: DemixProblem, t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -241,9 +263,8 @@ def loss_hessian_matvec(problem: DemixProblem, t: np.ndarray, v: np.ndarray) -> 
     _require(problem, derivative=True, who="loss_hessian_matvec")
     t = _check_t(problem, t)
     v = _check_t(problem, v)
-    u = problem.A.apply(dict_apply(problem.dictionary, t))
-    gp = link_deriv(problem.link, u)
-    Av = problem.A.apply(dict_apply(problem.dictionary, v))
+    gp = link_deriv(problem.link, _forward(problem, t))
+    Av = _forward(problem, v)
     return dict_adjoint(problem.dictionary, problem.A.adjoint(gp * Av)) / problem.A.m
 
 
@@ -323,19 +344,21 @@ def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> Solv
     eta = _resolve_step(problem, config, t)
     beta = config.dst_beta
 
-    def objective(tv: np.ndarray) -> tuple[float, float]:
-        # (monitored objective, plain loss); dst monitors F + beta ||t||_1,
-        # the composite its iteration is a proximal step on.
-        f = loss(problem, tv)
-        return (f + beta * float(np.abs(tv).sum()) if soft else f), f
+    def objective(tv: np.ndarray) -> tuple[float, float, np.ndarray]:
+        # (monitored objective, plain loss, forward product); dst monitors
+        # F + beta ||t||_1, the composite its iteration is a proximal step on.
+        # The forward product of the accepted candidate feeds the next gradient.
+        u = _forward(problem, tv)
+        f = _loss_at(problem, u)
+        return (f + beta * float(np.abs(tv).sum()) if soft else f), f, u
 
-    obj, floss = objective(t)
+    obj, _, u = objective(t)
     trace: list[TraceRecord] = []
     iterates: list[np.ndarray] | None = [t.copy()] if config.keep_iterates else None
     converged = False
     k = 0
     for k in range(1, config.max_iters + 1):
-        grad = loss_gradient(problem, t)
+        grad = _gradient_at(problem, u)
         if not np.all(np.isfinite(grad)) or not np.isfinite(obj):
             raise RuntimeError(
                 f"{algorithm} aborted at iteration {k}: non-finite loss or gradient "
@@ -343,25 +366,26 @@ def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> Solv
             )
         # Backtracking: halve the step while the objective would increase.
         step = eta
-        t_new = None
-        obj_new = floss_new = np.inf
         for _ in range(_MAX_HALVINGS):
             if soft:
                 cand = soft_threshold(t - step * grad, beta * step)
             else:
                 cand = _project(t - step * grad, problem, config)
-            cand_obj, cand_loss = objective(cand)
-            t_new, obj_new, floss_new = cand, cand_obj, cand_loss
+            cand_obj, cand_loss, cand_u = objective(cand)
             if np.isfinite(cand_obj) and cand_obj <= obj + 1e-12:
                 break
             step *= 0.5
-        delta = float(np.linalg.norm(t_new - t))
-        t, obj, floss = t_new, obj_new, floss_new
+        else:
+            # No halving lowered the objective: keep t and stop unconverged.
+            k -= 1
+            break
+        delta = float(np.linalg.norm(cand - t))
+        t, obj, floss, u = cand, cand_obj, cand_loss, cand_u
         if iterates is not None:
             iterates.append(t.copy())
         trace.append(
-            TraceRecord(k, float(floss) if np.isfinite(floss) else None, delta,
-                        time.perf_counter() - start, int(np.count_nonzero(t)))
+            TraceRecord(k, floss, delta, time.perf_counter() - start,
+                        int(np.count_nonzero(t)))
         )
         if delta <= config.rel_tol * max(1.0, float(np.linalg.norm(t))):
             converged = True
@@ -403,25 +427,27 @@ def nlcd_lasso(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> 
     x_lin = problem.A.adjoint(problem.y) / problem.A.m
     d = problem.dictionary
 
-    def obj(tv: np.ndarray) -> float:
-        return float(np.linalg.norm(x_lin - dict_apply(d, tv)))
+    def obj(tv: np.ndarray) -> tuple[float, np.ndarray]:
+        # The synthesis Gamma t of the accepted candidate feeds the next gradient.
+        x = dict_apply(d, tv)
+        return float(np.linalg.norm(x_lin - x)), x
 
     t = np.zeros(2 * problem.n)
-    obj_prev = obj(t)
+    obj_prev, x = obj(t)
     trace: list[TraceRecord] = []
     iterates: list[np.ndarray] | None = [t.copy()] if config.keep_iterates else None
     converged = False
     base_step = 0.5  # 1/L for L = ||Gamma||^2 = 2
     k = 0
     for k in range(1, config.max_iters + 1):
-        grad = dict_adjoint(d, dict_apply(d, t) - x_lin)
+        grad = dict_adjoint(d, x - x_lin)
         step = base_step
         t_new, obj_new = t, obj_prev
         for _ in range(_MAX_HALVINGS):
             cand = project_l1_ball(t - step * grad, radius)
-            cand_obj = obj(cand)
+            cand_obj, cand_x = obj(cand)
             if cand_obj <= obj_prev + 1e-15:
-                t_new, obj_new = cand, cand_obj
+                t_new, obj_new, x = cand, cand_obj, cand_x
                 break
             step *= 0.5
         delta = float(np.linalg.norm(t_new - t))

@@ -191,6 +191,34 @@ class TestRscRssEstimate:
         np.testing.assert_allclose(est.M_hat, max(e[-1] for e in eigs), rtol=1e-5)
         np.testing.assert_allclose(est.m_hat, min(e[0] for e in eigs), rtol=1e-5)
 
+    @pytest.mark.parametrize("ensemble", ["gaussian", "rademacher", "subfast"])
+    @pytest.mark.parametrize(
+        "phi, psi", [("identity", "dct"), ("identity", "haar"), ("dct", "haar"), ("haar", "identity")]
+    )
+    def test_exact_eigenvalues_on_mixed_supports(self, ensemble, phi, psi):
+        n, s, m, k = 64, 3, 48, 8
+        problem, t_star = planted_instance(n, s, m, seed=68, phi=phi, psi=psi,
+                                           ensemble=ensemble)
+        rng = np.random.default_rng(69)
+        # Atoms 0 and n are both the constant vector for dct+haar; a support
+        # holding both makes H singular, where no rtol is meaningful.
+        extras = (
+            np.r_[1:1 + k // 2, n + 1:n + 1 + k // 2],
+            np.r_[n - 1, 2 * n - 1, rng.choice(np.r_[1:n - 1, n + 1:2 * n - 1], k - 2,
+                                               replace=False)],
+            rng.choice(2 * n, size=k, replace=False),
+        )
+        est = estimate_rsc_rss(problem, t_ref=t_star, sparsity=k, num_supports=0,
+                               extra_supports=extras)
+        top = np.argsort(-np.abs(t_star), kind="stable")[:k]
+        eigs = [
+            np.linalg.eigvalsh(restricted_hessian(problem, t_star, idx))
+            for idx in (top, *extras)
+        ]
+        assert est.supports_probed == 4
+        np.testing.assert_allclose(est.M_hat, max(e[-1] for e in eigs), rtol=1e-10)
+        np.testing.assert_allclose(est.m_hat, min(e[0] for e in eigs), rtol=1e-10)
+
     def test_reference_point_enters_through_derivative(self):
         n, s, m = 24, 2, 40
         problem, t_star = planted_instance(n, s, m, seed=62)

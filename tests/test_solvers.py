@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from nldemix import solvers
+from nldemix.harness import TrialSpec, _build_instance
 from nldemix.links import CapabilityError, make_link
 from nldemix.measurement import observe, sample_operator
 from nldemix.solvers import (
@@ -19,7 +21,7 @@ from nldemix.solvers import (
     project_l1_ball,
     soft_threshold,
 )
-from nldemix.transforms import Basis, Dictionary, dict_apply
+from nldemix.transforms import Basis, Dictionary, dict_adjoint, dict_apply
 
 
 def planted_instance(n, s, m, link_name="linsin", seed=0, phi="identity", psi="dct"):
@@ -39,6 +41,84 @@ def planted_instance(n, s, m, link_name="linsin", seed=0, phi="identity", psi="d
 
 def cosine(a, b):
     return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def assert_bits_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def stable_argsort_threshold(v, k):
+    """hard_threshold oracle: the first k of a stable argsort of -|v|."""
+    out = np.zeros_like(v)
+    idx = np.argsort(-np.abs(v), kind="stable")[:k]
+    out[idx] = v[idx]
+    return out
+
+
+def reference_descent(problem, config, soft):
+    """dht/dst iterates from a plain loop over the public loss and gradient."""
+    t = oneshot(problem).t_hat
+    beta = config.dst_beta
+
+    def objective(tv):
+        f = loss(problem, tv)
+        return f + beta * float(np.abs(tv).sum()) if soft else f
+
+    obj = objective(t)
+    iterates = [t.copy()]
+    for _ in range(config.max_iters):
+        grad = loss_gradient(problem, t)
+        step = config.step_size
+        for _ in range(30):
+            if soft:
+                cand = soft_threshold(t - step * grad, beta * step)
+            else:
+                cand = hard_threshold(t - step * grad, 2 * problem.s)
+            cand_obj = objective(cand)
+            if np.isfinite(cand_obj) and cand_obj <= obj + 1e-12:
+                break
+            step *= 0.5
+        else:
+            break
+        delta = float(np.linalg.norm(cand - t))
+        t, obj = cand, cand_obj
+        iterates.append(t.copy())
+        if delta <= config.rel_tol * max(1.0, float(np.linalg.norm(t))):
+            break
+    return iterates
+
+
+def reference_nlcd_lasso(problem, config):
+    """nlcd_lasso iterates with Gamma t recomputed for every gradient."""
+    d = problem.dictionary
+    x_lin = problem.A.adjoint(problem.y) / problem.A.m
+    radius = 2.0 * np.sqrt(problem.s)
+
+    def obj(tv):
+        return float(np.linalg.norm(x_lin - dict_apply(d, tv)))
+
+    t = np.zeros(2 * problem.n)
+    obj_prev = obj(t)
+    iterates = [t.copy()]
+    for _ in range(config.max_iters):
+        grad = dict_adjoint(d, dict_apply(d, t) - x_lin)
+        step = 0.5
+        t_new, obj_new = t, obj_prev
+        for _ in range(30):
+            cand = project_l1_ball(t - step * grad, radius)
+            cand_obj = obj(cand)
+            if cand_obj <= obj_prev + 1e-15:
+                t_new, obj_new = cand, cand_obj
+                break
+            step *= 0.5
+        t = t_new
+        iterates.append(t.copy())
+        if abs(obj_prev - obj_new) <= config.rel_tol * max(1.0, obj_prev):
+            break
+        obj_prev = obj_new
+    return iterates
 
 
 class TestHardThreshold:
@@ -94,6 +174,28 @@ class TestHardThreshold:
                 for keep in combinations(range(size), k)
             )
             assert err == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 64, 1000, 8192])
+    def test_matches_stable_argsort_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        vectors = [
+            rng.integers(-3, 4, size).astype(float),  # heavy ties, +/- pairs, zeros
+            rng.choice([-1.0, 1.0], size) * rng.integers(0, 2, size),
+            np.zeros(size),
+            rng.standard_normal(size),
+        ]
+        odd = rng.integers(-2, 3, size).astype(float)
+        odd[rng.random(size) < 0.1] = np.nan
+        odd[rng.random(size) < 0.05] = np.inf
+        odd[rng.random(size) < 0.05] = -np.inf
+        odd[rng.random(size) < 0.1] = -0.0
+        vectors.append(odd)
+        ks = range(size + 2) if size <= 64 else sorted(
+            {0, 1, 2, size // 2, size - 1, size, size + 1, *rng.integers(0, size, 20).tolist()}
+        )
+        for v in vectors:
+            for k in ks:
+                assert_bits_equal(hard_threshold(v, k), stable_argsort_threshold(v, k))
 
 
 class TestSoftThreshold:
@@ -196,6 +298,18 @@ class TestProblemValidation:
         d_bad = Dictionary(Basis("identity", 2 * n), Basis("dct", 2 * n))
         with pytest.raises(ValueError):
             DemixProblem(A=A, dictionary=d_bad, link=link, y=np.zeros(m), s=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observations_rejected(self, bad):
+        n, m = 16, 8
+        d = Dictionary(Basis("identity", n), Basis("dct", n))
+        A = sample_operator("gaussian", m, n, 0)
+        y = np.zeros(m)
+        y[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DemixProblem(A=A, dictionary=d, link=make_link("linsin"), y=y, s=2)
+        with pytest.raises(ValueError, match="finite"):
+            DemixProblem(A=A, dictionary=d, link=make_link("linsin"), y=np.full(m, bad), s=2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -407,6 +521,21 @@ class TestDht:
             assert nxt <= prev + 1e-10
         assert cosine(res.t_hat, t_star) > 0.99
 
+    def test_failed_backtracking_keeps_the_iterate(self):
+        # Every halving of this step raises the loss; the solve must stop
+        # unconverged instead of accepting the last, worse candidate.
+        problem, *_ = _build_instance(TrialSpec(n=512, s=5, m=200, seed=1))
+        res = dht(problem, SolverConfig(step_size=1e12, max_iters=60))
+        assert res.converged is False
+        losses = [r.loss for r in res.trace]
+        for prev, nxt in zip(losses, losses[1:]):
+            assert nxt <= prev
+        init = oneshot(problem).t_hat
+        assert loss(problem, res.t_hat) <= loss(problem, init)
+        assert len(res.trace) == res.iterations_run
+        # here the very first step fails, so the initializer is returned
+        np.testing.assert_array_equal(res.t_hat, init)
+
     def test_zero_init_also_recovers(self):
         problem, t_star = planted_instance(128, 3, 150, seed=37)
         res = dht(problem, SolverConfig(init="zero", max_iters=400, rel_tol=1e-9))
@@ -418,6 +547,60 @@ class TestDht:
         np.testing.assert_array_equal(
             res.x_hat, dict_apply(problem.dictionary, res.t_hat)
         )
+
+
+class TestDescentWork:
+    @pytest.mark.parametrize("link_name", ["linsin", "logistic"])
+    @pytest.mark.parametrize("algorithm", ["dht", "dst"])
+    @pytest.mark.parametrize("step", [0.3, 50.0])
+    def test_iterates_match_reference_loop_bit_for_bit(self, algorithm, link_name, step):
+        problem, _ = planted_instance(128, 4, 150, link_name=link_name, seed=45)
+        config = SolverConfig(step_size=step, max_iters=60, keep_iterates=True)
+        res = (dst if algorithm == "dst" else dht)(problem, config)
+        ref = reference_descent(problem, config, soft=algorithm == "dst")
+        assert len(res.iterates) == len(ref)
+        for got, want in zip(res.iterates, ref):
+            assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "algorithm, step, outside",
+        [("dht", "auto", 2), ("dst", "auto", 2), ("dht", 50.0, 1), ("dst", 50.0, 1)],
+    )
+    def test_one_forward_per_candidate_and_one_adjoint_per_iteration(
+        self, monkeypatch, algorithm, step, outside
+    ):
+        # outside the loop: the initial objective, plus the step estimate's
+        # reference product when the step is automatic (zero init: no oneshot)
+        problem, _ = planted_instance(128, 4, 150, seed=46)
+        counts = {"apply": 0, "adjoint": 0, "candidates": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        A = problem.A
+        monkeypatch.setattr(A, "apply", counted("apply", A.apply))
+        monkeypatch.setattr(A, "adjoint", counted("adjoint", A.adjoint))
+        prox = "soft_threshold" if algorithm == "dst" else "hard_threshold"
+        monkeypatch.setattr(solvers, prox, counted("candidates", getattr(solvers, prox)))
+        res = getattr(solvers, algorithm)(
+            problem, SolverConfig(step_size=step, init="zero", max_iters=40)
+        )
+        assert res.iterations_run > 0
+        assert counts["adjoint"] == res.iterations_run
+        assert counts["candidates"] >= res.iterations_run
+        assert counts["apply"] == counts["candidates"] + outside
+
+    def test_nlcd_lasso_iterates_match_reference_loop_bit_for_bit(self):
+        problem, _ = planted_instance(128, 4, 200, seed=47)
+        config = SolverConfig(max_iters=80, keep_iterates=True)
+        res = nlcd_lasso(problem, config)
+        ref = reference_nlcd_lasso(problem, config)
+        assert len(res.iterates) == len(ref)
+        for got, want in zip(res.iterates, ref):
+            assert_bits_equal(got, want)
 
 
 class TestDst:
