@@ -173,12 +173,16 @@ def estimate_rsc_rss(
     num_supports: int = 8,
     seed: int = 0,
     extra_supports: tuple[np.ndarray, ...] = (),
+    *,
+    u_ref: np.ndarray | None = None,
 ) -> RscRssEstimate:
     """Sampled restricted strong convexity/smoothness bounds.
 
     Probes the top-|sparsity| support of t_ref (when given), num_supports
     random supports, and any extra_supports (e.g. sets visited by a solver
-    trace); returns the running min/max eigenvalues across probes.
+    trace); returns the running min/max eigenvalues across probes.  u_ref,
+    when given, is the forward product A Gamma t_ref a caller already holds;
+    it is used as is instead of being recomputed.
     """
     if not problem.link.has_derivative:
         raise CapabilityError(
@@ -197,7 +201,12 @@ def estimate_rsc_rss(
         if t_ref.shape != (two_n,):
             raise ValueError(f"t_ref must have length {two_n}, got shape {t_ref.shape}")
 
-    u_ref = problem.A.apply(dict_apply(problem.dictionary, t_ref))
+    if u_ref is None:
+        u_ref = problem.A.apply(dict_apply(problem.dictionary, t_ref))
+    else:
+        u_ref = np.asarray(u_ref, dtype=float)
+        if u_ref.shape != (problem.A.m,):
+            raise ValueError(f"u_ref must have length {problem.A.m}, got shape {u_ref.shape}")
     gp = link_deriv(problem.link, u_ref)
 
     supports: list[np.ndarray] = []

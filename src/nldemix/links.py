@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 LINK_KINDS = ("sign", "linsin", "logistic", "shifted-logistic")
 
@@ -73,14 +72,19 @@ def _logistic_potential(u: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, u) - _LN2
 
 
+def _logistic(u: np.ndarray) -> np.ndarray:
+    # 1 / (1 + e^-u) = 1/2 + tanh(u/2)/2; tanh saturates, so no overflow.
+    return 0.5 + 0.5 * np.tanh(0.5 * u)
+
+
 def _logistic_deriv(u: np.ndarray) -> np.ndarray:
-    p = expit(u)
+    p = _logistic(u)
     return p * (1.0 - p)
 
 
 def _shifted_logistic(u: np.ndarray) -> np.ndarray:
-    # (1 - e^-u) / (2 (1 + e^-u)) = expit(u) - 1/2 = tanh(u/2)/2.
-    return expit(u) - 0.5
+    # (1 - e^-u) / (2 (1 + e^-u)) = logistic(u) - 1/2 = tanh(u/2)/2.
+    return 0.5 * np.tanh(0.5 * u)
 
 
 def _shifted_logistic_potential(u: np.ndarray) -> np.ndarray:
@@ -108,7 +112,7 @@ def make_link(name: str, radius: float = 20.0) -> LinkFunction:
         edge = float(_logistic_deriv(np.float64(radius)))
         return LinkFunction(
             name="logistic",
-            eval_fn=expit,
+            eval_fn=_logistic,
             deriv_fn=_logistic_deriv,
             potential_fn=_logistic_potential,
             l1=edge,

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, idct
 
 from .links import LinkFunction, link_eval
+from .transforms import _dct2, _dct3
 
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "subfast")
 
@@ -73,7 +73,7 @@ class MeasurementOperator:
             raise ValueError(f"x must have length {self.n}, got shape {x.shape}")
         if self._matrix is not None:
             return self._matrix @ x
-        u = dct(self.signs * x, norm="ortho")
+        u = _dct2(self.signs * x)
         return np.sqrt(self.n) * u[self.row_indices]
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
@@ -84,7 +84,7 @@ class MeasurementOperator:
             return self._matrix.T @ v
         u = np.zeros(self.n)
         u[self.row_indices] = v
-        return np.sqrt(self.n) * self.signs * idct(u, norm="ortho")
+        return np.sqrt(self.n) * self.signs * _dct3(u)
 
     def dense(self) -> np.ndarray:
         """Materialized m x n matrix.  O(m n) memory; rows for subfast are

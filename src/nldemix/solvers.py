@@ -307,14 +307,16 @@ def _resolve_init(problem: DemixProblem, config: SolverConfig) -> np.ndarray:
     return _check_t(problem, config.init).copy()
 
 
-def _resolve_step(problem: DemixProblem, config: SolverConfig, t0: np.ndarray) -> float:
+def _resolve_step(problem: DemixProblem, config: SolverConfig, t0: np.ndarray,
+                  u0: np.ndarray) -> float:
+    # u0 = A Gamma t0, which the solver needs for its initial objective anyway.
     if not isinstance(config.step_size, str):
         return float(config.step_size)
     from . import diagnostics  # runtime import; diagnostics imports this module
 
     sparsity = min(6 * problem.s, 2 * problem.n)
     est = diagnostics.estimate_rsc_rss(
-        problem, t_ref=t0, sparsity=sparsity, num_supports=0, seed=0
+        problem, t_ref=t0, sparsity=sparsity, num_supports=0, seed=0, u_ref=u0
     )
     if not np.isfinite(est.M_hat) or est.M_hat <= 1e-12:
         raise RuntimeError(
@@ -341,18 +343,19 @@ def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> Solv
         return _zero_result(problem, start, config.keep_iterates)
 
     t = _resolve_init(problem, config)
-    eta = _resolve_step(problem, config, t)
+    u = _forward(problem, t)
+    eta = _resolve_step(problem, config, t, u)
     beta = config.dst_beta
 
-    def objective(tv: np.ndarray) -> tuple[float, float, np.ndarray]:
-        # (monitored objective, plain loss, forward product); dst monitors
-        # F + beta ||t||_1, the composite its iteration is a proximal step on.
-        # The forward product of the accepted candidate feeds the next gradient.
-        u = _forward(problem, tv)
-        f = _loss_at(problem, u)
-        return (f + beta * float(np.abs(tv).sum()) if soft else f), f, u
+    def objective(tv: np.ndarray, uv: np.ndarray) -> tuple[float, float]:
+        # (monitored objective, plain loss) at tv with forward product uv; dst
+        # monitors F + beta ||t||_1, the composite its iteration is a proximal
+        # step on.  The forward product of the accepted candidate feeds the
+        # next gradient.
+        f = _loss_at(problem, uv)
+        return (f + beta * float(np.abs(tv).sum()) if soft else f), f
 
-    obj, _, u = objective(t)
+    obj, _ = objective(t, u)
     trace: list[TraceRecord] = []
     iterates: list[np.ndarray] | None = [t.copy()] if config.keep_iterates else None
     converged = False
@@ -371,7 +374,8 @@ def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> Solv
                 cand = soft_threshold(t - step * grad, beta * step)
             else:
                 cand = _project(t - step * grad, problem, config)
-            cand_obj, cand_loss, cand_u = objective(cand)
+            cand_u = _forward(problem, cand)
+            cand_obj, cand_loss = objective(cand, cand_u)
             if np.isfinite(cand_obj) and cand_obj <= obj + 1e-12:
                 break
             step *= 0.5
@@ -442,16 +446,18 @@ def nlcd_lasso(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> 
     for k in range(1, config.max_iters + 1):
         grad = dict_adjoint(d, x - x_lin)
         step = base_step
-        t_new, obj_new = t, obj_prev
         for _ in range(_MAX_HALVINGS):
             cand = project_l1_ball(t - step * grad, radius)
-            cand_obj, cand_x = obj(cand)
-            if cand_obj <= obj_prev + 1e-15:
-                t_new, obj_new, x = cand, cand_obj, cand_x
+            obj_new, cand_x = obj(cand)
+            if obj_new <= obj_prev + 1e-15:
                 break
             step *= 0.5
-        delta = float(np.linalg.norm(t_new - t))
-        t = t_new
+        else:
+            # No halving lowered the objective: keep t and stop unconverged.
+            k -= 1
+            break
+        delta = float(np.linalg.norm(cand - t))
+        t, x = cand, cand_x
         if iterates is not None:
             iterates.append(t.copy())
         trace.append(

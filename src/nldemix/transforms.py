@@ -12,9 +12,9 @@ so that ``dict_apply`` computes Phi w + Psi z and ``dict_adjoint`` computes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct, idct
 
 BASIS_KINDS = ("identity", "dct", "haar")
 
@@ -100,12 +100,56 @@ def _haar_analysis(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _dct_twiddle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # (tw, 1/tw) with tw_k = s_k exp(-i pi k / 2n) for k = 0..n//2, s_k the
+    # orthonormal DCT-II scale.  Read-only: every caller shares the arrays.
+    k = np.arange(n // 2 + 1)
+    tw = np.sqrt(2.0 / n) * np.exp(-0.5j * np.pi * k / n)
+    tw[0] = np.sqrt(1.0 / n)
+    inv = 1.0 / tw
+    tw.flags.writeable = inv.flags.writeable = False
+    return tw, inv
+
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II along the last axis, by one real FFT (Makhoul 1980).
+
+    With v = [x_0, x_2, ..., x_3, x_1] (evens, then odds reversed) and
+    Y_k = tw_k FFT(v)_k, X_k = Re Y_k for k <= n/2 and X_{n-k} = -Im Y_k.
+    """
+    n = x.shape[-1]
+    h = n // 2 + 1
+    y = np.fft.rfft(np.concatenate([x[..., 0::2], x[..., 1::2][..., ::-1]], axis=-1), axis=-1)
+    y *= _dct_twiddle(n)[0]
+    out = np.empty(x.shape)
+    out[..., :h] = y.real
+    np.negative(y.imag[..., 1 : (n + 1) // 2][..., ::-1], out=out[..., h:])
+    return out
+
+
+def _dct3(c: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-III along the last axis: the inverse of :func:`_dct2`."""
+    n = c.shape[-1]
+    h = n // 2 + 1
+    y = np.empty(c.shape[:-1] + (h,), dtype=complex)
+    y.real = c[..., :h]
+    y.imag[..., 0] = 0.0
+    np.negative(c[..., (n + 1) // 2 :][..., ::-1], out=y.imag[..., 1:])
+    y *= _dct_twiddle(n)[1]
+    v = np.fft.irfft(y, n=n, axis=-1)
+    x = np.empty_like(v)
+    x[..., 0::2] = v[..., : (n + 1) // 2]
+    x[..., 1::2] = v[..., (n + 1) // 2 :][..., ::-1]
+    return x
+
+
 def _synthesis(b: Basis, coeffs: np.ndarray) -> np.ndarray:
     # Operates along the last axis so diagnostics can batch rows.
     if b.kind == "identity":
         return np.asarray(coeffs, dtype=float).copy()
     if b.kind == "dct":
-        return idct(np.asarray(coeffs, dtype=float), norm="ortho", axis=-1)
+        return _dct3(np.asarray(coeffs, dtype=float))
     return _haar_synthesis(np.asarray(coeffs, dtype=float))
 
 
@@ -113,7 +157,7 @@ def _analysis(b: Basis, x: np.ndarray) -> np.ndarray:
     if b.kind == "identity":
         return np.asarray(x, dtype=float).copy()
     if b.kind == "dct":
-        return dct(np.asarray(x, dtype=float), norm="ortho", axis=-1)
+        return _dct2(np.asarray(x, dtype=float))
     return _haar_analysis(np.asarray(x, dtype=float))
 
 

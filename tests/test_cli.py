@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +216,19 @@ class TestExitCodes:
 
 
 class TestEntryPoint:
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import nldemix.cli, sys; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "nldemix.cli", "trial", *FAST_TRIAL],

@@ -1,5 +1,7 @@
 """Link functions: values, calculus identities, capability gating."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -87,6 +89,19 @@ class TestValues:
         # odd function, saturating at +/- 1/2
         np.testing.assert_allclose(link_eval(g, u), -link_eval(g, -u), atol=1e-14)
         assert abs(link_eval(g, np.array([50.0]))[0] - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("name, shift", [("logistic", 0.0), ("shifted-logistic", 0.5)])
+    def test_sigmoid_matches_expit_without_overflow(self, name, shift):
+        g = make_link(name)
+        u = np.linspace(-800.0, 800.0, 16001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = link_eval(g, u)
+            derivs = link_deriv(g, u)
+        np.testing.assert_allclose(vals, expit(u) - shift, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(derivs, expit(u) * (1 - expit(u)), rtol=0, atol=1e-15)
+        assert link_eval(g, np.array([-800.0]))[0] == -shift
+        assert link_eval(g, np.array([800.0]))[0] == 1.0 - shift
 
     def test_potential_overflow_safe(self):
         for name in ("logistic", "shifted-logistic"):

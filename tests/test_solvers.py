@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nldemix import solvers
+from nldemix import diagnostics, solvers
 from nldemix.harness import TrialSpec, _build_instance
 from nldemix.links import CapabilityError, make_link
 from nldemix.measurement import observe, sample_operator
@@ -564,13 +564,13 @@ class TestDescentWork:
 
     @pytest.mark.parametrize(
         "algorithm, step, outside",
-        [("dht", "auto", 2), ("dst", "auto", 2), ("dht", 50.0, 1), ("dst", 50.0, 1)],
+        [("dht", "auto", 1), ("dst", "auto", 1), ("dht", 50.0, 1), ("dst", 50.0, 1)],
     )
     def test_one_forward_per_candidate_and_one_adjoint_per_iteration(
         self, monkeypatch, algorithm, step, outside
     ):
-        # outside the loop: the initial objective, plus the step estimate's
-        # reference product when the step is automatic (zero init: no oneshot)
+        # outside the loop: the initial forward product, which the automatic
+        # step estimate reuses as its reference product (zero init: no oneshot)
         problem, _ = planted_instance(128, 4, 150, seed=46)
         counts = {"apply": 0, "adjoint": 0, "candidates": 0}
 
@@ -601,6 +601,29 @@ class TestDescentWork:
         assert len(res.iterates) == len(ref)
         for got, want in zip(res.iterates, ref):
             assert_bits_equal(got, want)
+
+    def test_auto_step_reuses_the_initial_forward_product(self, monkeypatch):
+        problem, _ = planted_instance(128, 4, 150, seed=46)
+        t0 = oneshot(problem).t_hat
+        u0 = problem.A.apply(dict_apply(problem.dictionary, t0))
+        seen = []
+        estimate = diagnostics.estimate_rsc_rss
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["u_ref"])
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "estimate_rsc_rss", spy)
+        dht(problem, SolverConfig(max_iters=5))
+        assert len(seen) == 1
+        assert_bits_equal(seen[0], u0)
+        with_ref = estimate(problem, t_ref=t0, num_supports=0, u_ref=u0)
+        assert with_ref == estimate(problem, t_ref=t0, num_supports=0)
+
+    def test_step_estimate_rejects_misshaped_u_ref(self):
+        problem, _ = planted_instance(64, 3, 90, seed=46)
+        with pytest.raises(ValueError, match="u_ref"):
+            diagnostics.estimate_rsc_rss(problem, u_ref=np.zeros(problem.A.m + 1))
 
 
 class TestDst:
@@ -677,3 +700,29 @@ class TestNlcdLasso:
             res.x_hat, dict_apply(problem.dictionary, res.t_hat)
         )
         assert len(res.iterates) == res.iterations_run + 1
+
+    def test_failed_backtracking_stops_unconverged(self, monkeypatch):
+        # From the fourth projection on, every candidate is pushed far from
+        # x_lin, so no halving lowers the objective: the solve must keep the
+        # third iterate and stop unconverged instead of reporting convergence.
+        problem, _ = planted_instance(96, 3, 150, seed=56)
+        project = solvers.project_l1_ball
+        calls = []
+
+        def worse_after_three(v, r):
+            calls.append(r)
+            out = project(v, r)
+            return out if len(calls) <= 3 else out + 1e3
+
+        monkeypatch.setattr(solvers, "project_l1_ball", worse_after_three)
+        res = nlcd_lasso(problem, SolverConfig(max_iters=100, keep_iterates=True))
+        monkeypatch.setattr(solvers, "project_l1_ball", project)
+        ref = nlcd_lasso(problem, SolverConfig(max_iters=3, keep_iterates=True))
+        assert res.converged is False
+        assert res.iterations_run == 3
+        assert len(res.trace) == 3
+        assert len(calls) == 3 + solvers._MAX_HALVINGS
+        assert len(res.iterates) == len(ref.iterates)
+        for got, want in zip(res.iterates, ref.iterates):
+            assert_bits_equal(got, want)
+        assert_bits_equal(res.t_hat, ref.t_hat)

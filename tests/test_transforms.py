@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.fft import dct, idct
 
 from nldemix.transforms import (
     Basis,
@@ -14,6 +15,7 @@ from nldemix.transforms import (
     split_constituents,
     stack_constituents,
 )
+from nldemix.transforms import _dct2, _dct3
 
 
 def dct_matrix(n: int) -> np.ndarray:
@@ -159,6 +161,32 @@ class TestDenseOracles:
         np.testing.assert_allclose(dict_apply(d, t), G @ t, atol=1e-10)
         x = rng.standard_normal(n)
         np.testing.assert_allclose(dict_adjoint(d, x), G.T @ x, atol=1e-10)
+
+
+class TestFastDct:
+    """The FFT-based DCT-II/III pair against SciPy's orthonormal DCT."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 255, 256, 4096])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_matches_scipy_and_round_trips(self, n, shape):
+        x = np.random.default_rng(n).standard_normal(shape + (n,))
+        atol = 1e-13 * max(1.0, float(np.linalg.norm(x)))
+        np.testing.assert_allclose(_dct2(x), dct(x, norm="ortho", axis=-1), rtol=0, atol=atol)
+        np.testing.assert_allclose(_dct3(x), idct(x, norm="ortho", axis=-1), rtol=0, atol=atol)
+        np.testing.assert_allclose(_dct3(_dct2(x)), x, rtol=0, atol=atol)
+        np.testing.assert_allclose(_dct2(_dct3(x)), x, rtol=0, atol=atol)
+
+    def test_rows_transform_independently(self):
+        X = np.random.default_rng(5).standard_normal((4, 37))
+        for f in (_dct2, _dct3):
+            np.testing.assert_array_equal(f(X)[2], f(X[2]))
+
+    def test_input_left_unchanged(self):
+        x = np.random.default_rng(6).standard_normal(16)
+        keep = x.copy()
+        _dct2(x)
+        _dct3(x)
+        np.testing.assert_array_equal(x, keep)
 
 
 class TestDictionary:
