@@ -38,8 +38,6 @@ from .links import (
 from .measurement import (
     MeasurementOperator,
     NoiseSpec,
-    measure,
-    measure_adjoint,
     observe,
     sample_operator,
 )
@@ -76,8 +74,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Basis", "Dictionary", "basis_apply", "basis_adjoint", "basis_matrix",
     "dict_apply", "dict_adjoint", "split_constituents", "stack_constituents",
-    "MeasurementOperator", "NoiseSpec", "sample_operator", "measure",
-    "measure_adjoint", "observe",
+    "MeasurementOperator", "NoiseSpec", "sample_operator", "observe",
     "LinkFunction", "CapabilityError", "make_link", "link_eval", "link_deriv",
     "link_potential", "derivative_bounds",
     "DemixProblem", "SolverConfig", "SolveResult", "TraceRecord",

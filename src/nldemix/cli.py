@@ -89,7 +89,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--threshold", dest="success_threshold", type=float)
     p.add_argument("--link-radius", dest="link_radius", type=float)
-    p.add_argument("--workers", type=int)
     p.add_argument("--out", metavar="CSV")
     p.add_argument("--step-size", dest="step_size", type=_step_size)
     p.add_argument("--max-iters", dest="max_iters", type=int)
@@ -112,6 +111,7 @@ def build_parser() -> _Parser:
     p_phase.add_argument("--s-list", dest="s_list", type=_int_list)
     p_phase.add_argument("--m-list", dest="m_list", type=_int_list)
     p_phase.add_argument("--trials", type=int)
+    p_phase.add_argument("--workers", type=int)
 
     p_bench = sub.add_parser("bench", help="median solve wall times")
     _add_common(p_bench)

@@ -21,13 +21,16 @@ infimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .links import CapabilityError, LinkFunction, link_deriv, link_eval
 from .measurement import MeasurementOperator
-from .solvers import DemixProblem
-from .transforms import Dictionary, _analysis, _synthesis, dict_apply
+from .transforms import Dictionary, basis_adjoint, basis_apply, dict_apply
+
+if TYPE_CHECKING:  # solvers imports this module at load time
+    from .solvers import DemixProblem
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,8 @@ def mutual_coherence(d: Dictionary, block: int = 256) -> float:
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         # rows of eye -> psi atoms -> analysis under phi, batched on last axis
-        atoms = _synthesis(d.psi, np.eye(n)[lo:hi])
-        cross = _analysis(d.phi, atoms)
+        atoms = basis_apply(d.psi, np.eye(n)[lo:hi])
+        cross = basis_adjoint(d.phi, atoms)
         best = max(best, float(np.max(np.abs(cross))))
     return best
 
@@ -91,7 +94,7 @@ def cross_coherence(A: MeasurementOperator, d: Dictionary) -> float:
     # row i of A Phi equals the phi-analysis of row i of A
     best = 0.0
     for b in (d.phi, d.psi):
-        coeffs = _analysis(b, rows)
+        coeffs = basis_adjoint(b, rows)
         best = max(best, float(np.max(np.abs(coeffs) / norms[:, None])))
     return best
 
@@ -127,24 +130,10 @@ def _gamma_columns(d: Dictionary, idx: np.ndarray) -> np.ndarray:
     n = d.n
     idx = np.asarray(idx)
     B = np.zeros((n, idx.size))
-    first = idx < n
-    if np.any(first):
-        cols = np.where(first)[0]
-        if d.phi.kind == "identity":
-            B[idx[cols], cols] = 1.0
-        else:
-            unit = np.zeros((cols.size, n))
-            unit[np.arange(cols.size), idx[cols]] = 1.0
-            B[:, cols] = _synthesis(d.phi, unit).T
-    second = ~first
-    if np.any(second):
-        cols = np.where(second)[0]
-        if d.psi.kind == "identity":
-            B[idx[cols] - n, cols] = 1.0
-        else:
-            unit = np.zeros((cols.size, n))
-            unit[np.arange(cols.size), idx[cols] - n] = 1.0
-            B[:, cols] = _synthesis(d.psi, unit).T
+    for basis, cols in ((d.phi, np.flatnonzero(idx < n)), (d.psi, np.flatnonzero(idx >= n))):
+        unit = np.zeros((cols.size, n))
+        unit[np.arange(cols.size), idx[cols] % n] = 1.0
+        B[:, cols] = basis_apply(basis, unit).T
     return B
 
 

@@ -73,13 +73,16 @@ def _logistic_potential(u: np.ndarray) -> np.ndarray:
 
 
 def _logistic(u: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-u) = 1/2 + tanh(u/2)/2; tanh saturates, so no overflow.
-    return 0.5 + 0.5 * np.tanh(0.5 * u)
+    # 1 / (1 + e^-u), mirrored by sign: e = e^-|u| <= 1 cannot overflow, and
+    # e / (1 + e) keeps full relative precision in the left tail.
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 def _logistic_deriv(u: np.ndarray) -> np.ndarray:
-    p = _logistic(u)
-    return p * (1.0 - p)
+    # p (1 - p) = e / (1 + e)^2 with e = e^-|u|, without cancellation.
+    e = np.exp(-np.abs(u))
+    return e / (1.0 + e) ** 2
 
 
 def _shifted_logistic(u: np.ndarray) -> np.ndarray:

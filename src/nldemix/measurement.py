@@ -105,16 +105,6 @@ def sample_operator(kind: str, m: int, n: int, seed: int) -> MeasurementOperator
     return MeasurementOperator(kind, m, n, seed)
 
 
-def measure(A: MeasurementOperator, x: np.ndarray) -> np.ndarray:
-    """Forward map A @ x."""
-    return A.apply(x)
-
-
-def measure_adjoint(A: MeasurementOperator, v: np.ndarray) -> np.ndarray:
-    """Adjoint map A^T @ v."""
-    return A.adjoint(v)
-
-
 def observe(
     A: MeasurementOperator,
     link: LinkFunction,

@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import diagnostics
 from .links import CapabilityError, LinkFunction, link_deriv, link_eval, link_potential
 from .measurement import MeasurementOperator
 from .transforms import Dictionary, dict_adjoint, dict_apply, split_constituents
@@ -312,8 +314,6 @@ def _resolve_step(problem: DemixProblem, config: SolverConfig, t0: np.ndarray,
     # u0 = A Gamma t0, which the solver needs for its initial objective anyway.
     if not isinstance(config.step_size, str):
         return float(config.step_size)
-    from . import diagnostics  # runtime import; diagnostics imports this module
-
     sparsity = min(6 * problem.s, 2 * problem.n)
     est = diagnostics.estimate_rsc_rss(
         problem, t_ref=t0, sparsity=sparsity, num_supports=0, seed=0, u_ref=u0
@@ -327,15 +327,69 @@ def _resolve_step(problem: DemixProblem, config: SolverConfig, t0: np.ndarray,
 
 def _project(t: np.ndarray, problem: DemixProblem, config: SolverConfig) -> np.ndarray:
     if config.projection_mode == "perblocks":
-        w, z = split_constituents(t, problem.n)
-        return np.concatenate(
-            [hard_threshold(w, problem.s), hard_threshold(z, problem.s)]
-        )
+        n, s = problem.n, problem.s
+        return np.concatenate([hard_threshold(t[:n], s), hard_threshold(t[n:], s)])
     return hard_threshold(t, 2 * problem.s)
 
 
+def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, start: float,
+                   t: np.ndarray, carry: np.ndarray, *, forward: Callable, objective: Callable,
+                   gradient: Callable, prox: Callable, step: float, slack: float,
+                   done: Callable) -> SolveResult:
+    """Backtracking proximal-gradient loop shared by dht, dst and nlcd_lasso.
+
+    carry = forward(t) is the product that objective(t, carry) -> (monitored,
+    traced) and gradient(carry) read; the accepted candidate's carry feeds
+    the next gradient.  Each iteration tries prox(t - h grad, h) for
+    h = step, step/2, ... and accepts the first candidate whose monitored
+    objective rises by at most slack; when none does, the solve keeps t and
+    stops unconverged.  done(delta, t_new, obj_old, obj_new) tests
+    convergence after an accepted step of length delta.
+    """
+    obj, _ = objective(t, carry)
+    trace: list[TraceRecord] = []
+    iterates: list[np.ndarray] | None = [t.copy()] if config.keep_iterates else None
+    converged = False
+    for k in range(1, config.max_iters + 1):
+        grad = gradient(carry)
+        if not np.all(np.isfinite(grad)) or not np.isfinite(obj):
+            raise RuntimeError(
+                f"{algorithm} aborted at iteration {k}: non-finite loss or gradient "
+                f"(loss={obj!r}); the step size is likely too large for this instance"
+            )
+        h = step
+        for _ in range(_MAX_HALVINGS):
+            cand = prox(t - h * grad, h)
+            cand_carry = forward(cand)
+            cand_obj, traced = objective(cand, cand_carry)
+            if np.isfinite(cand_obj) and cand_obj <= obj + slack:
+                break
+            h *= 0.5
+        else:
+            k -= 1
+            break
+        delta = float(np.linalg.norm(cand - t))
+        converged = done(delta, cand, obj, cand_obj)
+        t, carry, obj = cand, cand_carry, cand_obj
+        if iterates is not None:
+            iterates.append(t.copy())
+        trace.append(
+            TraceRecord(k, traced, delta, time.perf_counter() - start,
+                        int(np.count_nonzero(t)))
+        )
+        if converged:
+            break
+
+    w_hat, z_hat = split_constituents(t, problem.n)
+    x_hat = dict_apply(problem.dictionary, t)
+    return SolveResult(
+        w_hat, z_hat, x_hat, tuple(trace), k, converged,
+        tuple(iterates) if iterates is not None else None,
+    )
+
+
 def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> SolveResult:
-    """Shared loop for dht (hard projection) and dst (soft thresholding)."""
+    """dht (hard projection) and dst (soft thresholding) on F."""
     algorithm = "dst" if soft else "dht"
     _require(problem, potential=True, derivative=True, who=algorithm)
     start = time.perf_counter()
@@ -344,62 +398,25 @@ def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> Solv
 
     t = _resolve_init(problem, config)
     u = _forward(problem, t)
-    eta = _resolve_step(problem, config, t, u)
     beta = config.dst_beta
 
     def objective(tv: np.ndarray, uv: np.ndarray) -> tuple[float, float]:
-        # (monitored objective, plain loss) at tv with forward product uv; dst
-        # monitors F + beta ||t||_1, the composite its iteration is a proximal
-        # step on.  The forward product of the accepted candidate feeds the
-        # next gradient.
+        # dst monitors F + beta ||t||_1, the composite its iteration is a
+        # proximal step on; the trace reports the plain loss F.
         f = _loss_at(problem, uv)
         return (f + beta * float(np.abs(tv).sum()) if soft else f), f
 
-    obj, _ = objective(t, u)
-    trace: list[TraceRecord] = []
-    iterates: list[np.ndarray] | None = [t.copy()] if config.keep_iterates else None
-    converged = False
-    k = 0
-    for k in range(1, config.max_iters + 1):
-        grad = _gradient_at(problem, u)
-        if not np.all(np.isfinite(grad)) or not np.isfinite(obj):
-            raise RuntimeError(
-                f"{algorithm} aborted at iteration {k}: non-finite loss or gradient "
-                f"(loss={obj!r}); the step size is likely too large for this instance"
-            )
-        # Backtracking: halve the step while the objective would increase.
-        step = eta
-        for _ in range(_MAX_HALVINGS):
-            if soft:
-                cand = soft_threshold(t - step * grad, beta * step)
-            else:
-                cand = _project(t - step * grad, problem, config)
-            cand_u = _forward(problem, cand)
-            cand_obj, cand_loss = objective(cand, cand_u)
-            if np.isfinite(cand_obj) and cand_obj <= obj + 1e-12:
-                break
-            step *= 0.5
-        else:
-            # No halving lowered the objective: keep t and stop unconverged.
-            k -= 1
-            break
-        delta = float(np.linalg.norm(cand - t))
-        t, obj, floss, u = cand, cand_obj, cand_loss, cand_u
-        if iterates is not None:
-            iterates.append(t.copy())
-        trace.append(
-            TraceRecord(k, floss, delta, time.perf_counter() - start,
-                        int(np.count_nonzero(t)))
-        )
-        if delta <= config.rel_tol * max(1.0, float(np.linalg.norm(t))):
-            converged = True
-            break
-
-    w_hat, z_hat = split_constituents(t, problem.n)
-    x_hat = dict_apply(problem.dictionary, t)
-    return SolveResult(
-        w_hat, z_hat, x_hat, tuple(trace), k, converged,
-        tuple(iterates) if iterates is not None else None,
+    return _prox_gradient(
+        problem, config, algorithm, start, t, u,
+        forward=lambda tv: _forward(problem, tv),
+        objective=objective,
+        gradient=lambda uv: _gradient_at(problem, uv),
+        prox=((lambda v, h: soft_threshold(v, beta * h)) if soft
+              else (lambda v, h: _project(v, problem, config))),
+        step=_resolve_step(problem, config, t, u),
+        slack=1e-12,
+        done=lambda delta, tv, old, new: (
+            delta <= config.rel_tol * max(1.0, float(np.linalg.norm(tv)))),
     )
 
 
@@ -431,48 +448,18 @@ def nlcd_lasso(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> 
     x_lin = problem.A.adjoint(problem.y) / problem.A.m
     d = problem.dictionary
 
-    def obj(tv: np.ndarray) -> tuple[float, np.ndarray]:
-        # The synthesis Gamma t of the accepted candidate feeds the next gradient.
-        x = dict_apply(d, tv)
-        return float(np.linalg.norm(x_lin - x)), x
+    def objective(tv: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+        f = float(np.linalg.norm(x_lin - x))
+        return f, f
 
     t = np.zeros(2 * problem.n)
-    obj_prev, x = obj(t)
-    trace: list[TraceRecord] = []
-    iterates: list[np.ndarray] | None = [t.copy()] if config.keep_iterates else None
-    converged = False
-    base_step = 0.5  # 1/L for L = ||Gamma||^2 = 2
-    k = 0
-    for k in range(1, config.max_iters + 1):
-        grad = dict_adjoint(d, x - x_lin)
-        step = base_step
-        for _ in range(_MAX_HALVINGS):
-            cand = project_l1_ball(t - step * grad, radius)
-            obj_new, cand_x = obj(cand)
-            if obj_new <= obj_prev + 1e-15:
-                break
-            step *= 0.5
-        else:
-            # No halving lowered the objective: keep t and stop unconverged.
-            k -= 1
-            break
-        delta = float(np.linalg.norm(cand - t))
-        t, x = cand, cand_x
-        if iterates is not None:
-            iterates.append(t.copy())
-        trace.append(
-            TraceRecord(k, obj_new, delta, time.perf_counter() - start,
-                        int(np.count_nonzero(t)))
-        )
-        if abs(obj_prev - obj_new) <= config.rel_tol * max(1.0, obj_prev):
-            obj_prev = obj_new
-            converged = True
-            break
-        obj_prev = obj_new
-
-    w_hat, z_hat = split_constituents(t, problem.n)
-    x_hat = dict_apply(d, t)
-    return SolveResult(
-        w_hat, z_hat, x_hat, tuple(trace), k, converged,
-        tuple(iterates) if iterates is not None else None,
+    return _prox_gradient(
+        problem, config, "nlcd_lasso", start, t, dict_apply(d, t),
+        forward=lambda tv: dict_apply(d, tv),
+        objective=objective,
+        gradient=lambda x: dict_adjoint(d, x - x_lin),
+        prox=lambda v, h: project_l1_ball(v, radius),
+        step=0.5,  # 1/L for L = ||Gamma||^2 = 2
+        slack=1e-15,
+        done=lambda delta, tv, old, new: abs(old - new) <= config.rel_tol * max(1.0, old),
     )

@@ -144,38 +144,30 @@ def _dct3(c: np.ndarray) -> np.ndarray:
     return x
 
 
-def _synthesis(b: Basis, coeffs: np.ndarray) -> np.ndarray:
-    # Operates along the last axis so diagnostics can batch rows.
-    if b.kind == "identity":
-        return np.asarray(coeffs, dtype=float).copy()
-    if b.kind == "dct":
-        return _dct3(np.asarray(coeffs, dtype=float))
-    return _haar_synthesis(np.asarray(coeffs, dtype=float))
-
-
-def _analysis(b: Basis, x: np.ndarray) -> np.ndarray:
-    if b.kind == "identity":
-        return np.asarray(x, dtype=float).copy()
-    if b.kind == "dct":
-        return _dct2(np.asarray(x, dtype=float))
-    return _haar_analysis(np.asarray(x, dtype=float))
-
-
-def _check_length(v: np.ndarray, n: int, what: str) -> np.ndarray:
+def _check_last_axis(v: np.ndarray, n: int, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.shape[0] != n:
-        raise ValueError(f"{what} must be a vector of length {n}, got shape {v.shape}")
+    if v.ndim < 1 or v.shape[-1] != n:
+        raise ValueError(f"{what} must have a last axis of length {n}, got shape {v.shape}")
     return v
 
 
 def basis_apply(b: Basis, coeffs: np.ndarray) -> np.ndarray:
-    """Synthesis Phi @ coeffs; preserves the l2 norm."""
-    return _synthesis(b, _check_length(coeffs, b.n, "coeffs"))
+    """Synthesis Phi @ coeffs along the last axis; preserves the l2 norm.
+
+    A 2-D input is a batch of coefficient rows, each synthesized alone.
+    """
+    c = _check_last_axis(coeffs, b.n, "coeffs")
+    if b.kind == "identity":
+        return c.copy()
+    return _dct3(c) if b.kind == "dct" else _haar_synthesis(c)
 
 
 def basis_adjoint(b: Basis, x: np.ndarray) -> np.ndarray:
-    """Analysis Phi^T @ x; inverse of :func:`basis_apply`."""
-    return _analysis(b, _check_length(x, b.n, "x"))
+    """Analysis Phi^T @ x along the last axis; inverse of :func:`basis_apply`."""
+    x = _check_last_axis(x, b.n, "x")
+    if b.kind == "identity":
+        return x.copy()
+    return _dct2(x) if b.kind == "dct" else _haar_analysis(x)
 
 
 def basis_matrix(b: Basis) -> np.ndarray:
@@ -183,7 +175,7 @@ def basis_matrix(b: Basis) -> np.ndarray:
 
     Intended for small-n testing and diagnostics; O(n^2) memory.
     """
-    return _synthesis(b, np.eye(b.n)).T
+    return basis_apply(b, np.eye(b.n)).T
 
 
 def split_constituents(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,10 +198,12 @@ def stack_constituents(w: np.ndarray, z: np.ndarray) -> np.ndarray:
 def dict_apply(d: Dictionary, t: np.ndarray) -> np.ndarray:
     """Gamma @ t = Phi w + Psi z for t = [w; z]."""
     w, z = split_constituents(t, d.n)
-    return _synthesis(d.phi, w) + _synthesis(d.psi, z)
+    return basis_apply(d.phi, w) + basis_apply(d.psi, z)
 
 
 def dict_adjoint(d: Dictionary, x: np.ndarray) -> np.ndarray:
     """Gamma^T @ x = [Phi^T x; Psi^T x]; dict_apply(dict_adjoint(x)) = 2x."""
-    x = _check_length(x, d.n, "x")
-    return np.concatenate([_analysis(d.phi, x), _analysis(d.psi, x)])
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d.n,):
+        raise ValueError(f"x must be a vector of length {d.n}, got shape {x.shape}")
+    return np.concatenate([basis_adjoint(d.phi, x), basis_adjoint(d.psi, x)])

@@ -88,6 +88,16 @@ class TestPhaseCommand:
             assert 0 <= int(r["successes"]) <= 2
             assert float(r["prob"]) == int(r["successes"]) / 2.0
 
+    def test_workers_is_a_phase_flag_only(self, capsys):
+        assert main(["trial", *FAST_TRIAL, "--workers", "2"]) == 1
+        assert "--workers" in capsys.readouterr().err
+        args = ["phase", "--n", "128", "--algorithm", "oneshot",
+                "--s-list", "2", "--m-list", "80,160", "--trials", "2", "--seed", "0"]
+        assert main(args) == 0
+        serial = capsys.readouterr().out
+        assert main(args + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
     def test_missing_lists_is_usage_error(self, capsys):
         assert main(["phase", "--n", "64"]) == 1
         assert "s-list" in capsys.readouterr().err

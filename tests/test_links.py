@@ -1,6 +1,7 @@
 """Link functions: values, calculus identities, capability gating."""
 
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -102,6 +103,30 @@ class TestValues:
         np.testing.assert_allclose(derivs, expit(u) * (1 - expit(u)), rtol=0, atol=1e-15)
         assert link_eval(g, np.array([-800.0]))[0] == -shift
         assert link_eval(g, np.array([800.0]))[0] == 1.0 - shift
+
+    def test_logistic_keeps_relative_precision_in_both_tails(self):
+        # 60-digit decimal reference: relative precision holds in the left
+        # tail down to subnormals, not just absolute precision.
+        def reference(u):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                e = Decimal(-abs(u)).exp()
+                p = (Decimal(1) if u >= 0 else e) / (1 + e)
+                return float(p), float(e / (1 + e) ** 2)
+
+        g = make_link("logistic")
+        u = np.array([-800.0, -745.0, -700.0, -40.0, -30.0, -20.0, -1.0, 0.0,
+                      1.0, 30.0, 700.0, 800.0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            vals = link_eval(g, u)
+            derivs = link_deriv(g, u)
+        for ui, got_p, got_d in zip(u, vals, derivs):
+            want_p, want_d = reference(ui)
+            assert abs(got_p - want_p) <= 4 * np.spacing(want_p), ui
+            assert abs(got_d - want_d) <= 4 * np.spacing(want_d), ui
+        for radius in (20.0, 30.0):
+            want = reference(radius)[1]
+            assert abs(make_link("logistic", radius=radius).l1 - want) <= 4 * np.spacing(want)
 
     def test_potential_overflow_safe(self):
         for name in ("logistic", "shifted-logistic"):

@@ -7,8 +7,6 @@ from nldemix.links import make_link
 from nldemix.measurement import (
     MeasurementOperator,
     NoiseSpec,
-    measure,
-    measure_adjoint,
     observe,
     sample_operator,
 )
@@ -127,13 +125,6 @@ class TestApplyAdjoint:
             A.apply(np.zeros(7))
         with pytest.raises(ValueError):
             A.adjoint(np.zeros(8))
-
-    def test_module_level_wrappers(self):
-        A = sample_operator("gaussian", 4, 8, 0)
-        x = np.arange(8.0)
-        v = np.arange(4.0)
-        np.testing.assert_array_equal(measure(A, x), A.apply(x))
-        np.testing.assert_array_equal(measure_adjoint(A, v), A.adjoint(v))
 
 
 class TestObserve:

@@ -59,8 +59,14 @@ def stable_argsort_threshold(v, k):
 
 def reference_descent(problem, config, soft):
     """dht/dst iterates from a plain loop over the public loss and gradient."""
-    t = oneshot(problem).t_hat
+    t = np.zeros(2 * problem.n) if config.init == "zero" else oneshot(problem).t_hat
     beta = config.dst_beta
+    n, s = problem.n, problem.s
+
+    def project(v):
+        if config.projection_mode == "perblocks":
+            return np.concatenate([hard_threshold(v[:n], s), hard_threshold(v[n:], s)])
+        return hard_threshold(v, 2 * s)
 
     def objective(tv):
         f = loss(problem, tv)
@@ -75,7 +81,7 @@ def reference_descent(problem, config, soft):
             if soft:
                 cand = soft_threshold(t - step * grad, beta * step)
             else:
-                cand = hard_threshold(t - step * grad, 2 * problem.s)
+                cand = project(t - step * grad)
             cand_obj = objective(cand)
             if np.isfinite(cand_obj) and cand_obj <= obj + 1e-12:
                 break
@@ -94,7 +100,7 @@ def reference_nlcd_lasso(problem, config):
     """nlcd_lasso iterates with Gamma t recomputed for every gradient."""
     d = problem.dictionary
     x_lin = problem.A.adjoint(problem.y) / problem.A.m
-    radius = 2.0 * np.sqrt(problem.s)
+    radius = config.lasso_radius or 2.0 * np.sqrt(problem.s)
 
     def obj(tv):
         return float(np.linalg.norm(x_lin - dict_apply(d, tv)))
@@ -553,9 +559,14 @@ class TestDescentWork:
     @pytest.mark.parametrize("link_name", ["linsin", "logistic"])
     @pytest.mark.parametrize("algorithm", ["dht", "dst"])
     @pytest.mark.parametrize("step", [0.3, 50.0])
-    def test_iterates_match_reference_loop_bit_for_bit(self, algorithm, link_name, step):
+    @pytest.mark.parametrize(
+        "options", [{}, {"projection_mode": "perblocks"}, {"init": "zero"}],
+        ids=["default", "perblocks", "zero-init"],
+    )
+    def test_iterates_match_reference_loop_bit_for_bit(self, algorithm, link_name, step,
+                                                       options):
         problem, _ = planted_instance(128, 4, 150, link_name=link_name, seed=45)
-        config = SolverConfig(step_size=step, max_iters=60, keep_iterates=True)
+        config = SolverConfig(step_size=step, max_iters=60, keep_iterates=True, **options)
         res = (dst if algorithm == "dst" else dht)(problem, config)
         ref = reference_descent(problem, config, soft=algorithm == "dst")
         assert len(res.iterates) == len(ref)
@@ -593,9 +604,10 @@ class TestDescentWork:
         assert counts["candidates"] >= res.iterations_run
         assert counts["apply"] == counts["candidates"] + outside
 
-    def test_nlcd_lasso_iterates_match_reference_loop_bit_for_bit(self):
+    @pytest.mark.parametrize("radius", [None, 1.5], ids=["default-radius", "radius-1.5"])
+    def test_nlcd_lasso_iterates_match_reference_loop_bit_for_bit(self, radius):
         problem, _ = planted_instance(128, 4, 200, seed=47)
-        config = SolverConfig(max_iters=80, keep_iterates=True)
+        config = SolverConfig(max_iters=80, keep_iterates=True, lasso_radius=radius)
         res = nlcd_lasso(problem, config)
         ref = reference_nlcd_lasso(problem, config)
         assert len(res.iterates) == len(ref)

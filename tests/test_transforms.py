@@ -69,6 +69,20 @@ class TestBasisValidation:
         with pytest.raises(ValueError):
             basis_adjoint(b, np.zeros(9))
 
+    @pytest.mark.parametrize("bad", [np.zeros((3, 7)), np.zeros((8, 3)), np.float64(1.0)],
+                             ids=["short-last-axis", "wrong-axis", "0-d"])
+    def test_batched_shape_errors(self, bad):
+        b = Basis("dct", 8)
+        with pytest.raises(ValueError):
+            basis_apply(b, bad)
+        with pytest.raises(ValueError):
+            basis_adjoint(b, bad)
+
+    def test_dict_adjoint_stays_one_dimensional(self):
+        d = Dictionary(Basis("identity", 8), Basis("dct", 8))
+        with pytest.raises(ValueError):
+            dict_adjoint(d, np.zeros((2, 8)))
+
     def test_dictionary_requires_shared_dimension(self):
         with pytest.raises(ValueError):
             Dictionary(Basis("identity", 8), Basis("dct", 16))
@@ -161,6 +175,18 @@ class TestDenseOracles:
         np.testing.assert_allclose(dict_apply(d, t), G @ t, atol=1e-10)
         x = rng.standard_normal(n)
         np.testing.assert_allclose(dict_adjoint(d, x), G.T @ x, atol=1e-10)
+
+
+class TestBatchedBases:
+    @pytest.mark.parametrize("kind", ["identity", "dct", "haar"])
+    def test_rows_match_one_dimensional_calls_bit_for_bit(self, kind):
+        b = Basis(kind, 16)
+        X = np.random.default_rng(8).standard_normal((5, 16))
+        for f in (basis_apply, basis_adjoint):
+            Y = f(b, X)
+            assert Y.shape == X.shape
+            for row, out in zip(X, Y):
+                np.testing.assert_array_equal(out.view(np.int64), f(b, row).view(np.int64))
 
 
 class TestFastDct:
