@@ -8,8 +8,9 @@ Subcommands:
 * ``diag``   - diagnostics: ``coherence``, ``rscrss``, ``linkconst``.
 
 ``--config FILE`` supplies a JSON object mirroring the trial fields
-(with an optional nested "solver" object); explicit flags override the
-file.  CSV goes to ``--out`` when given, else stdout.
+(with an optional nested "solver" object) and the command's own flags;
+explicit flags override the file.  CSV goes to ``--out`` when given,
+else stdout.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or capability error.
 """
@@ -20,11 +21,13 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import replace
 
 from .diagnostics import coherence_report, estimate_rsc_rss, link_constants
 from .harness import (
     ALGORITHMS,
     TrialSpec,
+    _build_instance,
     export_csv,
     run_benchmark,
     run_phase_grid,
@@ -32,9 +35,9 @@ from .harness import (
     write_csv,
 )
 from .links import CapabilityError, LINK_KINDS, make_link
-from .measurement import ENSEMBLE_KINDS
+from .measurement import ENSEMBLE_KINDS, sample_operator
 from .solvers import SolverConfig
-from .transforms import BASIS_KINDS
+from .transforms import BASIS_KINDS, Basis, Dictionary, stack_constituents
 
 _SPEC_KEYS = {
     "n", "s", "m", "basis_phi", "basis_psi", "ensemble", "link", "tau",
@@ -131,7 +134,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path: str, parser: _Parser) -> dict:
+def _load_config(path: str, parser: _Parser, extra_keys: set) -> dict:
+    """The config file's object; `extra_keys` are the grid, bench and
+    diag keys the command uses, and any other such key is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -145,6 +150,9 @@ def _load_config(path: str, parser: _Parser) -> dict:
     unknown = (set(cfg) - _SPEC_KEYS - _EXTRA_KEYS - {"solver"}) | (set(solver) - _SOLVER_KEYS)
     if unknown:
         parser.error(f"unknown config keys: {sorted(unknown)}")
+    unused = set(cfg) & (_EXTRA_KEYS - extra_keys)
+    if unused:
+        parser.error(f"config keys not used by this command: {sorted(unused)}")
     return cfg
 
 
@@ -152,7 +160,7 @@ def _resolve(args: argparse.Namespace, parser: _Parser) -> dict:
     """defaults < config file < explicit flags."""
     cfg: dict = {}
     if getattr(args, "config", None):
-        cfg = _load_config(args.config, parser)
+        cfg = _load_config(args.config, parser, _EXTRA_KEYS & set(vars(args)))
     solver_cfg = dict(cfg.get("solver", {}))
     merged = {k: v for k, v in cfg.items() if k != "solver"}
     for key in _SPEC_KEYS | _EXTRA_KEYS:
@@ -214,8 +222,6 @@ def _cmd_bench(args, parser) -> int:
         if name not in ALGORITHMS:
             parser.error(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
     base = _make_spec(merged)
-    from dataclasses import replace
-
     specs = [replace(base, algorithm=name) for name in names]
     rows = run_benchmark(specs, repeats=int(merged.get("repeats", 5)))
     _emit(rows, args.out)
@@ -226,9 +232,6 @@ def _cmd_diag(args, parser) -> int:
     merged = _resolve(args, parser)
     spec = _make_spec(merged)
     if args.diag_command == "coherence":
-        from .measurement import sample_operator
-        from .transforms import Basis, Dictionary
-
         d = Dictionary(Basis(spec.basis_phi, spec.n), Basis(spec.basis_psi, spec.n))
         A = None
         if "ensemble" in merged and "m" in merged:
@@ -241,9 +244,6 @@ def _cmd_diag(args, parser) -> int:
             "vartheta": rep.vartheta if rep.vartheta is not None else "",
         }
     elif args.diag_command == "rscrss":
-        from .harness import _build_instance
-        from .transforms import stack_constituents
-
         problem, w, z, _ = _build_instance(spec)
         est = estimate_rsc_rss(
             problem,

@@ -150,13 +150,43 @@ def _safe_cosine(a: np.ndarray, b: np.ndarray) -> float:
     return cosine_similarity(a, b)
 
 
+# (key, instance) of the last instance run_trial built, or None.
+_last_instance: tuple | None = None
+
+
+def _instance(spec: TrialSpec):
+    """The instance of `spec`, reusing the last one built when only the
+    algorithm, solver or success threshold differ.
+
+    The key is the spec with those fields reset, so a field added to
+    TrialSpec later causes a rebuild, never a wrong reuse.  The reused
+    arrays are read-only: a solver that writes into them raises instead of
+    corrupting the next trial's input.
+    """
+    global _last_instance
+    key = replace(spec, algorithm=ALGORITHMS[0], solver=SolverConfig(), success_threshold=1.0)
+    last = _last_instance
+    if last is not None and last[0] == key:
+        return last[1]
+    _last_instance = last = None  # free the old operator before drawing the next
+    instance = _build_instance(spec)
+    problem, w, z, x = instance
+    for array in (problem.y, w, z, x, problem.A._matrix):
+        if array is not None:
+            array.setflags(write=False)
+    _last_instance = (key, instance)
+    return instance
+
+
 def run_trial(spec: TrialSpec) -> TrialRecord:
     """Generate an instance, solve it, and score the estimate.
 
-    Raises CapabilityError when the algorithm needs link capabilities the
-    chosen link lacks (e.g. dht with the sign link).
+    Consecutive trials whose specs differ only in algorithm, solver or
+    success threshold share one read-only instance.  Raises CapabilityError
+    when the algorithm needs link capabilities the chosen link lacks (e.g.
+    dht with the sign link).
     """
-    problem, w, z, x = _build_instance(spec)
+    problem, w, z, x = _instance(spec)
     start = time.perf_counter()
     result = _solve(problem, spec)
     wall_ms = (time.perf_counter() - start) * 1e3
@@ -193,44 +223,60 @@ def run_phase_grid(
     trials: int,
     base: TrialSpec,
     workers: int = 1,
-) -> PhaseGrid:
-    """T independent trials per (s, m) cell; returns per-cell success counts."""
+    algorithms=None,
+) -> PhaseGrid | dict[str, PhaseGrid]:
+    """T independent trials per (s, m) cell; returns per-cell success counts.
+
+    With `algorithms`, every instance is built once and solved by each of
+    them in turn, and the result is ``{algorithm: PhaseGrid}``; each grid
+    equals a separate call with ``base.algorithm`` set to that algorithm.
+    """
     s_values = tuple(int(s) for s in s_values)
     m_values = tuple(int(m) for m in m_values)
+    names = (base.algorithm,) if algorithms is None else tuple(algorithms)
     if not s_values or not m_values:
         raise ValueError("phase grid needs at least one s and one m value")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    specs = [
-        (si, mi, _grid_cell_spec(base, s, m, k))
-        for si, s in enumerate(s_values)
-        for mi, m in enumerate(m_values)
-        for k in range(trials)
-    ]
-    successes = np.zeros((len(s_values), len(m_values)), dtype=int)
+    if not names or len(set(names)) != len(names):
+        raise ValueError(f"algorithms must be distinct and non-empty, got {names}")
+    # Algorithms innermost: consecutive trials share an instance.
+    specs = []
+    for si, s in enumerate(s_values):
+        for mi, m in enumerate(m_values):
+            for k in range(trials):
+                cell = _grid_cell_spec(base, s, m, k)
+                specs += [(ai, si, mi, replace(cell, algorithm=name))
+                          for ai, name in enumerate(names)]
+    trial_specs = [sp for *_, sp in specs]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = pool.map(run_trial, [sp for _, _, sp in specs], chunksize=4)
-            for (si, mi, _), rec in zip(specs, outcomes):
-                successes[si, mi] += int(rec.success)
+            # One instance's trials stay in one chunk, so one worker builds it.
+            records = list(pool.map(run_trial, trial_specs, chunksize=4 * len(names)))
     else:
-        for si, mi, sp in specs:
-            successes[si, mi] += int(run_trial(sp).success)
-    return PhaseGrid(
-        s_values=s_values,
-        m_values=m_values,
-        trials=trials,
-        successes=successes,
-        prob=successes / float(trials),
-    )
+        records = map(run_trial, trial_specs)
+    successes = np.zeros((len(names), len(s_values), len(m_values)), dtype=int)
+    for (ai, si, mi, _), rec in zip(specs, records):
+        successes[ai, si, mi] += int(rec.success)
+    grids = {
+        name: PhaseGrid(
+            s_values=s_values,
+            m_values=m_values,
+            trials=trials,
+            successes=successes[ai],
+            prob=successes[ai] / float(trials),
+        )
+        for ai, name in enumerate(names)
+    }
+    return grids[base.algorithm] if algorithms is None else grids
 
 
 def run_benchmark(specs, repeats: int = 5) -> list[dict]:
     """Median-of-`repeats` solve wall time per spec, excluding instance
-    generation."""
+    generation.  Consecutive specs share an instance as in run_trial."""
     rows = []
     for spec in specs:
-        problem, _, _, _ = _build_instance(spec)
+        problem, _, _, _ = _instance(spec)
         times = []
         iters = 0
         for _ in range(repeats):

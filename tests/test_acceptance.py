@@ -199,14 +199,10 @@ def test_criterion_07_noise_floor_scaling():
 
 def test_criterion_08_algorithm_ordering_on_phase_grid():
     start = time.perf_counter()
-    col_means = {}
-    for algorithm in ("dht", "dst", "oneshot", "nlcdlasso"):
-        base = TrialSpec(
-            n=4096, link="linsin", algorithm=algorithm, solver=GRID_SOLVER, seed=0
-        )
-        grid = run_phase_grid(GRID_S, GRID_M, trials=GRID_TRIALS, base=base)
-        col_means[algorithm] = grid.prob.mean(axis=0)
     order = ("dht", "dst", "oneshot", "nlcdlasso")
+    base = TrialSpec(n=4096, link="linsin", solver=GRID_SOLVER, seed=0)
+    grids = run_phase_grid(GRID_S, GRID_M, trials=GRID_TRIALS, base=base, algorithms=order)
+    col_means = {algorithm: grid.prob.mean(axis=0) for algorithm, grid in grids.items()}
     for hi, lo in zip(order, order[1:]):
         violations = int(np.sum(col_means[hi] < col_means[lo] - 1e-12))
         assert violations <= 1, (

@@ -193,6 +193,33 @@ class TestConfigFile:
         assert main(["trial", "--config", str(cfg)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_keys_the_command_ignores_are_usage_errors(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "n": 128, "s": 3, "m": 160, "algorithm": "oneshot",
+            "workers": 4, "trials": 9, "s_list": [1],
+        }))
+        assert main(["trial", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "['s_list', 'trials', 'workers']" in captured.err
+
+    @pytest.mark.parametrize("command, extra", [
+        (["phase"], {"s_list": [2], "m_list": [120], "trials": 1, "workers": 1}),
+        (["bench"], {"algorithms": "oneshot", "repeats": 1}),
+        (["diag", "rscrss"], {"sparsity": 4, "num_supports": 2}),
+        (["diag", "linkconst"], {"trials": 1000}),
+    ])
+    def test_keys_the_command_uses_are_accepted(self, tmp_path, capsys, command, extra):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 64, "s": 2, "m": 120, "algorithm": "oneshot", **extra}))
+        assert main([*command, "--config", str(cfg)]) == 0
+        for key in ("workers", "repeats", "num_supports", "trials"):
+            if key not in extra:
+                cfg.write_text(json.dumps({"n": 64, "s": 2, "m": 120, **extra, key: 1}))
+                assert main([*command, "--config", str(cfg)]) == 1
+        capsys.readouterr()
+
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

@@ -3,11 +3,15 @@
 import io
 import math
 import os
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nldemix import harness
 from nldemix.harness import (
+    ALGORITHMS,
     PHASE_CSV_FIELDS,
     TRIAL_CSV_FIELDS,
     PhaseGrid,
@@ -155,6 +159,79 @@ class TestRunTrial:
         assert rec.spec.algorithm == algorithm
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Empties the instance cache and records the spec of every build."""
+    specs = []
+    build = harness._build_instance
+
+    def counting(spec):
+        specs.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(harness, "_last_instance", None)
+    monkeypatch.setattr(harness, "_build_instance", counting)
+    return specs
+
+
+class TestInstanceReuse:
+    @staticmethod
+    def _untimed(rec):
+        return replace(rec, wall_time_ms=0.0)
+
+    def test_warm_cache_matches_cold_build(self, builds, monkeypatch):
+        base = small_spec()
+        warm = [run_trial(replace(base, algorithm=a)) for a in ALGORITHMS]
+        assert len(builds) == 1
+        for rec in warm:
+            monkeypatch.setattr(harness, "_last_instance", None)
+            cold = run_trial(rec.spec)
+            assert self._untimed(cold) == self._untimed(rec)
+        assert len(builds) == 1 + len(ALGORITHMS)
+
+    def test_cached_arrays_are_read_only(self, builds):
+        run_trial(small_spec())
+        problem, w, z, x = harness._last_instance[1]
+        for array in (problem.y, w, z, x, problem.A.dense()):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_old_instance_freed_before_next_draw(self, builds, monkeypatch):
+        run_trial(small_spec(algorithm="oneshot"))
+        old = weakref.ref(harness._last_instance[1][0].A)
+        alive_at_draw = []
+        draw = harness.sample_operator
+
+        def checking(*args):
+            alive_at_draw.append(old() is not None)
+            return draw(*args)
+
+        monkeypatch.setattr(harness, "sample_operator", checking)
+        run_trial(small_spec(algorithm="oneshot", seed=43))
+        assert alive_at_draw == [False]
+
+    def test_only_instance_fields_cause_a_build(self, builds):
+        base = small_spec(algorithm="oneshot")
+        run_trial(base)
+        for kw in (
+            dict(algorithm="dst"),
+            dict(solver=SolverConfig(max_iters=5)),
+            dict(algorithm="dht", solver=SolverConfig(init=np.zeros(2 * base.n))),
+            dict(success_threshold=0.5),
+        ):
+            run_trial(replace(base, **kw))
+        assert len(builds) == 1
+        for kw in (
+            dict(seed=43), dict(m=150), dict(tau=0.1), dict(link_radius=10.0),
+            dict(basis_phi="haar"), dict(basis_psi="haar"),
+        ):
+            before = len(builds)
+            run_trial(replace(base, **kw))
+            assert len(builds) == before + 1, kw
+            run_trial(base)
+            assert len(builds) == before + 2, kw
+
+
 class TestRunPhaseGrid:
     def test_counts_and_probabilities(self):
         base = small_spec(algorithm="oneshot", success_threshold=0.5)
@@ -187,8 +264,30 @@ class TestRunPhaseGrid:
         parallel = run_phase_grid([2], [60], trials=2, base=base, workers=2)
         np.testing.assert_array_equal(serial.successes, parallel.successes)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_algorithms_match_separate_grids(self, workers):
+        base = small_spec(n=64, success_threshold=0.95,
+                          solver=SolverConfig(max_iters=30, rel_tol=1e-6))
+        grids = run_phase_grid([2, 4], [40, 90], trials=3, base=base,
+                               workers=workers, algorithms=ALGORITHMS)
+        assert list(grids) == list(ALGORITHMS)
+        for algorithm, grid in grids.items():
+            alone = run_phase_grid([2, 4], [40, 90], trials=3,
+                                   base=replace(base, algorithm=algorithm))
+            assert (grid.s_values, grid.m_values, grid.trials) == ((2, 4), (40, 90), 3)
+            np.testing.assert_array_equal(grid.successes, alone.successes)
+            np.testing.assert_array_equal(grid.prob, alone.prob)
+        assert 0 < sum(int(g.successes.sum()) for g in grids.values()) < 4 * 4 * 3
+
+    def test_algorithms_build_each_instance_once(self, builds):
+        run_phase_grid([2, 3], [80], trials=2, base=small_spec(), algorithms=ALGORITHMS)
+        assert len(builds) == 2 * 1 * 2
+
     def test_validation(self):
         base = small_spec()
+        for algorithms in ((), ("dht", "dht"), ("omp",)):
+            with pytest.raises(ValueError):
+                run_phase_grid([2], [100], trials=2, base=base, algorithms=algorithms)
         with pytest.raises(ValueError):
             run_phase_grid([], [100], trials=2, base=base)
         with pytest.raises(ValueError):
@@ -207,6 +306,10 @@ class TestRunBenchmark:
             assert row["median_ms"] > 0
             assert row["n"] == 128 and row["s"] == 3 and row["m"] == 160
             assert row["iters"] >= 0
+
+    def test_algorithms_share_one_build(self, builds):
+        run_benchmark([small_spec(algorithm=a) for a in ALGORITHMS], repeats=1)
+        assert len(builds) == 1
 
 
 class TestCsv:
