@@ -37,7 +37,6 @@ from .links import (
 )
 from .measurement import (
     MeasurementOperator,
-    NoiseSpec,
     observe,
     sample_operator,
 )
@@ -74,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Basis", "Dictionary", "basis_apply", "basis_adjoint", "basis_matrix",
     "dict_apply", "dict_adjoint", "split_constituents", "stack_constituents",
-    "MeasurementOperator", "NoiseSpec", "sample_operator", "observe",
+    "MeasurementOperator", "sample_operator", "observe",
     "LinkFunction", "CapabilityError", "make_link", "link_eval", "link_deriv",
     "link_potential", "derivative_bounds",
     "DemixProblem", "SolverConfig", "SolveResult", "TraceRecord",

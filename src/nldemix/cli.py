@@ -7,10 +7,10 @@ Subcommands:
 * ``bench``  - median-of-N solve wall times for one or more algorithms.
 * ``diag``   - diagnostics: ``coherence``, ``rscrss``, ``linkconst``.
 
-``--config FILE`` supplies a JSON object mirroring the trial fields
-(with an optional nested "solver" object) and the command's own flags;
-explicit flags override the file.  CSV goes to ``--out`` when given,
-else stdout.
+``--config FILE`` supplies a JSON object keyed by the command's own flags
+(their dests, e.g. ``basis_phi`` for ``--phi``), with the solver settings
+in a nested "solver" object; explicit flags override the file.  CSV goes
+to ``--out`` when given, else stdout.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or capability error.
 """
@@ -21,7 +21,7 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .diagnostics import coherence_report, estimate_rsc_rss, link_constants
 from .harness import (
@@ -36,22 +36,8 @@ from .harness import (
 )
 from .links import CapabilityError, LINK_KINDS, make_link
 from .measurement import ENSEMBLE_KINDS, sample_operator
-from .solvers import SolverConfig
+from .solvers import INIT_MODES, PROJECTION_MODES, SolverConfig
 from .transforms import BASIS_KINDS, Basis, Dictionary, stack_constituents
-
-_SPEC_KEYS = {
-    "n", "s", "m", "basis_phi", "basis_psi", "ensemble", "link", "tau",
-    "algorithm", "seed", "success_threshold", "link_radius",
-}
-_SOLVER_KEYS = {
-    "step_size", "max_iters", "rel_tol", "init", "projection_mode",
-    "lasso_radius", "dst_beta",
-}
-_EXTRA_KEYS = {
-    "s_list", "m_list", "trials", "workers", "algorithms", "repeats",
-    "sparsity", "num_supports",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract reserves 2 for
@@ -96,8 +82,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--step-size", dest="step_size", type=_step_size)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--rel-tol", dest="rel_tol", type=float)
-    p.add_argument("--init", choices=("oneshot", "zero"))
-    p.add_argument("--projection", dest="projection_mode", choices=("stacked2s", "perblocks"))
+    p.add_argument("--init", choices=INIT_MODES)
+    p.add_argument("--projection", dest="projection_mode", choices=PROJECTION_MODES)
     p.add_argument("--lasso-radius", dest="lasso_radius", type=float)
     p.add_argument("--dst-beta", dest="dst_beta", type=float)
 
@@ -134,51 +120,43 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path: str, parser: _Parser, extra_keys: set) -> dict:
-    """The config file's object; `extra_keys` are the grid, bench and
-    diag keys the command uses, and any other such key is a usage error."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config {path!r}: {exc}")
-    if not isinstance(cfg, dict):
-        parser.error(f"config {path!r} must be a JSON object")
-    solver = cfg.get("solver", {})
-    if not isinstance(solver, dict):
-        parser.error("config key 'solver' must be an object")
-    unknown = (set(cfg) - _SPEC_KEYS - _EXTRA_KEYS - {"solver"}) | (set(solver) - _SOLVER_KEYS)
-    if unknown:
-        parser.error(f"unknown config keys: {sorted(unknown)}")
-    unused = set(cfg) & (_EXTRA_KEYS - extra_keys)
-    if unused:
-        parser.error(f"config keys not used by this command: {sorted(unused)}")
-    return cfg
+# Parser dests no config file may set: the subcommands, the file itself, the output.
+_NOT_CONFIG = {"command", "diag_command", "config", "out"}
+_SPEC_FIELDS = {f.name for f in fields(TrialSpec)} - {"solver"}
+_SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
 
 
 def _resolve(args: argparse.Namespace, parser: _Parser) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags, as one flat dict.
+
+    A config key is valid only if it is one of the command's own flags
+    (by dest); those that are SolverConfig fields sit in a nested "solver"
+    object, the rest at the top level.
+    """
+    dests = set(vars(args)) - _NOT_CONFIG
     cfg: dict = {}
-    if getattr(args, "config", None):
-        cfg = _load_config(args.config, parser, _EXTRA_KEYS & set(vars(args)))
-    solver_cfg = dict(cfg.get("solver", {}))
-    merged = {k: v for k, v in cfg.items() if k != "solver"}
-    for key in _SPEC_KEYS | _EXTRA_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    for key in _SOLVER_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            solver_cfg[key] = val
-    merged["solver"] = solver_cfg
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            parser.error(f"cannot read config {args.config!r}: {exc}")
+        if not isinstance(cfg, dict):
+            parser.error(f"config {args.config!r} must be a JSON object")
+    solver = cfg.pop("solver", {})
+    if not isinstance(solver, dict):
+        parser.error("config key 'solver' must be an object")
+    unknown = (set(cfg) - (dests - _SOLVER_FIELDS)) | (set(solver) - (dests & _SOLVER_FIELDS))
+    if unknown:
+        parser.error(f"unknown config keys: {sorted(unknown)}")
+    merged = {**cfg, **solver}
+    merged.update((k, v) for k, v in vars(args).items() if k in dests and v is not None)
     return merged
 
 
 def _make_spec(merged: dict) -> TrialSpec:
-    solver = SolverConfig(**merged.get("solver", {}))
-    fields = {k: merged[k] for k in _SPEC_KEYS if k in merged}
-    return TrialSpec(solver=solver, **fields)
+    solver = SolverConfig(**{k: merged[k] for k in _SOLVER_FIELDS & merged.keys()})
+    return TrialSpec(solver=solver, **{k: merged[k] for k in _SPEC_FIELDS & merged.keys()})
 
 
 def _emit(payload, out: str | None) -> None:

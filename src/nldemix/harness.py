@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagnostics import cosine_similarity
 from .links import make_link
-from .measurement import NoiseSpec, observe, sample_operator
+from .measurement import observe, sample_operator
 from .solvers import (
     DemixProblem,
     SolveResult,
@@ -68,8 +68,10 @@ class TrialSpec:
             raise ValueError(f"success threshold must be in (0, 1], got {self.success_threshold}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
+        if not np.isfinite(self.tau) or self.tau < 0:
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
+        if not np.isfinite(self.link_radius) or self.link_radius <= 0:
+            raise ValueError(f"link radius must be finite and positive, got {self.link_radius}")
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,7 @@ def _build_instance(spec: TrialSpec):
     link = make_link(spec.link, radius=spec.link_radius)
     w, z, x = generate_signal(spec.n, spec.s, child_seed(spec.seed, 0), d)
     A = sample_operator(spec.ensemble, spec.m, spec.n, child_seed(spec.seed, 1))
-    noise = NoiseSpec("gaussian", spec.tau) if spec.tau > 0 else NoiseSpec()
-    y = observe(A, link, x, noise, child_seed(spec.seed, 2))
+    y = observe(A, link, x, spec.tau, child_seed(spec.seed, 2))
     problem = DemixProblem(A=A, dictionary=d, link=link, y=y, s=spec.s)
     return problem, w, z, x
 
@@ -171,9 +172,8 @@ def _instance(spec: TrialSpec):
     _last_instance = last = None  # free the old operator before drawing the next
     instance = _build_instance(spec)
     problem, w, z, x = instance
-    for array in (problem.y, w, z, x, problem.A._matrix):
-        if array is not None:
-            array.setflags(write=False)
+    for array in (problem.y, w, z, x):  # the operator's matrix is read-only already
+        array.setflags(write=False)
     _last_instance = (key, instance)
     return instance
 

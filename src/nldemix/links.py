@@ -97,8 +97,8 @@ def _shifted_logistic_potential(u: np.ndarray) -> np.ndarray:
 
 def make_link(name: str, radius: float = 20.0) -> LinkFunction:
     """Build a link by name: "sign", "linsin", "logistic", "shifted-logistic"."""
-    if radius <= 0:
-        raise ValueError(f"working interval radius must be positive, got {radius}")
+    if not np.isfinite(radius) or radius <= 0:
+        raise ValueError(f"working interval radius must be finite and positive, got {radius}")
     if name == "sign":
         return LinkFunction(name="sign", eval_fn=np.sign, radius=radius)
     if name == "linsin":

@@ -10,8 +10,6 @@ y_i = g((Ax)_i) + e_i with optional Gaussian noise of standard deviation tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .links import LinkFunction, link_eval
@@ -20,28 +18,12 @@ from .transforms import _dct2, _dct3
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "subfast")
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Additive observation noise: kind "none" or "gaussian" with std tau."""
-
-    kind: str = "none"
-    tau: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("none", "gaussian"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
-        if self.kind == "none" and self.tau != 0.0:
-            raise ValueError("noise kind 'none' requires tau = 0")
-
-
 class MeasurementOperator:
     """m x n measurement map; construct via :func:`sample_operator`.
 
-    Dense ensembles store their matrix; the subfast ensemble stores the
-    row subset ``row_indices`` and sign diagonal ``signs`` and applies
-    fast transforms.
+    Dense ensembles store their matrix, read-only; the subfast ensemble
+    stores the row subset ``row_indices`` and sign diagonal ``signs`` and
+    applies fast transforms.
     """
 
     def __init__(self, kind: str, m: int, n: int, seed: int):
@@ -66,6 +48,8 @@ class MeasurementOperator:
         else:
             self.row_indices = np.sort(rng.choice(n, size=m, replace=False))
             self.signs = rng.choice([-1.0, 1.0], size=n)
+        if self._matrix is not None:
+            self._matrix.setflags(write=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -87,8 +71,9 @@ class MeasurementOperator:
         return np.sqrt(self.n) * self.signs * _dct3(u)
 
     def dense(self) -> np.ndarray:
-        """Materialized m x n matrix.  O(m n) memory; rows for subfast are
-        built one adjoint application at a time."""
+        """Materialized m x n matrix: the stored read-only one for dense
+        ensembles; for subfast a new one, O(m n) memory, built one adjoint
+        application at a time."""
         if self._matrix is not None:
             return self._matrix
         rows = np.empty((self.m, self.n))
@@ -109,11 +94,14 @@ def observe(
     A: MeasurementOperator,
     link: LinkFunction,
     x: np.ndarray,
-    noise: NoiseSpec = NoiseSpec(),
+    tau: float = 0.0,
     seed: int = 0,
 ) -> np.ndarray:
-    """Nonlinear observations y = g(Ax) + e, deterministic given seed."""
+    """Nonlinear observations y = g(Ax) + e, deterministic given seed; e is
+    Gaussian with standard deviation tau, and absent when tau = 0."""
+    if not np.isfinite(tau) or tau < 0:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     y = link_eval(link, A.apply(x))
-    if noise.kind == "gaussian" and noise.tau > 0:
-        y = y + noise.tau * np.random.default_rng(seed).standard_normal(A.m)
+    if tau > 0:
+        y = y + tau * np.random.default_rng(seed).standard_normal(A.m)
     return y

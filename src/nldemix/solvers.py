@@ -83,7 +83,8 @@ class SolverConfig:
     """Knobs shared by the iterative solvers.
 
     step_size: positive float, or "auto" for 1/M_hat.
-    init: "oneshot", "zero", or an explicit length-2n array.
+    init: "oneshot", "zero", or an explicit length-2n array, stored as a
+        tuple of floats so that configs compare and hash.
     projection_mode: "stacked2s" projects t jointly onto 2s-sparse vectors
         (may split unevenly across the halves); "perblocks" keeps s per half.
     lasso_radius: l1 budget for nlcd_lasso; None means 2 sqrt(s).
@@ -94,7 +95,7 @@ class SolverConfig:
     step_size: float | str = "auto"
     max_iters: int = 1000
     rel_tol: float = 1e-7
-    init: str | np.ndarray = "oneshot"
+    init: str | tuple[float, ...] = "oneshot"
     projection_mode: str = "stacked2s"
     lasso_radius: float | None = None
     dst_beta: float = 0.5
@@ -104,22 +105,29 @@ class SolverConfig:
         if isinstance(self.step_size, str):
             if self.step_size != "auto":
                 raise ValueError(f"step_size must be positive or 'auto', got {self.step_size!r}")
-        elif self.step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        elif not np.isfinite(self.step_size) or self.step_size <= 0:
+            raise ValueError(f"step_size must be finite and positive, got {self.step_size}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rel_tol <= 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if isinstance(self.init, str) and self.init not in INIT_MODES:
-            raise ValueError(f"init must be one of {INIT_MODES} or an array, got {self.init!r}")
+        if not np.isfinite(self.rel_tol) or self.rel_tol <= 0:
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
+        if isinstance(self.init, str):
+            if self.init not in INIT_MODES:
+                raise ValueError(f"init must be one of {INIT_MODES} or an array, got {self.init!r}")
+        else:
+            init = np.asarray(self.init, dtype=float)
+            if init.ndim != 1 or not np.all(np.isfinite(init)):
+                raise ValueError(f"an array init must be 1-D and finite, got shape {init.shape}")
+            object.__setattr__(self, "init", tuple(init.tolist()))
         if self.projection_mode not in PROJECTION_MODES:
             raise ValueError(
                 f"projection_mode must be one of {PROJECTION_MODES}, got {self.projection_mode!r}"
             )
-        if self.lasso_radius is not None and self.lasso_radius <= 0:
-            raise ValueError(f"lasso_radius must be positive, got {self.lasso_radius}")
-        if self.dst_beta < 0:
-            raise ValueError(f"dst_beta must be nonnegative, got {self.dst_beta}")
+        if self.lasso_radius is not None and (
+                not np.isfinite(self.lasso_radius) or self.lasso_radius <= 0):
+            raise ValueError(f"lasso_radius must be finite and positive, got {self.lasso_radius}")
+        if not np.isfinite(self.dst_beta) or self.dst_beta < 0:
+            raise ValueError(f"dst_beta must be finite and nonnegative, got {self.dst_beta}")
 
 
 @dataclass(frozen=True)
@@ -187,21 +195,21 @@ def hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
 
 
 def soft_threshold(v: np.ndarray, lam: float) -> np.ndarray:
-    """Elementwise shrink-toward-zero by lam >= 0."""
-    if lam < 0:
-        raise ValueError(f"threshold must be nonnegative, got {lam}")
+    """Elementwise shrink-toward-zero by a finite lam >= 0."""
+    if not np.isfinite(lam) or lam < 0:
+        raise ValueError(f"threshold must be finite and nonnegative, got {lam}")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
 
 def project_l1_ball(v: np.ndarray, r: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball of radius r > 0.
+    """Euclidean projection onto the l1 ball of finite radius r > 0.
 
     Returns v unchanged when already feasible; otherwise soft-thresholds by
     the unique lambda making the l1 norm equal r (sort-based exact rule).
     """
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    if not np.isfinite(r) or r <= 0:
+        raise ValueError(f"radius must be finite and positive, got {r}")
     v = np.asarray(v, dtype=float)
     a = np.abs(v)
     if a.sum() <= r:
@@ -306,7 +314,7 @@ def _resolve_init(problem: DemixProblem, config: SolverConfig) -> np.ndarray:
         if config.init == "zero":
             return np.zeros(2 * problem.n)
         return oneshot(problem).t_hat
-    return _check_t(problem, config.init).copy()
+    return _check_t(problem, config.init)
 
 
 def _resolve_step(problem: DemixProblem, config: SolverConfig, t0: np.ndarray,

@@ -47,10 +47,7 @@ def planted(n, s, m, link_name="linsin", seed=0, tau=0.0):
     w, z, x = generate_signal(n, s, child_seed(seed, 0), d)
     A = sample_operator("gaussian", m, n, child_seed(seed, 1))
     link = make_link(link_name)
-    from nldemix.measurement import NoiseSpec
-
-    noise = NoiseSpec("gaussian", tau) if tau > 0 else NoiseSpec()
-    y = observe(A, link, x, noise, child_seed(seed, 2))
+    y = observe(A, link, x, tau, child_seed(seed, 2))
     problem = DemixProblem(A=A, dictionary=d, link=link, y=y, s=s)
     return problem, stack_constituents(w, z)
 

@@ -6,13 +6,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nldemix import cli, harness
 from nldemix.cli import main
 from nldemix.diagnostics import mutual_coherence
+from nldemix.harness import TrialSpec
+from nldemix.solvers import SolverConfig
 from nldemix.transforms import Basis, Dictionary
 
 FAST_TRIAL = [
@@ -220,6 +224,45 @@ class TestConfigFile:
                 assert main([*command, "--config", str(cfg)]) == 1
         capsys.readouterr()
 
+    def test_every_spec_and_solver_field_reaches_the_spec(self, tmp_path, capsys, monkeypatch):
+        # Each value differs from its default, so reaching the spec is visible;
+        # a field added later without a value here fails with its name.
+        spec_values = dict(
+            n=64, s=2, m=48, basis_phi="haar", basis_psi="identity", ensemble="rademacher",
+            link="logistic", tau=0.25, algorithm="dst", seed=11, success_threshold=0.5,
+            link_radius=7.0,
+        )
+        solver_values = dict(
+            step_size=0.125, max_iters=3, rel_tol=1e-3, init="zero",
+            projection_mode="perblocks", lasso_radius=2.5, dst_beta=0.75,
+        )
+        cfg = {f.name: spec_values[f.name] for f in fields(TrialSpec) if f.name != "solver"}
+        cfg["solver"] = {f.name: solver_values[f.name] for f in fields(SolverConfig)
+                         if f.name != "keep_iterates"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        seen = []
+
+        def capture(spec):
+            seen.append(spec)
+            return harness.run_trial(spec)
+
+        monkeypatch.setattr(cli, "run_trial", capture)
+        assert main(["trial", "--config", str(path)]) == 0
+        capsys.readouterr()
+        (spec,) = seen
+        solver = cfg.pop("solver")
+        for name, value in cfg.items():
+            assert getattr(spec, name) == value != getattr(TrialSpec(), name), name
+        for name, value in solver.items():
+            assert getattr(spec.solver, name) == value != getattr(SolverConfig(), name), name
+
+    def test_solver_keys_belong_in_the_solver_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 64, "max_iters": 3, "solver": {"seed": 1}}))
+        assert main(["trial", "--config", str(cfg)]) == 1
+        assert "unknown config keys: ['max_iters', 'seed']" in capsys.readouterr().err
+
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -246,6 +289,20 @@ class TestExitCodes:
         out = str(tmp_path / "missing_dir" / "x.csv")
         assert main(["trial", *FAST_TRIAL, "--out", out]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, flags", [
+        ("tau", ["--tau", "nan"]),
+        ("rel_tol", ["--rel-tol", "nan"]),
+        ("step_size", ["--step-size", "nan"]),
+        ("dst_beta", ["--algorithm", "dst", "--dst-beta", "nan"]),
+        ("lasso_radius", ["--algorithm", "nlcdlasso", "--lasso-radius", "nan"]),
+    ])
+    def test_non_finite_setting_exits_2(self, capsys, setting, flags):
+        assert main(["trial", "--n", "64", "--s", "2", "--m", "80", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"nldemix: error: {setting} must be finite")
+        assert captured.err.count("\n") == 1
 
     def test_invalid_dimension_exits_2(self, capsys):
         # passes parsing, fails dataclass validation at runtime

@@ -25,6 +25,7 @@ from nldemix.harness import (
     write_csv,
 )
 from nldemix.links import CapabilityError
+from nldemix.measurement import sample_operator
 from nldemix.solvers import SolverConfig
 from nldemix.transforms import Basis, Dictionary, basis_apply
 
@@ -99,6 +100,21 @@ class TestTrialSpecValidation:
             TrialSpec(algorithm="omp")
         with pytest.raises(ValueError):
             TrialSpec(tau=-0.1)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TrialSpec(tau=bad)
+            with pytest.raises(ValueError, match="finite"):
+                TrialSpec(link_radius=bad)
+        with pytest.raises(ValueError):
+            TrialSpec(link_radius=0.0)
+
+    def test_spec_with_array_init_compares_and_hashes(self):
+        def spec(init):
+            return TrialSpec(n=16, s=1, m=8, solver=SolverConfig(init=init))
+
+        assert spec(np.zeros(32)) == spec(np.zeros(32))
+        assert hash(spec(np.zeros(32))) == hash(spec(np.zeros(32)))
+        assert spec(np.zeros(32)) != spec(np.ones(32))
 
 
 def small_spec(**kw):
@@ -192,7 +208,8 @@ class TestInstanceReuse:
     def test_cached_arrays_are_read_only(self, builds):
         run_trial(small_spec())
         problem, w, z, x = harness._last_instance[1]
-        for array in (problem.y, w, z, x, problem.A.dense()):
+        fresh = sample_operator("gaussian", 4, 8, 0).dense()
+        for array in (problem.y, w, z, x, problem.A.dense(), fresh):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 

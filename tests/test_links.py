@@ -31,6 +31,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_link("logistic", radius=0.0)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="finite"):
+            make_link("logistic", radius=radius)
+
     def test_capability_flags(self):
         sign = make_link("sign")
         assert not sign.has_derivative and not sign.has_potential

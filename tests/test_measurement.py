@@ -6,7 +6,6 @@ import pytest
 from nldemix.links import make_link
 from nldemix.measurement import (
     MeasurementOperator,
-    NoiseSpec,
     observe,
     sample_operator,
 )
@@ -18,25 +17,6 @@ def dct_matrix(n: int) -> np.ndarray:
     C = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * j + 1) * k / (2 * n))
     C[0] /= np.sqrt(2.0)
     return C
-
-
-class TestNoiseSpec:
-    def test_defaults_are_noiseless(self):
-        spec = NoiseSpec()
-        assert spec.kind == "none"
-        assert spec.tau == 0.0
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(kind="poisson")
-
-    def test_rejects_negative_tau(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(kind="gaussian", tau=-0.1)
-
-    def test_none_with_positive_tau_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(kind="none", tau=0.5)
 
 
 class TestSampling:
@@ -144,11 +124,10 @@ class TestObserve:
         A = sample_operator("gaussian", 30, 12, 0)
         link = make_link("linsin")
         x = np.random.default_rng(5).standard_normal(12)
-        noise = NoiseSpec(kind="gaussian", tau=0.3)
-        y1 = observe(A, link, x, noise=noise, seed=9)
-        y2 = observe(A, link, x, noise=noise, seed=9)
+        y1 = observe(A, link, x, tau=0.3, seed=9)
+        y2 = observe(A, link, x, tau=0.3, seed=9)
         np.testing.assert_array_equal(y1, y2)
-        y3 = observe(A, link, x, noise=noise, seed=10)
+        y3 = observe(A, link, x, tau=0.3, seed=10)
         assert not np.array_equal(y1, y3)
 
     def test_zero_tau_gaussian_equals_noiseless(self):
@@ -156,7 +135,7 @@ class TestObserve:
         link = make_link("logistic")
         x = np.random.default_rng(6).standard_normal(12)
         np.testing.assert_array_equal(
-            observe(A, link, x, noise=NoiseSpec("gaussian", 0.0), seed=1),
+            observe(A, link, x, tau=0.0, seed=1),
             observe(A, link, x),
         )
 
@@ -166,5 +145,16 @@ class TestObserve:
         x = np.random.default_rng(7).standard_normal(8)
         clean = observe(A, link, x)
         tau = 0.25
-        noisy = observe(A, link, x, noise=NoiseSpec("gaussian", tau), seed=2)
+        noisy = observe(A, link, x, tau=tau, seed=2)
         assert abs(np.std(noisy - clean) - tau) < 0.01
+
+    def test_rejects_negative_tau(self):
+        A = sample_operator("gaussian", 4, 8, 0)
+        with pytest.raises(ValueError):
+            observe(A, make_link("linsin"), np.zeros(8), tau=-0.1)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_rejects_non_finite_tau(self, tau):
+        A = sample_operator("gaussian", 4, 8, 0)
+        with pytest.raises(ValueError, match="finite"):
+            observe(A, make_link("linsin"), np.zeros(8), tau=tau)

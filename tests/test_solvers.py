@@ -57,9 +57,13 @@ def stable_argsort_threshold(v, k):
     return out
 
 
-def reference_descent(problem, config, soft):
-    """dht/dst iterates from a plain loop over the public loss and gradient."""
-    t = np.zeros(2 * problem.n) if config.init == "zero" else oneshot(problem).t_hat
+def reference_descent(problem, config, soft, init=None):
+    """dht/dst iterates from a plain loop over the public loss and gradient,
+    started at `init` when given."""
+    if init is not None:
+        t = np.array(init, dtype=float)
+    else:
+        t = np.zeros(2 * problem.n) if config.init == "zero" else oneshot(problem).t_hat
     beta = config.dst_beta
     n, s = problem.n, problem.s
 
@@ -334,6 +338,20 @@ class TestProblemValidation:
             SolverConfig(lasso_radius=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(dst_beta=-0.5)
+        with pytest.raises(ValueError):
+            SolverConfig(init=np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_settings_rejected(self, bad):
+        for name in ("step_size", "rel_tol", "lasso_radius", "dst_beta"):
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(**{name: bad})
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(init=np.full(4, bad))
+        with pytest.raises(ValueError, match="finite"):
+            soft_threshold(np.ones(3), bad)
+        with pytest.raises(ValueError, match="finite"):
+            project_l1_ball(np.ones(3), bad)
 
 
 class TestLossCalculus:
@@ -570,6 +588,17 @@ class TestDescentWork:
         res = (dst if algorithm == "dst" else dht)(problem, config)
         ref = reference_descent(problem, config, soft=algorithm == "dst")
         assert len(res.iterates) == len(ref)
+        for got, want in zip(res.iterates, ref):
+            assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("algorithm", ["dht", "dst"])
+    def test_array_init_iterates_match_reference_loop_bit_for_bit(self, algorithm):
+        problem, _ = planted_instance(128, 4, 150, seed=45)
+        init = np.random.default_rng(46).standard_normal(256) / 7
+        config = SolverConfig(step_size=0.3, max_iters=60, init=init, keep_iterates=True)
+        res = (dst if algorithm == "dst" else dht)(problem, config)
+        ref = reference_descent(problem, config, soft=algorithm == "dst", init=init)
+        assert len(res.iterates) == len(ref) > 1
         for got, want in zip(res.iterates, ref):
             assert_bits_equal(got, want)
 
