@@ -60,6 +60,10 @@ class TrialSpec:
     link_radius: float = 20.0
 
     def __post_init__(self) -> None:
+        for name in ("n", "s", "m", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.m < 1:
             raise ValueError(f"sizes must be positive, got n={self.n}, m={self.m}")
         if self.s < 0 or self.s > self.n:
@@ -172,7 +176,7 @@ def _instance(spec: TrialSpec):
     _last_instance = last = None  # free the old operator before drawing the next
     instance = _build_instance(spec)
     problem, w, z, x = instance
-    for array in (problem.y, w, z, x):  # the operator's matrix is read-only already
+    for array in (w, z, x):  # the problem's y and operator are read-only already
         array.setflags(write=False)
     _last_instance = (key, instance)
     return instance
@@ -273,15 +277,18 @@ def run_phase_grid(
 
 def run_benchmark(specs, repeats: int = 5) -> list[dict]:
     """Median-of-`repeats` solve wall time per spec, excluding instance
-    generation.  Consecutive specs share an instance as in run_trial."""
+    generation.  Consecutive specs share an instance as in run_trial, but
+    each repeat solves a fresh copy of its problem, so it times a whole
+    solve and never a start that an earlier solve left behind."""
     rows = []
     for spec in specs:
         problem, _, _, _ = _instance(spec)
         times = []
         iters = 0
         for _ in range(repeats):
+            fresh = replace(problem)
             start = time.perf_counter()
-            result = _solve(problem, spec)
+            result = _solve(fresh, spec)
             times.append((time.perf_counter() - start) * 1e3)
             iters = result.iterations_run
         rows.append(

@@ -21,9 +21,9 @@ ENSEMBLE_KINDS = ("gaussian", "rademacher", "subfast")
 class MeasurementOperator:
     """m x n measurement map; construct via :func:`sample_operator`.
 
-    Dense ensembles store their matrix, read-only; the subfast ensemble
-    stores the row subset ``row_indices`` and sign diagonal ``signs`` and
-    applies fast transforms.
+    Dense ensembles store their matrix; the subfast ensemble stores the row
+    subset ``row_indices`` and sign diagonal ``signs`` and applies fast
+    transforms.  All three arrays are read-only.
     """
 
     def __init__(self, kind: str, m: int, n: int, seed: int):
@@ -48,8 +48,9 @@ class MeasurementOperator:
         else:
             self.row_indices = np.sort(rng.choice(n, size=m, replace=False))
             self.signs = rng.choice([-1.0, 1.0], size=n)
-        if self._matrix is not None:
-            self._matrix.setflags(write=False)
+        for array in (self._matrix, self.row_indices, self.signs):
+            if array is not None:
+                array.setflags(write=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

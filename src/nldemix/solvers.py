@@ -25,12 +25,18 @@ Steps: "auto" sets eta = 1/M_hat from the restricted-Hessian smoothness
 estimate on the initializer's top-6s support, with per-iteration halving
 whenever the objective would increase (composite F + beta ||t||_1 for dst).
 When no halving lowers it, the solve keeps its iterate and stops unconverged.
+
+Solves on one problem share what they derive from it alone: x_lin (oneshot,
+nlcd_lasso), the oneshot estimate, and for each (init, step_size) the
+descent start t0, A Gamma t0, the step and grad F(t0) (dht, dst).  They are
+kept, read-only, for the last problem solved only.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -57,7 +63,9 @@ class DemixProblem:
     s: int
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=float)
+        # A read-only copy: editing the caller's array cannot change the problem.
+        y = np.array(self.y, dtype=float)
+        y.setflags(write=False)
         object.__setattr__(self, "y", y)
         if self.A.n != self.dictionary.n:
             raise ValueError(
@@ -107,6 +115,8 @@ class SolverConfig:
                 raise ValueError(f"step_size must be positive or 'auto', got {self.step_size!r}")
         elif not np.isfinite(self.step_size) or self.step_size <= 0:
             raise ValueError(f"step_size must be finite and positive, got {self.step_size}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not np.isfinite(self.rel_tol) or self.rel_tol <= 0:
@@ -282,6 +292,44 @@ def loss_hessian_matvec(problem: DemixProblem, t: np.ndarray, v: np.ndarray) -> 
 # algorithms
 
 
+@dataclass
+class _Derived:
+    """What the solves on one problem share; every array is read-only."""
+
+    problem: weakref.ref
+    x_lin: np.ndarray | None = None
+    oneshot_t: np.ndarray | None = None
+    # (init, step_size) -> (t0, u0 = A Gamma t0, step, grad F(t0))
+    starts: dict = field(default_factory=dict)
+
+
+# One slot, for the last problem solved: consecutive solves on one instance
+# share work, and a solve on any other problem object (a dataclasses.replace
+# copy included) computes everything anew.  The problem is held weakly, so the
+# slot never keeps an operator alive.
+_last: _Derived | None = None
+
+
+def _derived(problem: DemixProblem) -> _Derived:
+    global _last
+    if _last is None or _last.problem() is not problem:
+        _last = _Derived(weakref.ref(problem))
+    return _last
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _x_lin(problem: DemixProblem) -> np.ndarray:
+    """The linear estimator (1/m) A^T y."""
+    derived = _derived(problem)
+    if derived.x_lin is None:
+        derived.x_lin = _frozen(problem.A.adjoint(problem.y) / problem.A.m)
+    return derived.x_lin
+
+
 def _zero_result(problem: DemixProblem, t0: float, keep: bool) -> SolveResult:
     n = problem.n
     zn = np.zeros(n)
@@ -297,12 +345,12 @@ def oneshot(problem: DemixProblem) -> SolveResult:
     start = time.perf_counter()
     if problem.s == 0:
         return _zero_result(problem, start, False)
-    x_lin = problem.A.adjoint(problem.y) / problem.A.m
-    c = dict_adjoint(problem.dictionary, x_lin)
+    c = dict_adjoint(problem.dictionary, _x_lin(problem))
     w, z = split_constituents(c, problem.n)
     w_hat = hard_threshold(w, problem.s)
     z_hat = hard_threshold(z, problem.s)
     t_hat = np.concatenate([w_hat, z_hat])
+    _derived(problem).oneshot_t = _frozen(t_hat)
     x_hat = dict_apply(problem.dictionary, t_hat)
     rec = TraceRecord(0, None, 0.0, time.perf_counter() - start,
                       int(np.count_nonzero(t_hat)))
@@ -313,7 +361,8 @@ def _resolve_init(problem: DemixProblem, config: SolverConfig) -> np.ndarray:
     if isinstance(config.init, str):
         if config.init == "zero":
             return np.zeros(2 * problem.n)
-        return oneshot(problem).t_hat
+        t = _derived(problem).oneshot_t
+        return oneshot(problem).t_hat if t is None else t
     return _check_t(problem, config.init)
 
 
@@ -333,6 +382,20 @@ def _resolve_step(problem: DemixProblem, config: SolverConfig, t0: np.ndarray,
     return 1.0 / est.M_hat
 
 
+def _descent_start(problem: DemixProblem, config: SolverConfig) -> tuple:
+    """(t0, A Gamma t0, step, grad F(t0)) for config's init and step size."""
+    starts = _derived(problem).starts
+    init = config.init
+    # Equal tuples may differ in the sign of a zero, which the iterates keep.
+    key = (init if isinstance(init, str) else np.array(init).tobytes(), config.step_size)
+    if key not in starts:
+        t = _resolve_init(problem, config)
+        u = _forward(problem, t)
+        step = _resolve_step(problem, config, t, u)
+        starts[key] = (_frozen(t), _frozen(u), step, _frozen(_gradient_at(problem, u)))
+    return starts[key]
+
+
 def _project(t: np.ndarray, problem: DemixProblem, config: SolverConfig) -> np.ndarray:
     if config.projection_mode == "perblocks":
         n, s = problem.n, problem.s
@@ -341,25 +404,27 @@ def _project(t: np.ndarray, problem: DemixProblem, config: SolverConfig) -> np.n
 
 
 def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, start: float,
-                   t: np.ndarray, carry: np.ndarray, *, forward: Callable, objective: Callable,
-                   gradient: Callable, prox: Callable, step: float, slack: float,
-                   done: Callable) -> SolveResult:
+                   t: np.ndarray, carry: np.ndarray, grad: np.ndarray, *, forward: Callable,
+                   objective: Callable, gradient: Callable, prox: Callable, step: float,
+                   slack: float, done: Callable) -> SolveResult:
     """Backtracking proximal-gradient loop shared by dht, dst and nlcd_lasso.
 
     carry = forward(t) is the product that objective(t, carry) -> (monitored,
-    traced) and gradient(carry) read; the accepted candidate's carry feeds
-    the next gradient.  Each iteration tries prox(t - h grad, h) for
-    h = step, step/2, ... and accepts the first candidate whose monitored
-    objective rises by at most slack; when none does, the solve keeps t and
-    stops unconverged.  done(delta, t_new, obj_old, obj_new) tests
-    convergence after an accepted step of length delta.
+    traced) and gradient(carry) read; grad = gradient(carry) is passed in for
+    the start, and the accepted candidate's carry feeds the next gradient.
+    Each iteration tries prox(t - h grad, h) for h = step, step/2, ... and
+    accepts the first candidate whose monitored objective rises by at most
+    slack; when none does, the solve keeps t and stops unconverged.
+    done(delta, t_new, obj_old, obj_new) tests convergence after an accepted
+    step of length delta.
     """
     obj, _ = objective(t, carry)
     trace: list[TraceRecord] = []
     iterates: list[np.ndarray] | None = [t.copy()] if config.keep_iterates else None
     converged = False
     for k in range(1, config.max_iters + 1):
-        grad = gradient(carry)
+        if k > 1:
+            grad = gradient(carry)
         if not np.all(np.isfinite(grad)) or not np.isfinite(obj):
             raise RuntimeError(
                 f"{algorithm} aborted at iteration {k}: non-finite loss or gradient "
@@ -404,8 +469,7 @@ def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> Solv
     if problem.s == 0:
         return _zero_result(problem, start, config.keep_iterates)
 
-    t = _resolve_init(problem, config)
-    u = _forward(problem, t)
+    t, u, step, grad = _descent_start(problem, config)
     beta = config.dst_beta
 
     def objective(tv: np.ndarray, uv: np.ndarray) -> tuple[float, float]:
@@ -415,13 +479,13 @@ def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> Solv
         return (f + beta * float(np.abs(tv).sum()) if soft else f), f
 
     return _prox_gradient(
-        problem, config, algorithm, start, t, u,
+        problem, config, algorithm, start, t, u, grad,
         forward=lambda tv: _forward(problem, tv),
         objective=objective,
         gradient=lambda uv: _gradient_at(problem, uv),
         prox=((lambda v, h: soft_threshold(v, beta * h)) if soft
               else (lambda v, h: _project(v, problem, config))),
-        step=_resolve_step(problem, config, t, u),
+        step=step,
         slack=1e-12,
         done=lambda delta, tv, old, new: (
             delta <= config.rel_tol * max(1.0, float(np.linalg.norm(tv)))),
@@ -453,19 +517,23 @@ def nlcd_lasso(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> 
     if problem.s == 0:
         return _zero_result(problem, start, config.keep_iterates)
     radius = config.lasso_radius if config.lasso_radius is not None else 2.0 * np.sqrt(problem.s)
-    x_lin = problem.A.adjoint(problem.y) / problem.A.m
+    x_lin = _x_lin(problem)
     d = problem.dictionary
 
     def objective(tv: np.ndarray, x: np.ndarray) -> tuple[float, float]:
         f = float(np.linalg.norm(x_lin - x))
         return f, f
 
+    def gradient(x: np.ndarray) -> np.ndarray:
+        return dict_adjoint(d, x - x_lin)
+
     t = np.zeros(2 * problem.n)
+    x = dict_apply(d, t)
     return _prox_gradient(
-        problem, config, "nlcd_lasso", start, t, dict_apply(d, t),
+        problem, config, "nlcd_lasso", start, t, x, gradient(x),
         forward=lambda tv: dict_apply(d, tv),
         objective=objective,
-        gradient=lambda x: dict_adjoint(d, x - x_lin),
+        gradient=gradient,
         prox=lambda v, h: project_l1_ball(v, radius),
         step=0.5,  # 1/L for L = ||Gamma||^2 = 2
         slack=1e-15,

@@ -304,6 +304,20 @@ class TestExitCodes:
         assert captured.err.startswith(f"nldemix: error: {setting} must be finite")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("setting, config", [
+        ("max_iters", {"n": 64, "s": 2, "m": 80, "solver": {"max_iters": 2.5}}),
+        ("n", {"n": float("nan"), "s": 2, "m": 80}),
+        ("seed", {"n": 64, "s": 2, "m": 80, "seed": "abc"}),
+    ])
+    def test_non_integer_config_value_exits_2(self, tmp_path, capsys, setting, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["trial", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"nldemix: error: {setting} must be an integer")
+        assert captured.err.count("\n") == 1
+
     def test_invalid_dimension_exits_2(self, capsys):
         # passes parsing, fails dataclass validation at runtime
         assert main(["trial", "--n", "64", "--s", "100", "--m", "80"]) == 2

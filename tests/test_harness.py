@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nldemix import harness
+from nldemix import diagnostics, harness
 from nldemix.harness import (
     ALGORITHMS,
     PHASE_CSV_FIELDS,
@@ -107,6 +107,12 @@ class TestTrialSpecValidation:
                 TrialSpec(link_radius=bad)
         with pytest.raises(ValueError):
             TrialSpec(link_radius=0.0)
+        for name in ("n", "s", "m", "seed"):
+            for bad in (2.5, 3.0, np.nan, True, "abc"):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    TrialSpec(**{name: bad})
+        spec = TrialSpec(n=np.int64(16), s=np.int32(2), m=np.uint16(8), seed=np.uint64(7))
+        assert (spec.n, spec.s, spec.m, spec.seed) == (16, 2, 8, 7)
 
     def test_spec_with_array_init_compares_and_hashes(self):
         def spec(init):
@@ -327,6 +333,18 @@ class TestRunBenchmark:
     def test_algorithms_share_one_build(self, builds):
         run_benchmark([small_spec(algorithm=a) for a in ALGORITHMS], repeats=1)
         assert len(builds) == 1
+
+    def test_every_repeat_times_a_whole_solve(self, monkeypatch):
+        estimates = []
+        estimate = diagnostics.estimate_rsc_rss
+
+        def counted(*args, **kwargs):
+            estimates.append(args)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "estimate_rsc_rss", counted)
+        run_benchmark([small_spec(algorithm="dht")], repeats=3)
+        assert len(estimates) == 3
 
 
 class TestCsv:

@@ -50,6 +50,12 @@ class TestSampling:
         assert A.row_indices.min() >= 0 and A.row_indices.max() < 16
         np.testing.assert_array_equal(np.abs(A.signs), np.ones(16))
 
+    def test_subfast_selection_is_read_only(self):
+        A = sample_operator("subfast", 6, 16, 3)
+        for array in (A.row_indices, A.signs):
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+
     def test_gaussian_row_statistics(self):
         # one long row suffices: mean near 0, variance near 1
         A = sample_operator("gaussian", 1, 100000, 0)

@@ -1,5 +1,8 @@
 """Solvers: thresholding primitives, loss calculus, and the four algorithms."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -321,6 +324,17 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="finite"):
             DemixProblem(A=A, dictionary=d, link=make_link("linsin"), y=np.full(m, bad), s=2)
 
+    def test_problem_keeps_its_own_read_only_y(self):
+        n, m = 16, 8
+        d = Dictionary(Basis("identity", n), Basis("dct", n))
+        A = sample_operator("gaussian", m, n, 0)
+        y = np.arange(m, dtype=float)
+        problem = DemixProblem(A=A, dictionary=d, link=make_link("linsin"), y=y, s=2)
+        y[0] = 100.0
+        assert problem.y[0] == 0.0
+        with pytest.raises(ValueError):
+            problem.y[1] = 5.0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(step_size="fast")
@@ -340,6 +354,10 @@ class TestProblemValidation:
             SolverConfig(dst_beta=-0.5)
         with pytest.raises(ValueError):
             SolverConfig(init=np.zeros((2, 4)))
+        for bad in (2.5, 3.0, np.nan, True, "3"):
+            with pytest.raises(ValueError, match="max_iters must be an integer"):
+                SolverConfig(max_iters=bad)
+        assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_settings_rejected(self, bad):
@@ -603,16 +621,24 @@ class TestDescentWork:
             assert_bits_equal(got, want)
 
     @pytest.mark.parametrize(
-        "algorithm, step, outside",
-        [("dht", "auto", 1), ("dst", "auto", 1), ("dht", 50.0, 1), ("dst", 50.0, 1)],
+        "algorithm, step, prior, outside",
+        [("dht", "auto", None, 1), ("dst", "auto", None, 1), ("dht", 50.0, None, 1),
+         ("dst", 50.0, None, 1), ("dst", "auto", "dht", 0), ("dst", 50.0, "dht", 0)],
+        ids=["dht-auto-1", "dst-auto-1", "dht-50.0-1", "dst-50.0-1",
+             "dst-auto-after-dht", "dst-50.0-after-dht"],
     )
     def test_one_forward_per_candidate_and_one_adjoint_per_iteration(
-        self, monkeypatch, algorithm, step, outside
+        self, monkeypatch, algorithm, step, prior, outside
     ):
-        # outside the loop: the initial forward product, which the automatic
-        # step estimate reuses as its reference product (zero init: no oneshot)
+        # outside the loop: the start's forward product, which the automatic
+        # step estimate reuses as its reference product, and its gradient
+        # (zero init: no oneshot); none of them after a solve with the same
+        # init and step on the same problem
         problem, _ = planted_instance(128, 4, 150, seed=46)
-        counts = {"apply": 0, "adjoint": 0, "candidates": 0}
+        config = SolverConfig(step_size=step, init="zero", max_iters=40)
+        if prior is not None:
+            getattr(solvers, prior)(problem, config)
+        counts = {"apply": 0, "adjoint": 0, "candidates": 0, "estimates": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -623,15 +649,16 @@ class TestDescentWork:
         A = problem.A
         monkeypatch.setattr(A, "apply", counted("apply", A.apply))
         monkeypatch.setattr(A, "adjoint", counted("adjoint", A.adjoint))
+        monkeypatch.setattr(diagnostics, "estimate_rsc_rss",
+                            counted("estimates", diagnostics.estimate_rsc_rss))
         prox = "soft_threshold" if algorithm == "dst" else "hard_threshold"
         monkeypatch.setattr(solvers, prox, counted("candidates", getattr(solvers, prox)))
-        res = getattr(solvers, algorithm)(
-            problem, SolverConfig(step_size=step, init="zero", max_iters=40)
-        )
+        res = getattr(solvers, algorithm)(problem, config)
         assert res.iterations_run > 0
-        assert counts["adjoint"] == res.iterations_run
+        assert counts["adjoint"] == res.iterations_run - 1 + outside
         assert counts["candidates"] >= res.iterations_run
         assert counts["apply"] == counts["candidates"] + outside
+        assert counts["estimates"] == (outside if step == "auto" else 0)
 
     @pytest.mark.parametrize("radius", [None, 1.5], ids=["default-radius", "radius-1.5"])
     def test_nlcd_lasso_iterates_match_reference_loop_bit_for_bit(self, radius):
@@ -665,6 +692,82 @@ class TestDescentWork:
         problem, _ = planted_instance(64, 3, 90, seed=46)
         with pytest.raises(ValueError, match="u_ref"):
             diagnostics.estimate_rsc_rss(problem, u_ref=np.zeros(problem.A.m + 1))
+
+
+SOLVE = {"oneshot": lambda problem, config: oneshot(problem),
+         "dht": dht, "dst": dst, "nlcd_lasso": nlcd_lasso}
+
+
+def assert_same_solve(got, want):
+    assert_bits_equal(got.t_hat, want.t_hat)
+    assert got.iterations_run == want.iterations_run
+    assert got.converged == want.converged
+    assert [r.loss for r in got.trace] == [r.loss for r in want.trace]
+
+
+class TestSharedStart:
+    """Solves on one problem share x_lin, the oneshot estimate and each
+    (init, step_size) descent start, and give the same bits as cold solves."""
+
+    @pytest.mark.parametrize("link_name", ["linsin", "logistic"])
+    @pytest.mark.parametrize("step", ["auto", 0.3])
+    @pytest.mark.parametrize("init", ["oneshot", "zero", "array"])
+    def test_results_do_not_depend_on_earlier_solves(self, link_name, step, init):
+        spec = TrialSpec(n=128, s=4, m=150, link=link_name, seed=9)
+        if init == "array":
+            init = np.random.default_rng(10).standard_normal(2 * spec.n) / 7
+        config = SolverConfig(step_size=step, init=init, max_iters=60)
+        for target, solve in SOLVE.items():
+            cold = solve(_build_instance(spec)[0], config)
+            problem = _build_instance(spec)[0]
+            for other in SOLVE:
+                if other != target:
+                    SOLVE[other](problem, config)
+            assert_same_solve(solve(problem, config), cold)
+            assert_same_solve(solve(problem, config), cold)
+
+    def test_other_init_or_step_gets_its_own_start(self, monkeypatch):
+        spec = TrialSpec(n=128, s=4, m=150, seed=9)
+        configs = [SolverConfig(max_iters=60), SolverConfig(max_iters=60, init="zero"),
+                   SolverConfig(max_iters=60, step_size=0.3),
+                   SolverConfig(max_iters=60, init="zero", step_size=0.3)]
+        cold = [dht(_build_instance(spec)[0], config) for config in configs]
+        estimates = []
+        estimate = diagnostics.estimate_rsc_rss
+
+        def counted(*args, **kwargs):
+            estimates.append(args)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "estimate_rsc_rss", counted)
+        problem = _build_instance(spec)[0]
+        for config, want in zip(configs, cold):
+            assert_same_solve(dht(problem, config), want)
+        assert len(estimates) == 2
+        for config, want in zip(configs, cold):
+            assert_same_solve(dht(problem, config), want)
+        assert len(estimates) == 2
+
+    def test_inits_differing_in_the_sign_of_a_zero_get_their_own_start(self):
+        # the two configs compare equal, but their iterates keep the signs
+        problem, _ = planted_instance(64, 3, 90, seed=48)
+        for init in (np.zeros(128), -np.zeros(128)):
+            config = SolverConfig(step_size=0.3, init=init, max_iters=3, keep_iterates=True)
+            assert_bits_equal(dht(problem, config).iterates[0], init)
+
+    def test_shared_arrays_are_read_only_and_free_with_the_problem(self):
+        problem, _ = planted_instance(64, 3, 90, seed=48)
+        dht(problem, SolverConfig(max_iters=5))
+        nlcd_lasso(problem, SolverConfig(max_iters=5))
+        shared = solvers._last
+        t0, u0, _, grad0 = shared.starts[("oneshot", "auto")]
+        for array in (shared.x_lin, shared.oneshot_t, t0, u0, grad0):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        alive = weakref.ref(problem), weakref.ref(problem.A)
+        del problem
+        gc.collect()
+        assert [ref() for ref in alive] == [None, None]
 
 
 class TestDst:
