@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from dataclasses import fields, replace
 
@@ -136,6 +135,8 @@ def _resolve(args: argparse.Namespace, parser: _Parser) -> dict:
     dests = set(vars(args)) - _NOT_CONFIG
     cfg: dict = {}
     if args.config:
+        import json
+
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
@@ -152,6 +153,12 @@ def _resolve(args: argparse.Namespace, parser: _Parser) -> dict:
     merged = {**cfg, **solver}
     merged.update((k, v) for k, v in vars(args).items() if k in dests and v is not None)
     return merged
+
+
+def _given(merged: dict, *names: str) -> dict:
+    """The settings among `names` that a flag or the config file set; the
+    library function that takes them checks them and defaults the rest."""
+    return {name: merged[name] for name in names if name in merged}
 
 
 def _make_spec(merged: dict) -> TrialSpec:
@@ -181,12 +188,8 @@ def _cmd_phase(args, parser) -> int:
     m_list = merged.get("m_list")
     if not s_list or not m_list:
         parser.error("phase requires --s-list and --m-list (or config keys s_list/m_list)")
-    grid = run_phase_grid(
-        s_list, m_list,
-        trials=int(merged.get("trials", 20)),
-        base=_make_spec(merged),
-        workers=int(merged.get("workers", 1)),
-    )
+    grid = run_phase_grid(s_list, m_list, trials=merged.get("trials", 20),
+                          base=_make_spec(merged), **_given(merged, "workers"))
     _emit(grid, args.out)
     return 0
 
@@ -201,7 +204,7 @@ def _cmd_bench(args, parser) -> int:
             parser.error(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
     base = _make_spec(merged)
     specs = [replace(base, algorithm=name) for name in names]
-    rows = run_benchmark(specs, repeats=int(merged.get("repeats", 5)))
+    rows = run_benchmark(specs, **_given(merged, "repeats"))
     _emit(rows, args.out)
     return 0
 
@@ -223,13 +226,8 @@ def _cmd_diag(args, parser) -> int:
         }
     elif args.diag_command == "rscrss":
         problem, w, z, _ = _build_instance(spec)
-        est = estimate_rsc_rss(
-            problem,
-            t_ref=stack_constituents(w, z),
-            sparsity=merged.get("sparsity"),
-            num_supports=int(merged.get("num_supports", 8)),
-            seed=spec.seed,
-        )
+        est = estimate_rsc_rss(problem, t_ref=stack_constituents(w, z), seed=spec.seed,
+                               **_given(merged, "sparsity", "num_supports"))
         row = {
             "n": spec.n, "s": spec.s, "m": spec.m, "link": spec.link,
             "sparsity_level": est.sparsity_level,
@@ -238,11 +236,10 @@ def _cmd_diag(args, parser) -> int:
             "ratio": est.M_hat / est.m_hat if est.m_hat > 0 else float("inf"),
         }
     else:
+        trials = merged.get("trials", 100000)
         link = make_link(spec.link, radius=spec.link_radius)
-        mu, sigma2, eta2 = link_constants(
-            link, trials=int(merged.get("trials", 100000)), seed=spec.seed
-        )
-        row = {"link": spec.link, "trials": int(merged.get("trials", 100000)),
+        mu, sigma2, eta2 = link_constants(link, trials=trials, seed=spec.seed)
+        row = {"link": spec.link, "trials": trials,
                "seed": spec.seed, "mu": mu, "sigma2": sigma2, "eta2": eta2}
     _emit([row], args.out)
     return 0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .links import CapabilityError, LinkFunction, link_deriv, link_eval
 from .measurement import MeasurementOperator
-from .transforms import Dictionary, basis_adjoint, basis_apply, dict_apply
+from .transforms import _check_int, Dictionary, basis_adjoint, basis_apply, dict_apply
 
 if TYPE_CHECKING:  # solvers imports this module at load time
     from .solvers import DemixProblem
@@ -79,7 +79,7 @@ def mutual_coherence(d: Dictionary, block: int = 256) -> float:
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         # rows of eye -> psi atoms -> analysis under phi, batched on last axis
-        atoms = basis_apply(d.psi, np.eye(n)[lo:hi])
+        atoms = basis_apply(d.psi, np.eye(hi - lo, n, lo))
         cross = basis_adjoint(d.phi, atoms)
         best = max(best, float(np.max(np.abs(cross))))
     return best
@@ -114,8 +114,7 @@ def link_constants(link: LinkFunction, trials: int, seed: int) -> tuple[float, f
     For unit x the projection <a, x> is exactly N(0, 1), so the constants
     reduce to one-dimensional integrals over Z ~ N(0,1) with y = g(Z).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    trials = _check_int("trials", trials, 1)
     z = np.random.default_rng(seed).standard_normal(trials)
     y = link_eval(link, z)
     yz = y * z
@@ -180,6 +179,8 @@ def estimate_rsc_rss(
     two_n = 2 * problem.n
     if sparsity is None:
         sparsity = min(6 * problem.s, two_n)
+    sparsity = _check_int("sparsity", sparsity)
+    num_supports = _check_int("num_supports", num_supports, 0)
     if sparsity < 1 or sparsity > two_n:
         raise ValueError(f"sparsity must be in [1, {two_n}], got {sparsity}")
 
@@ -223,5 +224,5 @@ def estimate_rsc_rss(
         m_hat=float(m_hat),
         M_hat=float(M_hat),
         supports_probed=len(supports),
-        sparsity_level=int(sparsity),
+        sparsity_level=sparsity,
     )

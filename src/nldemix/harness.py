@@ -10,7 +10,6 @@ and a TrialSpec fully determines its TrialRecord.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import time
 from dataclasses import dataclass, field, replace
@@ -29,7 +28,7 @@ from .solvers import (
     nlcd_lasso,
     oneshot,
 )
-from .transforms import Basis, Dictionary, dict_apply, stack_constituents
+from .transforms import _check_int, Basis, Dictionary, dict_apply, stack_constituents
 
 ALGORITHMS = ("oneshot", "dht", "dst", "nlcdlasso")
 
@@ -61,9 +60,7 @@ class TrialSpec:
 
     def __post_init__(self) -> None:
         for name in ("n", "s", "m", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_int(name, getattr(self, name))
         if self.n < 1 or self.m < 1:
             raise ValueError(f"sizes must be positive, got n={self.n}, m={self.m}")
         if self.s < 0 or self.s > self.n:
@@ -235,13 +232,13 @@ def run_phase_grid(
     them in turn, and the result is ``{algorithm: PhaseGrid}``; each grid
     equals a separate call with ``base.algorithm`` set to that algorithm.
     """
-    s_values = tuple(int(s) for s in s_values)
-    m_values = tuple(int(m) for m in m_values)
+    s_values = tuple(_check_int("s", s) for s in s_values)
+    m_values = tuple(_check_int("m", m) for m in m_values)
+    trials = _check_int("trials", trials, 1)
+    _check_int("workers", workers, 1)
     names = (base.algorithm,) if algorithms is None else tuple(algorithms)
     if not s_values or not m_values:
         raise ValueError("phase grid needs at least one s and one m value")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
     if not names or len(set(names)) != len(names):
         raise ValueError(f"algorithms must be distinct and non-empty, got {names}")
     # Algorithms innermost: consecutive trials share an instance.
@@ -254,6 +251,8 @@ def run_phase_grid(
                           for ai, name in enumerate(names)]
     trial_specs = [sp for *_, sp in specs]
     if workers > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             # One instance's trials stay in one chunk, so one worker builds it.
             records = list(pool.map(run_trial, trial_specs, chunksize=4 * len(names)))
@@ -280,6 +279,7 @@ def run_benchmark(specs, repeats: int = 5) -> list[dict]:
     generation.  Consecutive specs share an instance as in run_trial, but
     each repeat solves a fresh copy of its problem, so it times a whole
     solve and never a start that an earlier solve left behind."""
+    repeats = _check_int("repeats", repeats, 1)
     rows = []
     for spec in specs:
         problem, _, _, _ = _instance(spec)

@@ -111,25 +111,15 @@ def make_link(name: str, radius: float = 20.0) -> LinkFunction:
             l2=3.0,
             radius=radius,
         )
-    if name == "logistic":
-        edge = float(_logistic_deriv(np.float64(radius)))
+    if name in ("logistic", "shifted-logistic"):
+        # Both share g' = p (1 - p), so l2 = 1/4 at 0 and l1 = g'(radius).
+        shifted = name == "shifted-logistic"
         return LinkFunction(
-            name="logistic",
-            eval_fn=_logistic,
+            name=name,
+            eval_fn=_shifted_logistic if shifted else _logistic,
             deriv_fn=_logistic_deriv,
-            potential_fn=_logistic_potential,
-            l1=edge,
-            l2=0.25,
-            radius=radius,
-        )
-    if name == "shifted-logistic":
-        edge = float(_logistic_deriv(np.float64(radius)))
-        return LinkFunction(
-            name="shifted-logistic",
-            eval_fn=_shifted_logistic,
-            deriv_fn=_logistic_deriv,
-            potential_fn=_shifted_logistic_potential,
-            l1=edge,
+            potential_fn=_shifted_logistic_potential if shifted else _logistic_potential,
+            l1=float(_logistic_deriv(np.float64(radius))),
             l2=0.25,
             radius=radius,
         )

@@ -44,7 +44,7 @@ import numpy as np
 from . import diagnostics
 from .links import CapabilityError, LinkFunction, link_deriv, link_eval, link_potential
 from .measurement import MeasurementOperator
-from .transforms import Dictionary, dict_adjoint, dict_apply, split_constituents
+from .transforms import _check_int, Dictionary, dict_adjoint, dict_apply, split_constituents
 
 PROJECTION_MODES = ("stacked2s", "perblocks")
 INIT_MODES = ("oneshot", "zero")
@@ -115,10 +115,7 @@ class SolverConfig:
                 raise ValueError(f"step_size must be positive or 'auto', got {self.step_size!r}")
         elif not np.isfinite(self.step_size) or self.step_size <= 0:
             raise ValueError(f"step_size must be finite and positive, got {self.step_size}")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        _check_int("max_iters", self.max_iters, 1)
         if not np.isfinite(self.rel_tol) or self.rel_tol <= 0:
             raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
         if isinstance(self.init, str):

@@ -25,6 +25,10 @@ FAST_TRIAL = [
 ]
 
 
+PHASE_CONFIG = {"n": 64, "s": 2, "m": 60, "algorithm": "oneshot",
+                "s_list": [2], "m_list": [60], "trials": 1}
+
+
 def rows_from(text: str) -> list[dict]:
     reader = csv.DictReader(io.StringIO(text))
     return list(reader)
@@ -304,19 +308,38 @@ class TestExitCodes:
         assert captured.err.startswith(f"nldemix: error: {setting} must be finite")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("setting, config", [
-        ("max_iters", {"n": 64, "s": 2, "m": 80, "solver": {"max_iters": 2.5}}),
-        ("n", {"n": float("nan"), "s": 2, "m": 80}),
-        ("seed", {"n": 64, "s": 2, "m": 80, "seed": "abc"}),
-    ])
-    def test_non_integer_config_value_exits_2(self, tmp_path, capsys, setting, config):
+    @pytest.mark.parametrize("command, setting, config", [
+        (["trial"], "max_iters", {"n": 64, "s": 2, "m": 80, "solver": {"max_iters": 2.5}}),
+        (["trial"], "n", {"n": float("nan"), "s": 2, "m": 80}),
+        (["trial"], "seed", {"n": 64, "s": 2, "m": 80, "seed": "abc"}),
+        (["phase"], "trials", {**PHASE_CONFIG, "trials": 2.5}),
+        (["phase"], "workers", {**PHASE_CONFIG, "workers": 2.5}),
+        (["phase"], "s", {**PHASE_CONFIG, "s_list": [2.5]}),
+        (["bench"], "repeats", {"n": 64, "s": 2, "m": 60, "algorithm": "oneshot", "repeats": 2.5}),
+        (["diag", "rscrss"], "sparsity", {"n": 64, "s": 2, "m": 60, "sparsity": 2.5}),
+        (["diag", "rscrss"], "num_supports", {"n": 64, "s": 2, "m": 60, "num_supports": 2.5}),
+        (["diag", "linkconst"], "trials", {"n": 64, "trials": 2.5}),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+    def test_non_integer_config_value_exits_2(self, tmp_path, capsys, command, setting, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        assert main(["trial", "--config", str(cfg)]) == 2
+        assert main([*command, "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"nldemix: error: {setting} must be an integer")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, setting", [
+        (["bench", "--n", "64", "--s", "2", "--m", "60", "--algorithm", "oneshot",
+          "--repeats", "0"], "repeats"),
+        (["phase", "--n", "64", "--algorithm", "oneshot", "--s-list", "2", "--m-list", "60",
+          "--trials", "1", "--workers", "0"], "workers"),
+    ], ids=["bench", "phase"])
+    def test_setting_below_minimum_exits_2(self, capsys, command, setting):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"nldemix: error: {setting} must be >= 1, got 0\n"
 
     def test_invalid_dimension_exits_2(self, capsys):
         # passes parsing, fails dataclass validation at runtime
@@ -325,9 +348,12 @@ class TestExitCodes:
 
 class TestEntryPoint:
     def test_cli_import_loads_no_scipy(self):
+        # Nor the modules only some commands use: json (--config) and
+        # concurrent.futures (phase --workers > 1).
         code = (
             "import nldemix.cli, sys; "
-            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+            "print(sorted(m for m in ('scipy', 'json', 'concurrent.futures') if m in sys.modules "
+            "or any(k.startswith(m + '.') for k in sys.modules)))"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src}
@@ -335,7 +361,7 @@ class TestEntryPoint:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     def test_module_invocation(self):
         proc = subprocess.run(

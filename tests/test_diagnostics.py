@@ -1,5 +1,7 @@
 """Diagnostics: similarity, coherence, link constants, curvature estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -82,6 +84,18 @@ class TestMutualCoherence:
             mutual_coherence(d, block=256), rel=1e-14
         )
 
+    def test_blocks_allocate_only_their_rows(self):
+        # One 4096 x 4096 float array is 128 MiB; a 256-row block is 8 MiB.
+        d = Dictionary(Basis("identity", 4096), Basis("dct", 4096))
+        tracemalloc.start()
+        try:
+            gamma = mutual_coherence(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert gamma == pytest.approx(np.sqrt(2.0 / 4096), rel=1e-3)
+
     def test_identity_dct_value_shrinks_with_n(self):
         # spread dictionaries decohere as sqrt(2/n)
         g32 = mutual_coherence(Dictionary(Basis("identity", 32), Basis("dct", 32)))
@@ -156,6 +170,11 @@ class TestLinkConstants:
     def test_bad_trials_rejected(self):
         with pytest.raises(ValueError):
             link_constants(make_link("sign"), trials=0, seed=0)
+        for bad in (True, 2.5, np.nan, "10"):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                link_constants(make_link("sign"), trials=bad, seed=0)
+        assert link_constants(make_link("sign"), np.int64(100), 0) == link_constants(
+            make_link("sign"), 100, 0)
 
 
 def restricted_hessian(problem, t_ref, idx):
@@ -276,6 +295,15 @@ class TestRscRssEstimate:
             estimate_rsc_rss(
                 problem, sparsity=4, extra_supports=(np.arange(3),)
             )
+        with pytest.raises(ValueError, match="num_supports must be >= 0, got -1"):
+            estimate_rsc_rss(problem, num_supports=-1)
+        for bad in (True, 2.5, np.nan, "4"):
+            for name in ("sparsity", "num_supports"):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    estimate_rsc_rss(problem, **{name: bad})
+        est = estimate_rsc_rss(problem, t_star, sparsity=np.int64(4), num_supports=np.int32(2))
+        assert est == estimate_rsc_rss(problem, t_star, sparsity=4, num_supports=2)
+        assert type(est.sparsity_level) is int
 
     def test_sign_link_rejected(self):
         problem, _ = planted_instance(16, 2, 20, link_name="sign", seed=67)

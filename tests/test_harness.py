@@ -317,6 +317,18 @@ class TestRunPhaseGrid:
             run_phase_grid([2], [], trials=2, base=base)
         with pytest.raises(ValueError):
             run_phase_grid([2], [100], trials=0, base=base)
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            run_phase_grid([2], [100], trials=2, base=base, workers=0)
+        for bad in (True, 2.5, np.nan, "2"):
+            for name, kw in (("s", dict(s_values=[2, bad])), ("m", dict(m_values=[bad])),
+                             ("trials", dict(trials=bad)), ("workers", dict(workers=bad))):
+                args = {"s_values": [2], "m_values": [100], "trials": 1, **kw}
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    run_phase_grid(base=base, **args)
+        grid = run_phase_grid(np.array([2]), [np.int64(80)], trials=np.int32(1),
+                              base=replace(base, algorithm="oneshot"), workers=np.int64(1))
+        assert (grid.s_values, grid.m_values, grid.trials) == ((2,), (80,), 1)
+        assert all(type(v) is int for v in (*grid.s_values, *grid.m_values, grid.trials))
 
 
 class TestRunBenchmark:
@@ -329,6 +341,17 @@ class TestRunBenchmark:
             assert row["median_ms"] > 0
             assert row["n"] == 128 and row["s"] == 3 and row["m"] == 160
             assert row["iters"] >= 0
+
+    def test_validation(self):
+        specs = [small_spec(algorithm="oneshot")]
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=f"repeats must be >= 1, got {bad}"):
+                run_benchmark(specs, repeats=bad)
+        for bad in (True, 2.5, np.nan, "3"):
+            with pytest.raises(ValueError, match="repeats must be an integer"):
+                run_benchmark(specs, repeats=bad)
+        (row,) = run_benchmark(specs, repeats=np.int64(2))
+        assert row["repeats"] == 2 and type(row["repeats"]) is int
 
     def test_algorithms_share_one_build(self, builds):
         run_benchmark([small_spec(algorithm=a) for a in ALGORITHMS], repeats=1)

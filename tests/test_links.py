@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from nldemix import links
 from nldemix.links import (
     LINK_KINDS,
     CapabilityError,
@@ -35,6 +36,27 @@ class TestConstruction:
     def test_non_finite_radius_rejected(self, radius):
         with pytest.raises(ValueError, match="finite"):
             make_link("logistic", radius=radius)
+
+    @pytest.mark.parametrize("radius, logistic_l1", [
+        (7.5, 0.0005524730727021604),
+        (20.0, 2.061153613941849e-09),
+        (30.0, 9.357622968838425e-14),
+    ])
+    def test_fields_are_pinned(self, radius, logistic_l1):
+        # The two logistic links share g', l1, l2 and radius.
+        pinned = {
+            "sign": (np.sign, None, None, 0.0, 0.0),
+            "linsin": (links._linsin, links._linsin_deriv, links._linsin_potential, 1.0, 3.0),
+            "logistic": (links._logistic, links._logistic_deriv, links._logistic_potential,
+                         logistic_l1, 0.25),
+            "shifted-logistic": (links._shifted_logistic, links._logistic_deriv,
+                                 links._shifted_logistic_potential, logistic_l1, 0.25),
+        }
+        for name, (g, g_prime, theta, l1, l2) in pinned.items():
+            link = make_link(name, radius=radius)
+            assert (link.name, link.eval_fn, link.deriv_fn, link.potential_fn) == (
+                name, g, g_prime, theta)
+            assert (link.l1, link.l2, link.radius) == (l1, l2, radius)
 
     def test_capability_flags(self):
         sign = make_link("sign")
