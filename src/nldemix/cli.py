@@ -199,6 +199,8 @@ def _cmd_bench(args, parser) -> int:
     names = merged.get("algorithms") or merged.get("algorithm") or "oneshot"
     if isinstance(names, str):
         names = [p.strip() for p in names.split(",") if p.strip()]
+    elif not isinstance(names, list):
+        parser.error(f"algorithms must be a comma-separated string or a list of names, got {names!r}")
     for name in names:
         if name not in ALGORITHMS:
             parser.error(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")

@@ -124,33 +124,31 @@ def link_constants(link: LinkFunction, trials: int, seed: int) -> tuple[float, f
     return mu, sigma2, eta2
 
 
-def _gamma_columns(d: Dictionary, idx: np.ndarray) -> np.ndarray:
-    """n x |idx| matrix of dictionary columns for stacked indices."""
-    n = d.n
-    idx = np.asarray(idx)
-    B = np.zeros((n, idx.size))
-    for basis, cols in ((d.phi, np.flatnonzero(idx < n)), (d.psi, np.flatnonzero(idx >= n))):
-        unit = np.zeros((cols.size, n))
-        unit[np.arange(cols.size), idx[cols] % n] = 1.0
-        B[:, cols] = basis_apply(basis, unit).T
-    return B
+def _atoms(d: Dictionary, idx: np.ndarray) -> np.ndarray:
+    """|idx| x n matrix whose rows are the dictionary atoms at stacked indices idx."""
+    unit = np.zeros((idx.size, 2 * d.n))
+    unit[np.arange(idx.size), idx] = 1.0
+    return dict_apply(d, unit)
 
 
 def _restricted_gram_factor(problem: DemixProblem, idx: np.ndarray) -> np.ndarray:
     """G = A Gamma_xi (m x |xi|).
 
-    On a dense A an identity-basis column of Gamma selects a column of A, so
-    only the atoms of the other bases are multiplied through.
+    On a subfast A the atoms go through A 16 at a time, so no |xi| x n
+    array is held.  On a dense A an identity-basis column of Gamma selects a
+    column of A, so only the atoms of the other bases are multiplied through.
     """
     A, d = problem.A, problem.dictionary
     idx = np.asarray(idx)
-    if A.kind == "subfast":
-        B = _gamma_columns(d, idx)
-        return np.column_stack([A.apply(B[:, j]) for j in range(B.shape[1])])
-    ident = np.where(idx < d.n, d.phi.kind == "identity", d.psi.kind == "identity")
     G = np.empty((A.m, idx.size))
+    if A.kind == "subfast":
+        for lo in range(0, idx.size, 16):
+            G[:, lo : lo + 16] = A.apply(_atoms(d, idx[lo : lo + 16])).T
+        return G
+    ident = np.where(idx < d.n, d.phi.kind == "identity", d.psi.kind == "identity")
     G[:, ident] = A.dense()[:, idx[ident] % d.n]
-    G[:, ~ident] = A.dense() @ _gamma_columns(d, idx[~ident])
+    # The n x k atom matrix must be C-ordered: GEMM on the transposed view rounds differently.
+    G[:, ~ident] = A.dense() @ np.ascontiguousarray(_atoms(d, idx[~ident]).T)
     return G
 
 

@@ -232,6 +232,9 @@ def run_phase_grid(
     them in turn, and the result is ``{algorithm: PhaseGrid}``; each grid
     equals a separate call with ``base.algorithm`` set to that algorithm.
     """
+    for name, values in (("s_values", s_values), ("m_values", m_values)):
+        if isinstance(values, str) or not np.iterable(values):
+            raise ValueError(f"{name} must be a sequence of integers, got {values!r}")
     s_values = tuple(_check_int("s", s) for s in s_values)
     m_values = tuple(_check_int("m", m) for m in m_values)
     trials = _check_int("trials", trials, 1)

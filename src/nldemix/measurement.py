@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .links import LinkFunction, link_eval
-from .transforms import _dct2, _dct3
+from .transforms import _check_last_axis, _dct2, _dct3
 
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "subfast")
 
@@ -23,7 +23,8 @@ class MeasurementOperator:
 
     Dense ensembles store their matrix; the subfast ensemble stores the row
     subset ``row_indices`` and sign diagonal ``signs`` and applies fast
-    transforms.  All three arrays are read-only.
+    transforms.  All three arrays are read-only.  ``apply`` and ``adjoint``
+    act along the last axis, so a 2-D input is a batch of rows.
     """
 
     def __init__(self, kind: str, m: int, n: int, seed: int):
@@ -53,22 +54,18 @@ class MeasurementOperator:
                 array.setflags(write=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"x must have length {self.n}, got shape {x.shape}")
+        x = _check_last_axis(x, self.n, "x")
         if self._matrix is not None:
-            return self._matrix @ x
+            return x @ self._matrix.T
         u = _dct2(self.signs * x)
-        return np.sqrt(self.n) * u[self.row_indices]
+        return np.sqrt(self.n) * u[..., self.row_indices]
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.m,):
-            raise ValueError(f"v must have length {self.m}, got shape {v.shape}")
+        v = _check_last_axis(v, self.m, "v")
         if self._matrix is not None:
-            return self._matrix.T @ v
-        u = np.zeros(self.n)
-        u[self.row_indices] = v
+            return v @ self._matrix
+        u = np.zeros(v.shape[:-1] + (self.n,))
+        u[..., self.row_indices] = v
         return np.sqrt(self.n) * self.signs * _dct3(u)
 
     def dense(self) -> np.ndarray:

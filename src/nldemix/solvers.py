@@ -368,10 +368,7 @@ def _resolve_step(problem: DemixProblem, config: SolverConfig, t0: np.ndarray,
     # u0 = A Gamma t0, which the solver needs for its initial objective anyway.
     if not isinstance(config.step_size, str):
         return float(config.step_size)
-    sparsity = min(6 * problem.s, 2 * problem.n)
-    est = diagnostics.estimate_rsc_rss(
-        problem, t_ref=t0, sparsity=sparsity, num_supports=0, seed=0, u_ref=u0
-    )
+    est = diagnostics.estimate_rsc_rss(problem, t_ref=t0, num_supports=0, seed=0, u_ref=u0)
     if not np.isfinite(est.M_hat) or est.M_hat <= 1e-12:
         raise RuntimeError(
             f"auto step failed: smoothness estimate M_hat={est.M_hat} is not usable"

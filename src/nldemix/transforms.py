@@ -206,9 +206,9 @@ def stack_constituents(w: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def dict_apply(d: Dictionary, t: np.ndarray) -> np.ndarray:
-    """Gamma @ t = Phi w + Psi z for t = [w; z]."""
-    w, z = split_constituents(t, d.n)
-    return basis_apply(d.phi, w) + basis_apply(d.psi, z)
+    """Gamma @ t = Phi w + Psi z for t = [w; z], along the last axis."""
+    t = _check_last_axis(t, 2 * d.n, "t")
+    return basis_apply(d.phi, t[..., : d.n]) + basis_apply(d.psi, t[..., d.n :])
 
 
 def dict_adjoint(d: Dictionary, x: np.ndarray) -> np.ndarray:

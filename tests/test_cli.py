@@ -341,9 +341,31 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"nldemix: error: {setting} must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("command, config, code, message", [
+        (["phase"], {**PHASE_CONFIG, "s_list": 2}, 2, "s_values must be a sequence of integers"),
+        (["phase"], {**PHASE_CONFIG, "s_list": "2,3"}, 2, "s_values must be a sequence of integers"),
+        (["bench"], {"n": 64, "s": 2, "m": 60, "algorithms": 5}, 1,
+         "algorithms must be a comma-separated string or a list of names"),
+    ], ids=["phase-s_list-int", "phase-s_list-str", "bench-algorithms-int"])
+    def test_list_setting_of_wrong_type_fails_cleanly(self, tmp_path, capsys, command, config,
+                                                      code, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([*command, "--config", str(cfg)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(f"nldemix: error: {message}")
+        assert "Traceback" not in captured.err
+
     def test_invalid_dimension_exits_2(self, capsys):
         # passes parsing, fails dataclass validation at runtime
         assert main(["trial", "--n", "64", "--s", "100", "--m", "80"]) == 2
+
+
+def _checkout_env() -> dict:
+    """The environment with this checkout's src/ on PYTHONPATH, so a child
+    interpreter imports nldemix without an install."""
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 class TestEntryPoint:
@@ -355,10 +377,9 @@ class TestEntryPoint:
             "print(sorted(m for m in ('scipy', 'json', 'concurrent.futures') if m in sys.modules "
             "or any(k.startswith(m + '.') for k in sys.modules)))"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env,
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env=_checkout_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -366,7 +387,7 @@ class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "nldemix.cli", "trial", *FAST_TRIAL],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=_checkout_env(),
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0].startswith("algorithm,")

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from nldemix.diagnostics import (
+    _restricted_gram_factor,
     coherence_report,
     cosine_similarity,
     cross_coherence,
@@ -326,3 +327,46 @@ class TestRscRssEstimate:
             if est.M_hat / est.m_hat < target:
                 hits += 1
         assert hits >= 8
+
+
+class TestRestrictedGramFactor:
+    @pytest.mark.parametrize("ensemble", ["gaussian", "rademacher", "subfast"])
+    @pytest.mark.parametrize("phi, psi", [("identity", "dct"), ("dct", "haar"), ("haar", "identity")])
+    def test_matches_column_by_column_oracle_bit_for_bit(self, ensemble, phi, psi):
+        n, m = 64, 40
+        problem, _ = planted_instance(n, 2, m, seed=70, phi=phi, psi=psi, ensemble=ensemble)
+        A, d = problem.A, problem.dictionary
+        # more than one 16-atom block, from both halves of the stack
+        idx = np.random.default_rng(71).choice(2 * n, size=37, replace=False)
+        G = _restricted_gram_factor(problem, idx)
+
+        def atom(j):
+            return dict_apply(d, np.eye(1, 2 * n, j)[0])
+
+        if ensemble == "subfast":
+            oracle = np.column_stack([A.apply(atom(j)) for j in idx])
+        else:
+            ident = np.where(idx < n, phi == "identity", psi == "identity")
+            B = np.empty((n, int(np.sum(~ident))))
+            for col, j in enumerate(idx[~ident]):
+                B[:, col] = atom(j)
+            oracle = np.empty((m, idx.size))
+            oracle[:, ident] = A.dense()[:, idx[ident] % n]
+            oracle[:, ~ident] = A.dense() @ B
+        assert G.shape == (m, idx.size)
+        np.testing.assert_array_equal(G.view(np.int64), oracle.view(np.int64))
+
+    def test_subfast_holds_no_full_atom_matrix(self):
+        # One 120 x 2^16 float array is 60 MiB; a 16-atom block is 8 MiB.
+        n, m = 2**16, 2000
+        problem, _ = planted_instance(n, 2, m, seed=72, phi="identity", psi="dct",
+                                      ensemble="subfast")
+        idx = np.random.default_rng(73).choice(2 * n, size=120, replace=False)
+        tracemalloc.start()
+        try:
+            G = _restricted_gram_factor(problem, idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.shape == (m, 120)
+        assert peak < 96 * 2**20

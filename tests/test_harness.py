@@ -319,6 +319,11 @@ class TestRunPhaseGrid:
             run_phase_grid([2], [100], trials=0, base=base)
         with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
             run_phase_grid([2], [100], trials=2, base=base, workers=0)
+        for name, kw in (("s_values", dict(s_values=2)), ("s_values", dict(s_values="2,3")),
+                         ("m_values", dict(m_values=100)), ("m_values", dict(m_values="100"))):
+            args = {"s_values": [2], "m_values": [100], "trials": 1, **kw}
+            with pytest.raises(ValueError, match=f"{name} must be a sequence of integers"):
+                run_phase_grid(base=base, **args)
         for bad in (True, 2.5, np.nan, "2"):
             for name, kw in (("s", dict(s_values=[2, bad])), ("m", dict(m_values=[bad])),
                              ("trials", dict(trials=bad)), ("workers", dict(workers=bad))):

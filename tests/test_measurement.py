@@ -111,6 +111,45 @@ class TestApplyAdjoint:
             A.apply(np.zeros(7))
         with pytest.raises(ValueError):
             A.adjoint(np.zeros(8))
+        for kind in ("gaussian", "subfast"):
+            A = sample_operator(kind, 4, 8, 0)
+            for bad_x, bad_v in ((np.zeros((3, 7)), np.zeros((3, 8))),
+                                 (np.zeros((8, 3)), np.zeros((4, 3))),
+                                 (np.float64(0.0), np.float64(0.0))):
+                with pytest.raises(ValueError, match="last axis"):
+                    A.apply(bad_x)
+                with pytest.raises(ValueError, match="last axis"):
+                    A.adjoint(bad_v)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "subfast"])
+    def test_batches_act_along_the_last_axis(self, kind):
+        m, n = 12, 32
+        A = sample_operator(kind, m, n, 3)
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((5, n))
+        V = rng.standard_normal((5, m))
+        for f, batch, oracle in ((A.apply, X, X @ A.dense().T), (A.adjoint, V, V @ A.dense())):
+            Y = f(batch)
+            assert Y.shape == oracle.shape
+            for row, out in zip(batch, Y):
+                if kind == "subfast":
+                    np.testing.assert_array_equal(out.view(np.int64), f(row).view(np.int64))
+                else:  # one GEMM rounds differently from one GEMV per row
+                    ref = f(row)
+                    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.linalg.norm(ref))
+            if kind != "subfast":
+                np.testing.assert_array_equal(Y, oracle)
+
+    @pytest.mark.parametrize("m, n", [(12, 32), (7, 5), (60, 64), (33, 17)])
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+    def test_dense_vectors_keep_matrix_vector_bits(self, kind, m, n):
+        A = sample_operator(kind, m, n, 4)
+        M = A.dense()
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal(n)
+        v = rng.standard_normal(m)
+        np.testing.assert_array_equal(A.apply(x).view(np.int64), (M @ x).view(np.int64))
+        np.testing.assert_array_equal(A.adjoint(v).view(np.int64), (M.T @ v).view(np.int64))
 
 
 class TestObserve:

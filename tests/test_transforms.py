@@ -77,6 +77,9 @@ class TestBasisValidation:
             basis_apply(b, bad)
         with pytest.raises(ValueError):
             basis_adjoint(b, bad)
+        # t = [w; z] has a last axis of 2n = 8
+        with pytest.raises(ValueError, match="last axis"):
+            dict_apply(Dictionary(Basis("identity", 4), Basis("dct", 4)), bad)
 
     def test_dict_adjoint_stays_one_dimensional(self):
         d = Dictionary(Basis("identity", 8), Basis("dct", 8))
@@ -187,6 +190,15 @@ class TestBatchedBases:
             assert Y.shape == X.shape
             for row, out in zip(X, Y):
                 np.testing.assert_array_equal(out.view(np.int64), f(b, row).view(np.int64))
+
+    @pytest.mark.parametrize("phi, psi", [("identity", "dct"), ("dct", "haar"), ("haar", "identity")])
+    def test_dict_apply_rows_match_one_dimensional_calls_bit_for_bit(self, phi, psi):
+        d = Dictionary(Basis(phi, 16), Basis(psi, 16))
+        T = np.random.default_rng(9).standard_normal((5, 32))
+        Y = dict_apply(d, T)
+        assert Y.shape == (5, 16)
+        for row, out in zip(T, Y):
+            np.testing.assert_array_equal(out.view(np.int64), dict_apply(d, row).view(np.int64))
 
 
 class TestFastDct:
