@@ -7,9 +7,7 @@ with coherence/convexity diagnostics and a seeded Monte-Carlo harness.
 """
 
 from .diagnostics import (
-    CoherenceReport,
     RscRssEstimate,
-    coherence_report,
     cosine_similarity,
     cross_coherence,
     estimate_rsc_rss,
@@ -20,7 +18,6 @@ from .harness import (
     PhaseGrid,
     TrialRecord,
     TrialSpec,
-    export_csv,
     generate_signal,
     run_benchmark,
     run_phase_grid,
@@ -29,7 +26,6 @@ from .harness import (
 from .links import (
     CapabilityError,
     LinkFunction,
-    derivative_bounds,
     link_deriv,
     link_eval,
     link_potential,
@@ -75,14 +71,13 @@ __all__ = [
     "dict_apply", "dict_adjoint", "split_constituents", "stack_constituents",
     "MeasurementOperator", "sample_operator", "observe",
     "LinkFunction", "CapabilityError", "make_link", "link_eval", "link_deriv",
-    "link_potential", "derivative_bounds",
+    "link_potential",
     "DemixProblem", "SolverConfig", "SolveResult", "TraceRecord",
     "hard_threshold", "soft_threshold", "project_l1_ball", "oneshot",
     "loss", "loss_gradient", "loss_hessian_matvec", "dht", "dst", "nlcd_lasso",
-    "CoherenceReport", "RscRssEstimate", "cosine_similarity",
-    "mutual_coherence", "cross_coherence", "coherence_report",
+    "RscRssEstimate", "cosine_similarity", "mutual_coherence", "cross_coherence",
     "link_constants", "estimate_rsc_rss",
     "TrialSpec", "TrialRecord", "PhaseGrid", "generate_signal", "run_trial",
-    "run_phase_grid", "run_benchmark", "export_csv",
+    "run_phase_grid", "run_benchmark",
     "__version__",
 ]

@@ -22,12 +22,11 @@ import io
 import sys
 from dataclasses import fields, replace
 
-from .diagnostics import coherence_report, estimate_rsc_rss, link_constants
+from .diagnostics import cross_coherence, estimate_rsc_rss, link_constants, mutual_coherence
 from .harness import (
     ALGORITHMS,
     TrialSpec,
     _build_instance,
-    export_csv,
     run_benchmark,
     run_phase_grid,
     run_trial,
@@ -168,7 +167,8 @@ def _make_spec(merged: dict) -> TrialSpec:
 
 def _emit(payload, out: str | None) -> None:
     if out:
-        export_csv(payload, out)
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            write_csv(payload, handle)
     else:
         buf = io.StringIO()
         write_csv(payload, buf)
@@ -196,11 +196,13 @@ def _cmd_phase(args, parser) -> int:
 
 def _cmd_bench(args, parser) -> int:
     merged = _resolve(args, parser)
-    names = merged.get("algorithms") or merged.get("algorithm") or "oneshot"
+    names = merged["algorithms"] if "algorithms" in merged else merged.get("algorithm", "oneshot")
     if isinstance(names, str):
         names = [p.strip() for p in names.split(",") if p.strip()]
     elif not isinstance(names, list):
         parser.error(f"algorithms must be a comma-separated string or a list of names, got {names!r}")
+    if not names:
+        parser.error("bench needs at least one algorithm")
     for name in names:
         if name not in ALGORITHMS:
             parser.error(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
@@ -216,15 +218,14 @@ def _cmd_diag(args, parser) -> int:
     spec = _make_spec(merged)
     if args.diag_command == "coherence":
         d = Dictionary(Basis(spec.basis_phi, spec.n), Basis(spec.basis_psi, spec.n))
-        A = None
+        gamma = mutual_coherence(d)
+        vartheta = ""
         if "ensemble" in merged and "m" in merged:
-            A = sample_operator(spec.ensemble, spec.m, spec.n, spec.seed)
-        rep = coherence_report(d, spec.s, A)
+            vartheta = cross_coherence(sample_operator(spec.ensemble, spec.m, spec.n, spec.seed), d)
         row = {
             "basis_phi": spec.basis_phi, "basis_psi": spec.basis_psi,
-            "n": spec.n, "s": spec.s, "gamma": rep.gamma,
-            "epsilon_bound": rep.epsilon_bound,
-            "vartheta": rep.vartheta if rep.vartheta is not None else "",
+            "n": spec.n, "s": spec.s, "gamma": gamma,
+            "epsilon_bound": spec.s * gamma, "vartheta": vartheta,
         }
     elif args.diag_command == "rscrss":
         problem, w, z, _ = _build_instance(spec)

@@ -34,16 +34,6 @@ if TYPE_CHECKING:  # solvers imports this module at load time
 
 
 @dataclass(frozen=True)
-class CoherenceReport:
-    """Dictionary coherence gamma, the bound s * gamma, and (optionally)
-    the measurement cross-coherence vartheta."""
-
-    gamma: float
-    epsilon_bound: float
-    vartheta: float | None = None
-
-
-@dataclass(frozen=True)
 class RscRssEstimate:
     """Sampled restricted-Hessian eigenvalue range."""
 
@@ -97,14 +87,6 @@ def cross_coherence(A: MeasurementOperator, d: Dictionary) -> float:
         coeffs = basis_adjoint(b, rows)
         best = max(best, float(np.max(np.abs(coeffs) / norms[:, None])))
     return best
-
-
-def coherence_report(d: Dictionary, s: int,
-                     A: MeasurementOperator | None = None) -> CoherenceReport:
-    """Bundle gamma, the bound s * gamma, and vartheta when A is given."""
-    gamma = mutual_coherence(d)
-    vt = cross_coherence(A, d) if A is not None else None
-    return CoherenceReport(gamma=gamma, epsilon_bound=s * gamma, vartheta=vt)
 
 
 def link_constants(link: LinkFunction, trials: int, seed: int) -> tuple[float, float, float]:

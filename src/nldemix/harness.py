@@ -333,7 +333,11 @@ def _trial_row(rec: TrialRecord) -> list[str]:
 
 
 def write_csv(payload, stream) -> None:
-    """Write trial records, a phase grid, or benchmark rows to a text stream."""
+    """Write trial records, a phase grid, or benchmark rows to a text stream.
+
+    LF line endings, floats in shortest round-trip form; open a file with
+    newline="" so its line endings stay LF.
+    """
     writer = csv.writer(stream, lineterminator="\n")
     if isinstance(payload, PhaseGrid):
         writer.writerow(PHASE_CSV_FIELDS)
@@ -353,16 +357,3 @@ def write_csv(payload, stream) -> None:
         writer.writerow(TRIAL_CSV_FIELDS)
         for rec in payload:
             writer.writerow(_trial_row(rec))
-
-
-def export_csv(payload, path: str) -> None:
-    """Write trial records, a phase grid, or benchmark rows as a CSV file.
-
-    UTF-8, LF line endings, floats in shortest round-trip form.
-    """
-    try:
-        handle = open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc
-    with handle:
-        write_csv(payload, handle)

@@ -144,10 +144,3 @@ def link_potential(g: LinkFunction, u):
     if g.potential_fn is None:
         raise CapabilityError(f"link {g.name!r} has no potential")
     return g.potential_fn(np.asarray(u, dtype=float))
-
-
-def derivative_bounds(g: LinkFunction) -> tuple[float, float]:
-    """(l1, l2) with l1 <= g' <= l2 on [-radius, radius]."""
-    if g.deriv_fn is None:
-        raise CapabilityError(f"link {g.name!r} has no derivative")
-    return (g.l1, g.l2)

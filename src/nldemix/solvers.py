@@ -29,13 +29,12 @@ When no halving lowers it, the solve keeps its iterate and stops unconverged.
 Solves on one problem share what they derive from it alone: x_lin (oneshot,
 nlcd_lasso), the oneshot estimate, and for each (init, step_size) the
 descent start t0, A Gamma t0, the step and grad F(t0) (dht, dst).  They are
-kept, read-only, for the last problem solved only.
+kept, read-only, on the problem itself and die with it.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -61,6 +60,9 @@ class DemixProblem:
     link: LinkFunction
     y: np.ndarray
     s: int
+    # Read-only state its solves share: "x_lin", "oneshot" and one descent
+    # start per (init, step_size) key.  A dataclasses.replace copy starts empty.
+    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # A read-only copy: editing the caller's array cannot change the problem.
@@ -289,31 +291,6 @@ def loss_hessian_matvec(problem: DemixProblem, t: np.ndarray, v: np.ndarray) -> 
 # algorithms
 
 
-@dataclass
-class _Derived:
-    """What the solves on one problem share; every array is read-only."""
-
-    problem: weakref.ref
-    x_lin: np.ndarray | None = None
-    oneshot_t: np.ndarray | None = None
-    # (init, step_size) -> (t0, u0 = A Gamma t0, step, grad F(t0))
-    starts: dict = field(default_factory=dict)
-
-
-# One slot, for the last problem solved: consecutive solves on one instance
-# share work, and a solve on any other problem object (a dataclasses.replace
-# copy included) computes everything anew.  The problem is held weakly, so the
-# slot never keeps an operator alive.
-_last: _Derived | None = None
-
-
-def _derived(problem: DemixProblem) -> _Derived:
-    global _last
-    if _last is None or _last.problem() is not problem:
-        _last = _Derived(weakref.ref(problem))
-    return _last
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -321,10 +298,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _x_lin(problem: DemixProblem) -> np.ndarray:
     """The linear estimator (1/m) A^T y."""
-    derived = _derived(problem)
-    if derived.x_lin is None:
-        derived.x_lin = _frozen(problem.A.adjoint(problem.y) / problem.A.m)
-    return derived.x_lin
+    shared = problem._shared
+    if "x_lin" not in shared:
+        shared["x_lin"] = _frozen(problem.A.adjoint(problem.y) / problem.A.m)
+    return shared["x_lin"]
 
 
 def _zero_result(problem: DemixProblem, t0: float, keep: bool) -> SolveResult:
@@ -347,7 +324,7 @@ def oneshot(problem: DemixProblem) -> SolveResult:
     w_hat = hard_threshold(w, problem.s)
     z_hat = hard_threshold(z, problem.s)
     t_hat = np.concatenate([w_hat, z_hat])
-    _derived(problem).oneshot_t = _frozen(t_hat)
+    problem._shared["oneshot"] = _frozen(t_hat)
     x_hat = dict_apply(problem.dictionary, t_hat)
     rec = TraceRecord(0, None, 0.0, time.perf_counter() - start,
                       int(np.count_nonzero(t_hat)))
@@ -358,7 +335,7 @@ def _resolve_init(problem: DemixProblem, config: SolverConfig) -> np.ndarray:
     if isinstance(config.init, str):
         if config.init == "zero":
             return np.zeros(2 * problem.n)
-        t = _derived(problem).oneshot_t
+        t = problem._shared.get("oneshot")
         return oneshot(problem).t_hat if t is None else t
     return _check_t(problem, config.init)
 
@@ -378,16 +355,16 @@ def _resolve_step(problem: DemixProblem, config: SolverConfig, t0: np.ndarray,
 
 def _descent_start(problem: DemixProblem, config: SolverConfig) -> tuple:
     """(t0, A Gamma t0, step, grad F(t0)) for config's init and step size."""
-    starts = _derived(problem).starts
+    shared = problem._shared
     init = config.init
     # Equal tuples may differ in the sign of a zero, which the iterates keep.
     key = (init if isinstance(init, str) else np.array(init).tobytes(), config.step_size)
-    if key not in starts:
+    if key not in shared:
         t = _resolve_init(problem, config)
         u = _forward(problem, t)
         step = _resolve_step(problem, config, t, u)
-        starts[key] = (_frozen(t), _frozen(u), step, _frozen(_gradient_at(problem, u)))
-    return starts[key]
+        shared[key] = (_frozen(t), _frozen(u), step, _frozen(_gradient_at(problem, u)))
+    return shared[key]
 
 
 def _project(t: np.ndarray, problem: DemixProblem, config: SolverConfig) -> np.ndarray:

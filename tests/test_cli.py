@@ -14,8 +14,9 @@ import pytest
 
 from nldemix import cli, harness
 from nldemix.cli import main
-from nldemix.diagnostics import mutual_coherence
+from nldemix.diagnostics import cross_coherence, mutual_coherence
 from nldemix.harness import TrialSpec
+from nldemix.measurement import sample_operator
 from nldemix.solvers import SolverConfig
 from nldemix.transforms import Basis, Dictionary
 
@@ -50,7 +51,9 @@ class TestTrialCommand:
         path = tmp_path / "trial.csv"
         assert main(["trial", *FAST_TRIAL, "--out", str(path)]) == 0
         assert capsys.readouterr().out == ""
-        rows = rows_from(path.read_text(encoding="utf-8"))
+        raw = path.read_bytes()
+        assert b"\r" not in raw
+        rows = rows_from(raw.decode("utf-8"))
         assert len(rows) == 1
 
     def test_deterministic_output(self, capsys):
@@ -145,7 +148,9 @@ class TestDiagCommand:
                 "--ensemble", "gaussian", "--m", "32"]
         assert main(args) == 0
         row = rows_from(capsys.readouterr().out)[0]
-        assert float(row["vartheta"]) > 0
+        d = Dictionary(Basis("identity", 64), Basis("dct", 64))
+        A = sample_operator("gaussian", 32, 64, TrialSpec().seed)
+        assert float(row["vartheta"]) == cross_coherence(A, d)
 
     def test_rscrss_interval(self, capsys):
         args = ["diag", "rscrss", "--n", "128", "--s", "3", "--m", "200",
@@ -356,6 +361,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith(f"nldemix: error: {message}")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("config, flags", [
+        ({"algorithms": []}, []),
+        ({}, ["--algorithms", ""]),
+        ({}, ["--algorithms", ","]),
+    ], ids=["config-empty-list", "flag-empty", "flag-comma"])
+    def test_bench_without_algorithms_is_usage_error(self, tmp_path, capsys, config, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 64, "s": 2, "m": 60, "repeats": 1, **config}))
+        assert main(["bench", "--config", str(cfg), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "nldemix: error: bench needs at least one algorithm"
 
     def test_invalid_dimension_exits_2(self, capsys):
         # passes parsing, fails dataclass validation at runtime

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from nldemix.diagnostics import (
     _restricted_gram_factor,
-    coherence_report,
     cosine_similarity,
     cross_coherence,
     estimate_rsc_rss,
@@ -117,17 +116,6 @@ class TestCrossCoherence:
             np.abs(rows @ G) / np.linalg.norm(rows, axis=1)[:, None]
         )
         np.testing.assert_allclose(cross_coherence(A, d), ref, rtol=1e-12)
-
-    def test_report_bundles_quantities(self):
-        n, m, s = 32, 12, 4
-        d = Dictionary(Basis("identity", n), Basis("dct", n))
-        rep = coherence_report(d, s)
-        assert rep.vartheta is None
-        assert rep.epsilon_bound == pytest.approx(s * rep.gamma)
-        A = sample_operator("gaussian", m, n, 4)
-        rep2 = coherence_report(d, s, A=A)
-        assert rep2.gamma == rep.gamma
-        assert rep2.vartheta == pytest.approx(cross_coherence(A, d))
 
 
 def gauss_expect(f):

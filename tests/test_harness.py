@@ -2,7 +2,6 @@
 
 import io
 import math
-import os
 import weakref
 from dataclasses import replace
 
@@ -17,7 +16,6 @@ from nldemix.harness import (
     PhaseGrid,
     TrialSpec,
     child_seed,
-    export_csv,
     generate_signal,
     run_benchmark,
     run_phase_grid,
@@ -417,23 +415,3 @@ class TestCsv:
         buf = io.StringIO()
         write_csv([], buf)
         assert buf.getvalue() == ",".join(TRIAL_CSV_FIELDS) + "\n"
-
-    def test_export_writes_lf_utf8(self, tmp_path):
-        path = tmp_path / "out.csv"
-        export_csv([run_trial(small_spec(algorithm="oneshot"))], str(path))
-        raw = path.read_bytes()
-        assert b"\r" not in raw
-        assert raw.decode("utf-8").count("\n") == 2
-
-    def test_export_is_byte_stable(self, tmp_path):
-        base = small_spec(algorithm="oneshot")
-        p1 = tmp_path / "a.csv"
-        p2 = tmp_path / "b.csv"
-        export_csv(run_phase_grid([2], [80], trials=2, base=base), str(p1))
-        export_csv(run_phase_grid([2], [80], trials=2, base=base), str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_export_bad_path_raises(self, tmp_path):
-        missing = os.path.join(str(tmp_path), "no_such_dir", "out.csv")
-        with pytest.raises(OSError):
-            export_csv([], missing)

@@ -11,7 +11,6 @@ from nldemix import links
 from nldemix.links import (
     LINK_KINDS,
     CapabilityError,
-    derivative_bounds,
     link_deriv,
     link_eval,
     link_potential,
@@ -74,10 +73,6 @@ class TestCapabilityGating:
     def test_sign_potential_raises(self):
         with pytest.raises(CapabilityError):
             link_potential(make_link("sign"), np.zeros(3))
-
-    def test_sign_bounds_raise(self):
-        with pytest.raises(CapabilityError):
-            derivative_bounds(make_link("sign"))
 
 
 class TestValues:
@@ -204,7 +199,7 @@ class TestCalculusIdentities:
 class TestDerivativeBounds:
     def test_linsin_bounds_global(self):
         g = make_link("linsin")
-        assert derivative_bounds(g) == (1.0, 3.0)
+        assert (g.l1, g.l2) == (1.0, 3.0)
         u = np.linspace(-50, 50, 10001)
         d = link_deriv(g, u)
         assert d.min() >= 1.0 - 1e-12 and d.max() <= 3.0 + 1e-12
@@ -212,7 +207,7 @@ class TestDerivativeBounds:
     @pytest.mark.parametrize("name", ["logistic", "shifted-logistic"])
     def test_logistic_bounds_on_working_interval(self, name):
         g = make_link(name, radius=8.0)
-        l1, l2 = derivative_bounds(g)
+        l1, l2 = g.l1, g.l2
         assert l2 == 0.25
         u = np.linspace(-8.0, 8.0, 20001)
         d = link_deriv(g, u)

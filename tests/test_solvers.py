@@ -705,6 +705,19 @@ def assert_same_solve(got, want):
     assert [r.loss for r in got.trace] == [r.loss for r in want.trace]
 
 
+def count_step_estimates(monkeypatch) -> list:
+    """Record each later call to diagnostics.estimate_rsc_rss in the returned list."""
+    estimates = []
+    estimate = diagnostics.estimate_rsc_rss
+
+    def counted(*args, **kwargs):
+        estimates.append(args)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "estimate_rsc_rss", counted)
+    return estimates
+
+
 class TestSharedStart:
     """Solves on one problem share x_lin, the oneshot estimate and each
     (init, step_size) descent start, and give the same bits as cold solves."""
@@ -732,20 +745,23 @@ class TestSharedStart:
                    SolverConfig(max_iters=60, step_size=0.3),
                    SolverConfig(max_iters=60, init="zero", step_size=0.3)]
         cold = [dht(_build_instance(spec)[0], config) for config in configs]
-        estimates = []
-        estimate = diagnostics.estimate_rsc_rss
-
-        def counted(*args, **kwargs):
-            estimates.append(args)
-            return estimate(*args, **kwargs)
-
-        monkeypatch.setattr(diagnostics, "estimate_rsc_rss", counted)
+        estimates = count_step_estimates(monkeypatch)
         problem = _build_instance(spec)[0]
         for config, want in zip(configs, cold):
             assert_same_solve(dht(problem, config), want)
         assert len(estimates) == 2
         for config, want in zip(configs, cold):
             assert_same_solve(dht(problem, config), want)
+        assert len(estimates) == 2
+
+    def test_each_problem_keeps_its_own_start(self, monkeypatch):
+        cold = [dht(planted_instance(64, 3, 90, seed=seed)[0], SolverConfig(max_iters=20))
+                for seed in (49, 50)]
+        problems = [planted_instance(64, 3, 90, seed=seed)[0] for seed in (49, 50)]
+        estimates = count_step_estimates(monkeypatch)
+        for _ in range(2):
+            for problem, want in zip(problems, cold):
+                assert_same_solve(dht(problem, SolverConfig(max_iters=20)), want)
         assert len(estimates) == 2
 
     def test_inits_differing_in_the_sign_of_a_zero_get_their_own_start(self):
@@ -759,13 +775,13 @@ class TestSharedStart:
         problem, _ = planted_instance(64, 3, 90, seed=48)
         dht(problem, SolverConfig(max_iters=5))
         nlcd_lasso(problem, SolverConfig(max_iters=5))
-        shared = solvers._last
-        t0, u0, _, grad0 = shared.starts[("oneshot", "auto")]
-        for array in (shared.x_lin, shared.oneshot_t, t0, u0, grad0):
+        shared = problem._shared
+        t0, u0, _, grad0 = shared[("oneshot", "auto")]
+        for array in (shared["x_lin"], shared["oneshot"], t0, u0, grad0):
             with pytest.raises(ValueError):
                 array[0] = 1.0
         alive = weakref.ref(problem), weakref.ref(problem.A)
-        del problem
+        del problem, shared
         gc.collect()
         assert [ref() for ref in alive] == [None, None]
 
