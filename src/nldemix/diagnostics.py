@@ -63,6 +63,7 @@ def mutual_coherence(d: Dictionary, block: int = 256) -> float:
     (duplicated columns).
     """
     n = d.n
+    block = _check_int("block", block, 1)
     if d.phi.kind == d.psi.kind:
         return 1.0
     best = 0.0
@@ -107,10 +108,14 @@ def link_constants(link: LinkFunction, trials: int, seed: int) -> tuple[float, f
 
 
 def _atoms(d: Dictionary, idx: np.ndarray) -> np.ndarray:
-    """|idx| x n matrix whose rows are the dictionary atoms at stacked indices idx."""
-    unit = np.zeros((idx.size, 2 * d.n))
-    unit[np.arange(idx.size), idx] = 1.0
-    return dict_apply(d, unit)
+    """|idx| x n matrix whose rows are the dictionary atoms at stacked indices idx,
+    each synthesised only in the basis its index falls in."""
+    atoms = np.empty((idx.size, d.n))
+    for basis, half in ((d.phi, idx < d.n), (d.psi, idx >= d.n)):
+        unit = np.zeros((int(np.sum(half)), d.n))
+        unit[np.arange(unit.shape[0]), idx[half] % d.n] = 1.0
+        atoms[half] = basis_apply(basis, unit)
+    return atoms
 
 
 def _restricted_gram_factor(problem: DemixProblem, idx: np.ndarray) -> np.ndarray:

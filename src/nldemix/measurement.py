@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .links import LinkFunction, link_eval
-from .transforms import _check_last_axis, _dct2, _dct3
+from .transforms import _check_int, _check_last_axis, _dct2, _dct3
 
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "subfast")
 
@@ -27,22 +27,30 @@ class MeasurementOperator:
     act along the last axis, so a 2-D input is a batch of rows.
     """
 
-    def __init__(self, kind: str, m: int, n: int, seed: int):
+    def __init__(self, kind: str, m: int, n: int, seed: int, _pages=None):
         if kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {kind!r}; expected one of {ENSEMBLE_KINDS}")
+        m, n, seed = _check_int("m", m), _check_int("n", n), _check_int("seed", seed)
         if m < 1 or n < 1:
             raise ValueError(f"operator dimensions must be positive, got m={m}, n={n}")
         if kind == "subfast" and m > n:
             raise ValueError(f"subfast requires m <= n, got m={m}, n={n}")
         self.kind = kind
-        self.m = int(m)
-        self.n = int(n)
-        self.seed = int(seed)
+        self.m = m
+        self.n = n
+        self.seed = seed
         rng = np.random.default_rng(seed)
         self._matrix: np.ndarray | None = None
         self.row_indices: np.ndarray | None = None
         self.signs: np.ndarray | None = None
-        if kind == "gaussian":
+        if kind == "gaussian" and _pages is not None:
+            # A read-only array of >= m*n floats that nothing else can see:
+            # the draw fills its first m*n entries with a fresh draw's bits.
+            _pages.setflags(write=True)
+            out = _pages.reshape(-1)[: m * n].reshape(m, n)
+            self._matrix = rng.standard_normal((m, n), out=out)
+            _pages.setflags(write=False)
+        elif kind == "gaussian":
             self._matrix = rng.standard_normal((m, n))
         elif kind == "rademacher":
             self._matrix = rng.choice([-1.0, 1.0], size=(m, n))
@@ -83,9 +91,9 @@ class MeasurementOperator:
         return rows
 
 
-def sample_operator(kind: str, m: int, n: int, seed: int) -> MeasurementOperator:
+def sample_operator(kind: str, m: int, n: int, seed: int, _pages=None) -> MeasurementOperator:
     """Draw a measurement operator; deterministic in (kind, m, n, seed)."""
-    return MeasurementOperator(kind, m, n, seed)
+    return MeasurementOperator(kind, m, n, seed, _pages)
 
 
 def observe(

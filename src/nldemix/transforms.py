@@ -51,7 +51,7 @@ class Basis:
     def __post_init__(self) -> None:
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}; expected one of {BASIS_KINDS}")
-        if self.n < 1:
+        if _check_int("n", self.n) < 1:
             raise ValueError(f"basis dimension must be positive, got {self.n}")
         if self.kind == "haar" and not _is_power_of_two(self.n):
             raise ValueError(f"haar basis requires n to be a power of two, got {self.n}")

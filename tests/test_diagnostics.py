@@ -84,6 +84,16 @@ class TestMutualCoherence:
             mutual_coherence(d, block=256), rel=1e-14
         )
 
+    def test_block_validation(self):
+        d = Dictionary(Basis("identity", 64), Basis("dct", 64))
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match=f"block must be >= 1, got {bad}"):
+                mutual_coherence(d, block=bad)
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="block must be an integer"):
+                mutual_coherence(d, block=bad)
+        assert mutual_coherence(d, block=np.int64(7)) == mutual_coherence(d, block=7)
+
     def test_blocks_allocate_only_their_rows(self):
         # One 4096 x 4096 float array is 128 MiB; a 256-row block is 8 MiB.
         d = Dictionary(Basis("identity", 4096), Basis("dct", 4096))

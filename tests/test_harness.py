@@ -185,13 +185,46 @@ def builds(monkeypatch):
     specs = []
     build = harness._build_instance
 
-    def counting(spec):
+    def counting(spec, *rest):
         specs.append(spec)
-        return build(spec)
+        return build(spec, *rest)
 
     monkeypatch.setattr(harness, "_last_instance", None)
     monkeypatch.setattr(harness, "_build_instance", counting)
     return specs
+
+
+def _cached_matrix() -> np.ndarray:
+    return harness._last_instance[1][0].A.dense()
+
+
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
+
+
+def _watch_pages(monkeypatch) -> list[bool]:
+    """Records, at each operator draw, whether the memory of the cached
+    matrix is still alive; the list holds no reference to it."""
+    matrix = _cached_matrix()
+    pages = weakref.ref(matrix if matrix.base is None else matrix.base)
+    del matrix
+    alive = []
+    draw = harness.sample_operator
+
+    def checking(*args):
+        alive.append(pages() is not None)
+        return draw(*args)
+
+    monkeypatch.setattr(harness, "sample_operator", checking)
+    return alive
+
+
+_HOLDERS = {  # what a caller keeps of an instance, and how to read its matrix back
+    "problem": (lambda problem: problem, lambda held: held.A.dense()),
+    "operator": (lambda problem: problem.A, lambda held: held.dense()),
+    "matrix": (lambda problem: problem.A.dense(), lambda held: held),
+    "view": (lambda problem: problem.A.dense()[:10], lambda held: held),
+}
 
 
 class TestInstanceReuse:
@@ -211,9 +244,11 @@ class TestInstanceReuse:
 
     def test_cached_arrays_are_read_only(self, builds):
         run_trial(small_spec())
+        run_trial(small_spec(algorithm="oneshot", seed=43))  # refills the evicted matrix
         problem, w, z, x = harness._last_instance[1]
+        refilled = problem.A.dense()
         fresh = sample_operator("gaussian", 4, 8, 0).dense()
-        for array in (problem.y, w, z, x, problem.A.dense(), fresh):
+        for array in (problem.y, w, z, x, refilled, refilled.base, fresh):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -229,6 +264,46 @@ class TestInstanceReuse:
 
         monkeypatch.setattr(harness, "sample_operator", checking)
         run_trial(small_spec(algorithm="oneshot", seed=43))
+        assert alive_at_draw == [False]
+
+    @pytest.mark.parametrize("m", [80, 160])
+    def test_evicted_matrix_is_refilled_with_a_cold_draw(self, builds, m):
+        run_trial(small_spec(algorithm="oneshot"))
+        address = _address(_cached_matrix())
+        spec = small_spec(algorithm="oneshot", m=m, seed=43)
+        run_trial(spec)
+        warm = harness._last_instance[1]
+        # a view of the old pages: a fresh array could land on the same address
+        assert _address(warm[0].A.dense()) == address
+        assert warm[0].A.dense().base is not None
+        cold = harness._build_instance(spec)
+        for a, b in zip((warm[0].A.dense(), warm[0].y, *warm[1:]),
+                        (cold[0].A.dense(), cold[0].y, *cold[1:])):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("holder", list(_HOLDERS))
+    def test_held_matrix_is_never_refilled(self, builds, holder):
+        hold, read = _HOLDERS[holder]
+        run_trial(small_spec(algorithm="oneshot"))
+        held = hold(harness._last_instance[1][0])
+        values = read(held).copy()
+        address = _address(_cached_matrix())
+        run_trial(small_spec(algorithm="oneshot", seed=43))
+        assert _address(_cached_matrix()) != address
+        np.testing.assert_array_equal(read(held), values)
+
+    def test_larger_operator_frees_the_old_pages_before_its_draw(self, builds, monkeypatch):
+        run_trial(small_spec(algorithm="oneshot", m=80))
+        alive_at_draw = _watch_pages(monkeypatch)
+        run_trial(small_spec(algorithm="oneshot", m=160, seed=43))
+        assert alive_at_draw == [False]
+
+    @pytest.mark.parametrize("old, new", [("gaussian", "rademacher"), ("rademacher", "gaussian"),
+                                          ("gaussian", "subfast")])
+    def test_only_gaussian_matrices_are_refilled(self, builds, monkeypatch, old, new):
+        run_trial(small_spec(algorithm="oneshot", m=120, ensemble=old))
+        alive_at_draw = _watch_pages(monkeypatch)
+        run_trial(small_spec(algorithm="oneshot", m=100, ensemble=new, seed=43))
         assert alive_at_draw == [False]
 
     def test_only_instance_fields_cause_a_build(self, builds):
@@ -359,6 +434,21 @@ class TestRunBenchmark:
     def test_algorithms_share_one_build(self, builds):
         run_benchmark([small_spec(algorithm=a) for a in ALGORITHMS], repeats=1)
         assert len(builds) == 1
+
+    def test_previous_operator_freed_before_next_draw(self, builds, monkeypatch):
+        drawn, alive_at_draw = [], []
+        draw = harness.sample_operator
+
+        def checking(*args):
+            alive_at_draw.append([op() is not None for op in drawn])
+            A = draw(*args)
+            drawn.append(weakref.ref(A))
+            return A
+
+        monkeypatch.setattr(harness, "sample_operator", checking)
+        run_benchmark([small_spec(algorithm="oneshot", seed=seed) for seed in (42, 43)],
+                      repeats=2)
+        assert alive_at_draw == [[], [False]]
 
     def test_every_repeat_times_a_whole_solve(self, monkeypatch):
         estimates = []

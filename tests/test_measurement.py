@@ -29,6 +29,12 @@ class TestSampling:
             sample_operator("gaussian", 0, 8, 0)
         with pytest.raises(ValueError):
             sample_operator("subfast", 12, 8, 0)
+        for args, name in ((("gaussian", 2.5, 8, 0), "m"), (("rademacher", 4, True, 0), "n"),
+                           (("gaussian", 4, 8, 1.5), "seed"), (("subfast", 4, 8.0, 0), "n")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                sample_operator(*args)
+        A = sample_operator("gaussian", np.int64(4), np.int32(8), np.uint64(2**63))
+        assert (type(A.m), type(A.n), type(A.seed)) == (int, int, int)
 
     def test_deterministic_in_seed(self):
         x = np.random.default_rng(9).standard_normal(32)

@@ -57,6 +57,12 @@ class TestBasisValidation:
         with pytest.raises(ValueError):
             Basis("fourier", 8)
 
+    @pytest.mark.parametrize("bad", [2.5, True, np.nan, "8"])
+    def test_dimension_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Basis("dct", bad)
+        assert Basis("identity", np.int64(8)).n == 8
+
     def test_haar_needs_power_of_two(self):
         with pytest.raises(ValueError):
             Basis("haar", 12)
