@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import sys
+import sysconfig
 import time
 from dataclasses import dataclass, field, replace
 
@@ -155,6 +156,9 @@ def _safe_cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 # (key, instance) of the last instance run_trial built, or None.
 _last_instance: tuple | None = None
+# Whether this interpreter runs without the GIL, where reference counts are
+# split between threads and cannot show that nobody else holds an array.
+_FREE_THREADED = bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
 
 
 def _instance(spec: TrialSpec):
@@ -165,7 +169,10 @@ def _instance(spec: TrialSpec):
     TrialSpec later causes a rebuild, never a wrong reuse.  The reused
     arrays are read-only: a solver that writes into them raises instead of
     corrupting the next trial's input.  A gaussian operator is drawn into
-    the memory of the gaussian matrix it evicts when nothing else holds it.
+    the memory of the gaussian matrix it evicts when nothing else holds it
+    and it has room.  A smaller matrix is then a view of the larger one's
+    memory, so the cache keeps the largest such buffer until a larger or a
+    non-gaussian build, or a held instance, makes it drop the buffer.
     """
     global _last_instance
     key = replace(spec, algorithm=ALGORITHMS[0], solver=SolverConfig(), success_threshold=1.0)
@@ -174,16 +181,21 @@ def _instance(spec: TrialSpec):
         return last[1]
     pages = None
     if last is not None and last[1][0].A.kind == "gaussian":
-        matrix = last[1][0].A.dense()
-        pages = matrix if matrix.base is None else matrix.base
-    _last_instance = last = matrix = None
+        pages = last[1][0].A.dense().base  # the 1-D array that owns the matrix
+    _last_instance = last = None
     # Whoever still holds the old problem, its operator, its matrix or a view
-    # of the matrix holds `pages` too, so a count of 2 (this name and the
-    # call's argument) means nobody else can see these pages.  Otherwise
-    # they are freed before the draw: two matrices are never alive at once.
-    if (pages is None or spec.ensemble != "gaussian"
-            or pages.size < spec.m * spec.n or sys.getrefcount(pages) != 2):
+    # of the matrix holds `pages` too.  What getrefcount adds for its own
+    # argument differs between interpreters (CPython 3.14 may borrow a local
+    # without a new reference), so `pages` is compared with `probe`, an array
+    # held by one local name only, counted the same way: equal counts mean
+    # nobody else can see these pages.  Free-threaded builds count references
+    # per thread, so they never reuse.  Pages that are not reused are freed
+    # before the draw: two matrices are never alive at once.
+    probe = np.empty(0)
+    if (pages is None or spec.ensemble != "gaussian" or pages.size < spec.m * spec.n
+            or _FREE_THREADED or sys.getrefcount(pages) > sys.getrefcount(probe)):
         pages = None
+    del probe
     instance = _build_instance(spec, pages)
     problem, w, z, x = instance
     for array in (w, z, x):  # the problem's y and operator are read-only already

@@ -43,15 +43,15 @@ class MeasurementOperator:
         self._matrix: np.ndarray | None = None
         self.row_indices: np.ndarray | None = None
         self.signs: np.ndarray | None = None
-        if kind == "gaussian" and _pages is not None:
-            # A read-only array of >= m*n floats that nothing else can see:
-            # the draw fills its first m*n entries with a fresh draw's bits.
-            _pages.setflags(write=True)
-            out = _pages.reshape(-1)[: m * n].reshape(m, n)
-            self._matrix = rng.standard_normal((m, n), out=out)
-            _pages.setflags(write=False)
-        elif kind == "gaussian":
-            self._matrix = rng.standard_normal((m, n))
+        if kind == "gaussian":
+            # `_pages`, if given, is the read-only 1-D owner of >= m*n floats
+            # that nothing else can see; the draw fills its first m*n entries
+            # with the same bits as a fresh draw.  The matrix is always a view
+            # of its owner, so the owner can be passed to a later draw.
+            pages = np.empty(m * n) if _pages is None else _pages
+            pages.setflags(write=True)
+            self._matrix = rng.standard_normal((m, n), out=pages[: m * n].reshape(m, n))
+            pages.setflags(write=False)
         elif kind == "rademacher":
             self._matrix = rng.choice([-1.0, 1.0], size=(m, n))
         else:

@@ -269,13 +269,12 @@ class TestInstanceReuse:
     @pytest.mark.parametrize("m", [80, 160])
     def test_evicted_matrix_is_refilled_with_a_cold_draw(self, builds, m):
         run_trial(small_spec(algorithm="oneshot"))
-        address = _address(_cached_matrix())
+        owner = weakref.ref(_cached_matrix().base)  # holds no reference to it
         spec = small_spec(algorithm="oneshot", m=m, seed=43)
         run_trial(spec)
         warm = harness._last_instance[1]
-        # a view of the old pages: a fresh array could land on the same address
-        assert _address(warm[0].A.dense()) == address
-        assert warm[0].A.dense().base is not None
+        # the evicted owner itself, not a fresh array at the same address
+        assert warm[0].A.dense().base is owner()
         cold = harness._build_instance(spec)
         for a, b in zip((warm[0].A.dense(), warm[0].y, *warm[1:]),
                         (cold[0].A.dense(), cold[0].y, *cold[1:])):
@@ -291,6 +290,13 @@ class TestInstanceReuse:
         run_trial(small_spec(algorithm="oneshot", seed=43))
         assert _address(_cached_matrix()) != address
         np.testing.assert_array_equal(read(held), values)
+
+    def test_free_threaded_interpreter_never_refills(self, builds, monkeypatch):
+        monkeypatch.setattr(harness, "_FREE_THREADED", True)
+        run_trial(small_spec(algorithm="oneshot"))
+        alive_at_draw = _watch_pages(monkeypatch)
+        run_trial(small_spec(algorithm="oneshot", seed=43))
+        assert alive_at_draw == [False]
 
     def test_larger_operator_frees_the_old_pages_before_its_draw(self, builds, monkeypatch):
         run_trial(small_spec(algorithm="oneshot", m=80))
