@@ -39,7 +39,12 @@ from .transforms import BASIS_KINDS, Basis, Dictionary, stack_constituents
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract reserves 2 for
-    runtime failures, so remap to 1."""
+    runtime failures, so remap to 1.  Flags are never abbreviated, so a
+    flag a command lacks (``diag linkconst --s``) cannot pass as a prefix of
+    one it has (``--seed``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -62,8 +67,13 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="JSON config; flags override it")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", metavar="CSV")
+
+
+def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--m", type=int)
@@ -72,11 +82,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ensemble", choices=ENSEMBLE_KINDS)
     p.add_argument("--link", choices=LINK_KINDS)
     p.add_argument("--tau", type=float)
+
+
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--algorithm", choices=ALGORITHMS)
-    p.add_argument("--seed", type=int)
     p.add_argument("--threshold", dest="success_threshold", type=float)
-    p.add_argument("--link-radius", dest="link_radius", type=float)
-    p.add_argument("--out", metavar="CSV")
     p.add_argument("--step-size", dest="step_size", type=_step_size)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--rel-tol", dest="rel_tol", type=float)
@@ -87,34 +97,37 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> _Parser:
+    """Each command takes only the flags it reads."""
     parser = _Parser(prog="nldemix", description="sparse demixing from nonlinear observations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_trial = sub.add_parser("trial", help="run one recovery trial")
-    _add_common(p_trial)
-
     p_phase = sub.add_parser("phase", help="success probabilities over an (s, m) grid")
-    _add_common(p_phase)
+    p_bench = sub.add_parser("bench", help="median solve wall times")
+    for p in (p_trial, p_phase, p_bench):
+        _add_run_flags(p)
+        _add_instance_flags(p)
+        _add_solver_flags(p)
     p_phase.add_argument("--s-list", dest="s_list", type=_int_list)
     p_phase.add_argument("--m-list", dest="m_list", type=_int_list)
     p_phase.add_argument("--trials", type=int)
     p_phase.add_argument("--workers", type=int)
-
-    p_bench = sub.add_parser("bench", help="median solve wall times")
-    _add_common(p_bench)
     p_bench.add_argument("--algorithms", help="comma-separated algorithm names")
     p_bench.add_argument("--repeats", type=int)
 
     p_diag = sub.add_parser("diag", help="diagnostics")
     dsub = p_diag.add_subparsers(dest="diag_command", required=True)
-    for name in ("coherence", "rscrss", "linkconst"):
-        dp = dsub.add_parser(name)
-        _add_common(dp)
-        if name == "rscrss":
-            dp.add_argument("--sparsity", type=int)
-            dp.add_argument("--num-supports", dest="num_supports", type=int)
-        if name == "linkconst":
-            dp.add_argument("--trials", type=int)
+    p_coherence = dsub.add_parser("coherence")
+    p_rscrss = dsub.add_parser("rscrss")
+    p_linkconst = dsub.add_parser("linkconst")
+    for p in (p_coherence, p_rscrss, p_linkconst):
+        _add_run_flags(p)
+    for p in (p_coherence, p_rscrss):
+        _add_instance_flags(p)
+    p_rscrss.add_argument("--sparsity", type=int)
+    p_rscrss.add_argument("--num-supports", dest="num_supports", type=int)
+    p_linkconst.add_argument("--link", choices=LINK_KINDS)
+    p_linkconst.add_argument("--trials", type=int)
     return parser
 
 
@@ -175,27 +188,21 @@ def _emit(payload, out: str | None) -> None:
         sys.stdout.write(buf.getvalue())
 
 
-def _cmd_trial(args, parser) -> int:
-    merged = _resolve(args, parser)
-    record = run_trial(_make_spec(merged))
-    _emit([record], args.out)
-    return 0
+# Each command maps (args, merged settings, parser) to the payload it writes.
+def _cmd_trial(args, merged: dict, parser):
+    return [run_trial(_make_spec(merged))]
 
 
-def _cmd_phase(args, parser) -> int:
-    merged = _resolve(args, parser)
+def _cmd_phase(args, merged: dict, parser):
     s_list = merged.get("s_list")
     m_list = merged.get("m_list")
     if not s_list or not m_list:
         parser.error("phase requires --s-list and --m-list (or config keys s_list/m_list)")
-    grid = run_phase_grid(s_list, m_list, trials=merged.get("trials", 20),
+    return run_phase_grid(s_list, m_list, trials=merged.get("trials", 20),
                           base=_make_spec(merged), **_given(merged, "workers"))
-    _emit(grid, args.out)
-    return 0
 
 
-def _cmd_bench(args, parser) -> int:
-    merged = _resolve(args, parser)
+def _cmd_bench(args, merged: dict, parser):
     names = merged["algorithms"] if "algorithms" in merged else merged.get("algorithm", "oneshot")
     if isinstance(names, str):
         names = [p.strip() for p in names.split(",") if p.strip()]
@@ -208,13 +215,10 @@ def _cmd_bench(args, parser) -> int:
             parser.error(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
     base = _make_spec(merged)
     specs = [replace(base, algorithm=name) for name in names]
-    rows = run_benchmark(specs, **_given(merged, "repeats"))
-    _emit(rows, args.out)
-    return 0
+    return run_benchmark(specs, **_given(merged, "repeats"))
 
 
-def _cmd_diag(args, parser) -> int:
-    merged = _resolve(args, parser)
+def _cmd_diag(args, merged: dict, parser):
     spec = _make_spec(merged)
     if args.diag_command == "coherence":
         d = Dictionary(Basis(spec.basis_phi, spec.n), Basis(spec.basis_psi, spec.n))
@@ -240,12 +244,13 @@ def _cmd_diag(args, parser) -> int:
         }
     else:
         trials = merged.get("trials", 100000)
-        link = make_link(spec.link, radius=spec.link_radius)
-        mu, sigma2, eta2 = link_constants(link, trials=trials, seed=spec.seed)
+        mu, sigma2, eta2 = link_constants(make_link(spec.link), trials=trials, seed=spec.seed)
         row = {"link": spec.link, "trials": trials,
                "seed": spec.seed, "mu": mu, "sigma2": sigma2, "eta2": eta2}
-    _emit([row], args.out)
-    return 0
+    return [row]
+
+
+_COMMANDS = {"trial": _cmd_trial, "phase": _cmd_phase, "bench": _cmd_bench, "diag": _cmd_diag}
 
 
 def main(argv=None) -> int:
@@ -255,13 +260,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "trial":
-            return _cmd_trial(args, parser)
-        if args.command == "phase":
-            return _cmd_phase(args, parser)
-        if args.command == "bench":
-            return _cmd_bench(args, parser)
-        return _cmd_diag(args, parser)
+        _emit(_COMMANDS[args.command](args, _resolve(args, parser), parser), args.out)
+        return 0
     except SystemExit as exc:  # parser.error inside a handler
         return int(exc.code or 0)
     except (CapabilityError, ValueError, RuntimeError, OSError) as exc:

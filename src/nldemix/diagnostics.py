@@ -56,19 +56,22 @@ def cosine_similarity(x: np.ndarray, x_hat: np.ndarray) -> float:
     return float(x @ x_hat / (nx * nh))
 
 
-def mutual_coherence(d: Dictionary, block: int = 256) -> float:
+# Psi atoms per block of mutual_coherence: 256 x n floats at a time.
+_COHERENCE_BLOCK = 256
+
+
+def mutual_coherence(d: Dictionary) -> float:
     """Largest absolute entry of the cross Gram Phi^T Psi.
 
     Computed blockwise with fast transforms; identical bases give 1 exactly
     (duplicated columns).
     """
     n = d.n
-    block = _check_int("block", block, 1)
     if d.phi.kind == d.psi.kind:
         return 1.0
     best = 0.0
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    for lo in range(0, n, _COHERENCE_BLOCK):
+        hi = min(lo + _COHERENCE_BLOCK, n)
         # rows of eye -> psi atoms -> analysis under phi, batched on last axis
         atoms = basis_apply(d.psi, np.eye(hi - lo, n, lo))
         cross = basis_adjoint(d.phi, atoms)

@@ -11,6 +11,7 @@ and a TrialSpec fully determines its TrialRecord.
 from __future__ import annotations
 
 import csv
+import itertools
 import sys
 import sysconfig
 import time
@@ -30,7 +31,7 @@ from .solvers import (
     nlcd_lasso,
     oneshot,
 )
-from .transforms import _check_int, Basis, Dictionary, dict_apply, stack_constituents
+from .transforms import _check_int, _check_real, Basis, Dictionary, dict_apply, stack_constituents
 
 ALGORITHMS = ("oneshot", "dht", "dst", "nlcdlasso")
 
@@ -58,7 +59,6 @@ class TrialSpec:
     solver: SolverConfig = field(default_factory=SolverConfig)
     seed: int = 0
     success_threshold: float = 0.99
-    link_radius: float = 20.0
 
     def __post_init__(self) -> None:
         for name in ("n", "s", "m", "seed"):
@@ -67,14 +67,12 @@ class TrialSpec:
             raise ValueError(f"sizes must be positive, got n={self.n}, m={self.m}")
         if self.s < 0 or self.s > self.n:
             raise ValueError(f"s must be in [0, {self.n}], got {self.s}")
-        if not (0.0 < self.success_threshold <= 1.0):
+        _check_real("success_threshold", self.success_threshold, positive=True)
+        if self.success_threshold > 1.0:
             raise ValueError(f"success threshold must be in (0, 1], got {self.success_threshold}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        if not np.isfinite(self.tau) or self.tau < 0:
-            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
-        if not np.isfinite(self.link_radius) or self.link_radius <= 0:
-            raise ValueError(f"link radius must be finite and positive, got {self.link_radius}")
+        _check_real("tau", self.tau, positive=False)
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ def generate_signal(
 
 def _build_instance(spec: TrialSpec, _pages=None):
     d = Dictionary(Basis(spec.basis_phi, spec.n), Basis(spec.basis_psi, spec.n))
-    link = make_link(spec.link, radius=spec.link_radius)
+    link = make_link(spec.link)
     w, z, x = generate_signal(spec.n, spec.s, child_seed(spec.seed, 0), d)
     A = sample_operator(spec.ensemble, spec.m, spec.n, child_seed(spec.seed, 1), _pages)
     y = observe(A, link, x, spec.tau, child_seed(spec.seed, 2))
@@ -239,8 +237,10 @@ def run_trial(spec: TrialSpec) -> TrialRecord:
     )
 
 
-def _grid_cell_spec(base: TrialSpec, s: int, m: int, trial_index: int) -> TrialSpec:
-    return replace(base, s=s, m=m, seed=child_seed(base.seed, s, m, trial_index))
+def _successes(cell: TrialSpec, names) -> list[bool]:
+    # One planted instance solved by each algorithm in turn.  Only bools come
+    # back, so nothing holds the instance when the next one is built.
+    return [run_trial(replace(cell, algorithm=name)).success for name in names]
 
 
 def run_phase_grid(
@@ -269,33 +269,25 @@ def run_phase_grid(
         raise ValueError("phase grid needs at least one s and one m value")
     if not names or len(set(names)) != len(names):
         raise ValueError(f"algorithms must be distinct and non-empty, got {names}")
-    # Algorithms innermost: consecutive trials share an instance.
-    specs = []
-    for si, s in enumerate(s_values):
-        for mi, m in enumerate(m_values):
-            for k in range(trials):
-                cell = _grid_cell_spec(base, s, m, k)
-                specs += [(ai, si, mi, replace(cell, algorithm=name))
-                          for ai, name in enumerate(names)]
-    trial_specs = [sp for *_, sp in specs]
+    cells = [replace(base, s=s, m=m, seed=child_seed(base.seed, s, m, k))
+             for s in s_values for m in m_values for k in range(trials)]
     if workers > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            # One instance's trials stay in one chunk, so one worker builds it.
-            records = list(pool.map(run_trial, trial_specs, chunksize=4 * len(names)))
+            outcomes = list(pool.map(_successes, cells, itertools.repeat(names)))
     else:
-        records = map(run_trial, trial_specs)
-    successes = np.zeros((len(names), len(s_values), len(m_values)), dtype=int)
-    for (ai, si, mi, _), rec in zip(specs, records):
-        successes[ai, si, mi] += int(rec.success)
+        outcomes = list(map(_successes, cells, itertools.repeat(names)))
+    # Cells run s, then m, then trial: sum each (s, m)'s trials per algorithm.
+    shape = (len(s_values), len(m_values), trials, len(names))
+    successes = np.array(outcomes, dtype=int).reshape(shape).sum(axis=2)
     grids = {
         name: PhaseGrid(
             s_values=s_values,
             m_values=m_values,
             trials=trials,
-            successes=successes[ai],
-            prob=successes[ai] / float(trials),
+            successes=successes[..., ai],
+            prob=successes[..., ai] / float(trials),
         )
         for ai, name in enumerate(names)
     }

@@ -7,8 +7,9 @@ needed) from the descent path (known g).
 
 Derivative bounds (l1, l2) certify l1 <= g'(u) <= l2.  For "linsin"
 (g(u) = 2u + sin u) they hold globally and exactly: (1, 3).  The logistic
-links have g' -> 0 in the tails, so their l1 is taken on a declared working
-interval [-R, R] (default R = 20); l2 = 1/4 is the global maximum at 0.
+links have g' -> 0 in the tails, so their l1 = g'(20) holds on the working
+interval [-20, 20]; l2 = 1/4 is the global maximum at 0.  No solver reads
+them: they record the known-link analysis's assumption.
 
 Potentials are normalized so Theta(0) = 0, making loss values comparable
 across links.
@@ -16,7 +17,7 @@ across links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,7 +36,7 @@ class LinkFunction:
     """Scalar nonlinearity with optional derivative and antiderivative.
 
     eval_fn, deriv_fn, potential_fn operate elementwise on arrays.
-    l1, l2 bound g' on [-radius, radius] when deriv_fn is present.
+    l1, l2 bound g' on [-20, 20] when deriv_fn is present.
     """
 
     name: str
@@ -44,7 +45,6 @@ class LinkFunction:
     potential_fn: Callable[[np.ndarray], np.ndarray] | None = None
     l1: float = 0.0
     l2: float = 0.0
-    radius: float = field(default=20.0)
 
     @property
     def has_derivative(self) -> bool:
@@ -95,12 +95,10 @@ def _shifted_logistic_potential(u: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, u) - _LN2 - 0.5 * u
 
 
-def make_link(name: str, radius: float = 20.0) -> LinkFunction:
+def make_link(name: str) -> LinkFunction:
     """Build a link by name: "sign", "linsin", "logistic", "shifted-logistic"."""
-    if not np.isfinite(radius) or radius <= 0:
-        raise ValueError(f"working interval radius must be finite and positive, got {radius}")
     if name == "sign":
-        return LinkFunction(name="sign", eval_fn=np.sign, radius=radius)
+        return LinkFunction(name="sign", eval_fn=np.sign)
     if name == "linsin":
         return LinkFunction(
             name="linsin",
@@ -109,19 +107,17 @@ def make_link(name: str, radius: float = 20.0) -> LinkFunction:
             potential_fn=_linsin_potential,
             l1=1.0,
             l2=3.0,
-            radius=radius,
         )
     if name in ("logistic", "shifted-logistic"):
-        # Both share g' = p (1 - p), so l2 = 1/4 at 0 and l1 = g'(radius).
+        # Both share g' = p (1 - p), so l2 = 1/4 at 0 and l1 = g'(20).
         shifted = name == "shifted-logistic"
         return LinkFunction(
             name=name,
             eval_fn=_shifted_logistic if shifted else _logistic,
             deriv_fn=_logistic_deriv,
             potential_fn=_shifted_logistic_potential if shifted else _logistic_potential,
-            l1=float(_logistic_deriv(np.float64(radius))),
+            l1=float(_logistic_deriv(np.float64(20.0))),
             l2=0.25,
-            radius=radius,
         )
     raise ValueError(f"unknown link {name!r}; expected one of {LINK_KINDS}")
 

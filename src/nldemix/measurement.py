@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .links import LinkFunction, link_eval
-from .transforms import _check_int, _check_last_axis, _dct2, _dct3
+from .transforms import _check_int, _check_last_axis, _check_real, _dct2, _dct3
 
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "subfast")
 
@@ -105,8 +105,7 @@ def observe(
 ) -> np.ndarray:
     """Nonlinear observations y = g(Ax) + e, deterministic given seed; e is
     Gaussian with standard deviation tau, and absent when tau = 0."""
-    if not np.isfinite(tau) or tau < 0:
-        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    _check_real("tau", tau, positive=False)
     y = link_eval(link, A.apply(x))
     if tau > 0:
         y = y + tau * np.random.default_rng(seed).standard_normal(A.m)

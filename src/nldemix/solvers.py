@@ -43,7 +43,9 @@ import numpy as np
 from . import diagnostics
 from .links import CapabilityError, LinkFunction, link_deriv, link_eval, link_potential
 from .measurement import MeasurementOperator
-from .transforms import _check_int, Dictionary, dict_adjoint, dict_apply, split_constituents
+from .transforms import (
+    _check_int, _check_real, Dictionary, dict_adjoint, dict_apply, split_constituents,
+)
 
 PROJECTION_MODES = ("stacked2s", "perblocks")
 INIT_MODES = ("oneshot", "zero")
@@ -78,9 +80,7 @@ class DemixProblem:
             raise ValueError(f"y must have length {self.A.m}, got shape {y.shape}")
         if not np.all(np.isfinite(y)):
             raise ValueError("y must be finite; it holds NaN or infinite entries")
-        if self.s < 0:
-            raise ValueError(f"sparsity target must be nonnegative, got {self.s}")
-        if self.s > self.A.n:
+        if _check_int("s", self.s, 0) > self.A.n:
             raise ValueError(f"sparsity target {self.s} exceeds dimension {self.A.n}")
 
     @property
@@ -112,14 +112,10 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.step_size, str):
-            if self.step_size != "auto":
-                raise ValueError(f"step_size must be positive or 'auto', got {self.step_size!r}")
-        elif not np.isfinite(self.step_size) or self.step_size <= 0:
-            raise ValueError(f"step_size must be finite and positive, got {self.step_size}")
+        if self.step_size != "auto":
+            _check_real("step_size", self.step_size, positive=True)
         _check_int("max_iters", self.max_iters, 1)
-        if not np.isfinite(self.rel_tol) or self.rel_tol <= 0:
-            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
+        _check_real("rel_tol", self.rel_tol, positive=True)
         if isinstance(self.init, str):
             if self.init not in INIT_MODES:
                 raise ValueError(f"init must be one of {INIT_MODES} or an array, got {self.init!r}")
@@ -132,11 +128,9 @@ class SolverConfig:
             raise ValueError(
                 f"projection_mode must be one of {PROJECTION_MODES}, got {self.projection_mode!r}"
             )
-        if self.lasso_radius is not None and (
-                not np.isfinite(self.lasso_radius) or self.lasso_radius <= 0):
-            raise ValueError(f"lasso_radius must be finite and positive, got {self.lasso_radius}")
-        if not np.isfinite(self.dst_beta) or self.dst_beta < 0:
-            raise ValueError(f"dst_beta must be finite and nonnegative, got {self.dst_beta}")
+        if self.lasso_radius is not None:
+            _check_real("lasso_radius", self.lasso_radius, positive=True)
+        _check_real("dst_beta", self.dst_beta, positive=False)
 
 
 @dataclass(frozen=True)
@@ -205,8 +199,7 @@ def hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
 
 def soft_threshold(v: np.ndarray, lam: float) -> np.ndarray:
     """Elementwise shrink-toward-zero by a finite lam >= 0."""
-    if not np.isfinite(lam) or lam < 0:
-        raise ValueError(f"threshold must be finite and nonnegative, got {lam}")
+    _check_real("threshold", lam, positive=False)
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
@@ -217,8 +210,7 @@ def project_l1_ball(v: np.ndarray, r: float) -> np.ndarray:
     Returns v unchanged when already feasible; otherwise soft-thresholds by
     the unique lambda making the l1 norm equal r (sort-based exact rule).
     """
-    if not np.isfinite(r) or r <= 0:
-        raise ValueError(f"radius must be finite and positive, got {r}")
+    _check_real("radius", r, positive=True)
     v = np.asarray(v, dtype=float)
     a = np.abs(v)
     if a.sum() <= r:

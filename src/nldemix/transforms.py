@@ -11,6 +11,7 @@ so that ``dict_apply`` computes Phi w + Psi z and ``dict_adjoint`` computes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +34,20 @@ def _check_int(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def _check_real(name: str, value, *, positive: bool) -> None:
+    """ValueError unless `value` is a Python or numpy real number (not a
+    bool), finite as a float, and positive, or nonnegative if not `positive`."""
+    try:
+        ok = (not isinstance(value, bool)
+              and isinstance(value, (int, float, np.integer, np.floating))
+              and math.isfinite(value) and (value > 0 if positive else value >= 0))
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,48 @@ class TestDiagCommand:
         assert float(row["eta2"]) == 1.0
 
 
+_RUN = ["config", "seed", "out"]
+_INSTANCE = ["n", "s", "m", "basis_phi", "basis_psi", "ensemble", "link", "tau"]
+_SOLVER = ["algorithm", "success_threshold", "step_size", "max_iters", "rel_tol", "init",
+           "projection_mode", "lasso_radius", "dst_beta"]
+COMMAND_DESTS = {  # every flag of each command, by dest: 20 + 24 + 22 + 11 + 13 + 5 = 95
+    "trial": _RUN + _INSTANCE + _SOLVER,
+    "phase": _RUN + _INSTANCE + _SOLVER + ["s_list", "m_list", "trials", "workers"],
+    "bench": _RUN + _INSTANCE + _SOLVER + ["algorithms", "repeats"],
+    "diag coherence": _RUN + _INSTANCE,
+    "diag rscrss": _RUN + _INSTANCE + ["sparsity", "num_supports"],
+    "diag linkconst": _RUN + ["link", "trials"],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", list(COMMAND_DESTS))
+    def test_each_command_takes_only_the_flags_it_reads(self, command):
+        args = cli.build_parser().parse_args(command.split())
+        assert sorted(set(vars(args)) - {"command", "diag_command"}) == sorted(
+            COMMAND_DESTS[command])
+
+    @pytest.mark.parametrize("command", list(COMMAND_DESTS))
+    def test_link_radius_is_gone(self, tmp_path, capsys, command):
+        assert main([*command.split(), "--link-radius", "20"]) == 1
+        assert "unrecognized arguments: --link-radius 20" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"link_radius": 20.0}))
+        assert main([*command.split(), "--config", str(cfg)]) == 1
+        assert "unknown config keys: ['link_radius']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["diag", "linkconst", "--s", "5000"],
+        ["diag", "linkconst", "--n", "64"],
+        ["diag", "coherence", "--step-size", "0"],
+        ["diag", "rscrss", "--algorithm", "dht"],
+    ])
+    def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv):
+        # Never a prefix of another flag either: --s is not --seed.
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_supplies_fields(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -217,19 +259,21 @@ class TestConfigFile:
         assert captured.out == ""
         assert "['s_list', 'trials', 'workers']" in captured.err
 
-    @pytest.mark.parametrize("command, extra", [
-        (["phase"], {"s_list": [2], "m_list": [120], "trials": 1, "workers": 1}),
-        (["bench"], {"algorithms": "oneshot", "repeats": 1}),
-        (["diag", "rscrss"], {"sparsity": 4, "num_supports": 2}),
-        (["diag", "linkconst"], {"trials": 1000}),
+    @pytest.mark.parametrize("command, keys", [
+        (["phase"], {"n": 64, "s": 2, "m": 120, "algorithm": "oneshot",
+                     "s_list": [2], "m_list": [120], "trials": 1, "workers": 1}),
+        (["bench"], {"n": 64, "s": 2, "m": 120, "algorithm": "oneshot",
+                     "algorithms": "oneshot", "repeats": 1}),
+        (["diag", "rscrss"], {"n": 64, "s": 2, "m": 120, "sparsity": 4, "num_supports": 2}),
+        (["diag", "linkconst"], {"link": "sign", "trials": 1000}),
     ])
-    def test_keys_the_command_uses_are_accepted(self, tmp_path, capsys, command, extra):
+    def test_keys_the_command_uses_are_accepted(self, tmp_path, capsys, command, keys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 64, "s": 2, "m": 120, "algorithm": "oneshot", **extra}))
+        cfg.write_text(json.dumps(keys))
         assert main([*command, "--config", str(cfg)]) == 0
-        for key in ("workers", "repeats", "num_supports", "trials"):
-            if key not in extra:
-                cfg.write_text(json.dumps({"n": 64, "s": 2, "m": 120, **extra, key: 1}))
+        for key in ("workers", "repeats", "num_supports", "trials", "n", "algorithm"):
+            if key not in keys:
+                cfg.write_text(json.dumps({**keys, key: 1}))
                 assert main([*command, "--config", str(cfg)]) == 1
         capsys.readouterr()
 
@@ -239,7 +283,6 @@ class TestConfigFile:
         spec_values = dict(
             n=64, s=2, m=48, basis_phi="haar", basis_psi="identity", ensemble="rademacher",
             link="logistic", tau=0.25, algorithm="dst", seed=11, success_threshold=0.5,
-            link_radius=7.0,
         )
         solver_values = dict(
             step_size=0.125, max_iters=3, rel_tol=1e-3, init="zero",
@@ -323,7 +366,7 @@ class TestExitCodes:
         (["bench"], "repeats", {"n": 64, "s": 2, "m": 60, "algorithm": "oneshot", "repeats": 2.5}),
         (["diag", "rscrss"], "sparsity", {"n": 64, "s": 2, "m": 60, "sparsity": 2.5}),
         (["diag", "rscrss"], "num_supports", {"n": 64, "s": 2, "m": 60, "num_supports": 2.5}),
-        (["diag", "linkconst"], "trials", {"n": 64, "trials": 2.5}),
+        (["diag", "linkconst"], "trials", {"trials": 2.5}),
     ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
     def test_non_integer_config_value_exits_2(self, tmp_path, capsys, command, setting, config):
         cfg = tmp_path / "cfg.json"
@@ -332,6 +375,26 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"nldemix: error: {setting} must be an integer")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("setting, config", [
+        ("tau", {"tau": "abc"}),
+        ("tau", {"tau": None}),
+        ("tau", {"tau": True}),
+        ("success_threshold", {"success_threshold": "x"}),
+        ("rel_tol", {"solver": {"rel_tol": "1e-6"}}),
+        ("lasso_radius", {"solver": {"lasso_radius": [1]}}),
+        ("lasso_radius", {"solver": {"lasso_radius": True}}),
+        ("step_size", {"solver": {"step_size": True}}),
+        ("dst_beta", {"solver": {"dst_beta": True}}),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
+    def test_non_real_config_value_exits_2(self, tmp_path, capsys, setting, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 64, "s": 2, "m": 80, **config}))
+        assert main(["trial", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"nldemix: error: {setting} must be finite and")
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command, setting", [

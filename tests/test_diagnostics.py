@@ -78,21 +78,11 @@ class TestMutualCoherence:
             d = Dictionary(Basis(kind, 16), Basis(kind, 16))
             assert mutual_coherence(d) == 1.0
 
-    def test_blockwise_evaluation_consistent(self):
-        d = Dictionary(Basis("identity", 64), Basis("dct", 64))
-        assert mutual_coherence(d, block=7) == pytest.approx(
-            mutual_coherence(d, block=256), rel=1e-14
-        )
-
-    def test_block_validation(self):
-        d = Dictionary(Basis("identity", 64), Basis("dct", 64))
-        for bad in (0, -5):
-            with pytest.raises(ValueError, match=f"block must be >= 1, got {bad}"):
-                mutual_coherence(d, block=bad)
-        for bad in (2.5, True):
-            with pytest.raises(ValueError, match="block must be an integer"):
-                mutual_coherence(d, block=bad)
-        assert mutual_coherence(d, block=np.int64(7)) == mutual_coherence(d, block=7)
+    def test_blockwise_evaluation_matches_dense_gram(self):
+        # n = 300 runs a full block of 256 atoms and a partial one of 44.
+        d = Dictionary(Basis("identity", 300), Basis("dct", 300))
+        cross = basis_matrix(d.phi).T @ basis_matrix(d.psi)
+        assert mutual_coherence(d) == pytest.approx(np.max(np.abs(cross)), rel=1e-14)
 
     def test_blocks_allocate_only_their_rows(self):
         # One 4096 x 4096 float array is 128 MiB; a 256-row block is 8 MiB.

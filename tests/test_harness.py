@@ -98,13 +98,11 @@ class TestTrialSpecValidation:
             TrialSpec(algorithm="omp")
         with pytest.raises(ValueError):
             TrialSpec(tau=-0.1)
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match="finite"):
+        for bad in (np.nan, np.inf, -np.inf, True, "0.1", None, 10**400, np.longdouble("1e400")):
+            with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
                 TrialSpec(tau=bad)
-            with pytest.raises(ValueError, match="finite"):
-                TrialSpec(link_radius=bad)
-        with pytest.raises(ValueError):
-            TrialSpec(link_radius=0.0)
+            with pytest.raises(ValueError, match="success_threshold must be finite and positive"):
+                TrialSpec(success_threshold=bad)
         for name in ("n", "s", "m", "seed"):
             for bad in (2.5, 3.0, np.nan, True, "abc"):
                 with pytest.raises(ValueError, match=f"{name} must be an integer"):
@@ -324,7 +322,7 @@ class TestInstanceReuse:
             run_trial(replace(base, **kw))
         assert len(builds) == 1
         for kw in (
-            dict(seed=43), dict(m=150), dict(tau=0.1), dict(link_radius=10.0),
+            dict(seed=43), dict(m=150), dict(tau=0.1),
             dict(basis_phi="haar"), dict(basis_psi="haar"),
         ):
             before = len(builds)

@@ -27,22 +27,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_link("relu")
 
-    def test_nonpositive_radius_rejected(self):
-        with pytest.raises(ValueError):
-            make_link("logistic", radius=0.0)
-
-    @pytest.mark.parametrize("radius", [np.nan, np.inf])
-    def test_non_finite_radius_rejected(self, radius):
-        with pytest.raises(ValueError, match="finite"):
-            make_link("logistic", radius=radius)
-
-    @pytest.mark.parametrize("radius, logistic_l1", [
-        (7.5, 0.0005524730727021604),
-        (20.0, 2.061153613941849e-09),
-        (30.0, 9.357622968838425e-14),
-    ])
-    def test_fields_are_pinned(self, radius, logistic_l1):
-        # The two logistic links share g', l1, l2 and radius.
+    def test_fields_are_pinned(self):
+        # The two logistic links share g', l1 and l2; l1 = g'(20).
+        logistic_l1 = 2.061153613941849e-09
         pinned = {
             "sign": (np.sign, None, None, 0.0, 0.0),
             "linsin": (links._linsin, links._linsin_deriv, links._linsin_potential, 1.0, 3.0),
@@ -52,10 +39,10 @@ class TestConstruction:
                                  links._shifted_logistic_potential, logistic_l1, 0.25),
         }
         for name, (g, g_prime, theta, l1, l2) in pinned.items():
-            link = make_link(name, radius=radius)
+            link = make_link(name)
             assert (link.name, link.eval_fn, link.deriv_fn, link.potential_fn) == (
                 name, g, g_prime, theta)
-            assert (link.l1, link.l2, link.radius) == (l1, l2, radius)
+            assert (link.l1, link.l2) == (l1, l2)
 
     def test_capability_flags(self):
         sign = make_link("sign")
@@ -146,9 +133,8 @@ class TestValues:
             want_p, want_d = reference(ui)
             assert abs(got_p - want_p) <= 4 * np.spacing(want_p), ui
             assert abs(got_d - want_d) <= 4 * np.spacing(want_d), ui
-        for radius in (20.0, 30.0):
-            want = reference(radius)[1]
-            assert abs(make_link("logistic", radius=radius).l1 - want) <= 4 * np.spacing(want)
+        want = reference(20.0)[1]
+        assert abs(make_link("logistic").l1 - want) <= 4 * np.spacing(want)
 
     def test_potential_overflow_safe(self):
         for name in ("logistic", "shifted-logistic"):
@@ -206,17 +192,12 @@ class TestDerivativeBounds:
 
     @pytest.mark.parametrize("name", ["logistic", "shifted-logistic"])
     def test_logistic_bounds_on_working_interval(self, name):
-        g = make_link(name, radius=8.0)
+        g = make_link(name)
         l1, l2 = g.l1, g.l2
         assert l2 == 0.25
-        u = np.linspace(-8.0, 8.0, 20001)
+        u = np.linspace(-20.0, 20.0, 40001)
         d = link_deriv(g, u)
         assert d.max() <= l2 + 1e-12
-        assert d.min() >= l1 - 1e-12
-        # bound is attained at the interval edge
-        np.testing.assert_allclose(link_deriv(g, np.array([8.0]))[0], l1, rtol=1e-12)
-
-    def test_smaller_radius_gives_larger_l1(self):
-        tight = make_link("logistic", radius=2.0)
-        wide = make_link("logistic", radius=10.0)
-        assert tight.l1 > wide.l1 > 0.0
+        assert d.min() >= l1 * (1 - 1e-12)
+        # bound is attained at the interval edges
+        np.testing.assert_allclose(link_deriv(g, np.array([-20.0, 20.0])), l1, rtol=1e-12)

@@ -204,8 +204,8 @@ class TestObserve:
         with pytest.raises(ValueError):
             observe(A, make_link("linsin"), np.zeros(8), tau=-0.1)
 
-    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, True, "0.1", None])
     def test_rejects_non_finite_tau(self, tau):
         A = sample_operator("gaussian", 4, 8, 0)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
             observe(A, make_link("linsin"), np.zeros(8), tau=tau)

@@ -1,5 +1,8 @@
 """The package's public surface."""
 
+import dataclasses
+import inspect
+
 import nldemix
 
 
@@ -15,3 +18,10 @@ def test_deleted_aliases_and_bundles_stay_gone():
     for name in ("derivative_bounds", "coherence_report", "CoherenceReport", "export_csv"):
         assert name not in nldemix.__all__
         assert not hasattr(nldemix, name)
+
+
+def test_links_take_no_working_interval():
+    # l1, l2 hold on the fixed interval [-20, 20]; no solver reads them, so a
+    # radius setting changed no result.
+    assert list(inspect.signature(nldemix.make_link).parameters) == ["name"]
+    assert "radius" not in {f.name for f in dataclasses.fields(nldemix.LinkFunction)}

@@ -306,8 +306,12 @@ class TestProblemValidation:
             DemixProblem(A=A, dictionary=d, link=link, y=np.zeros(m + 1), s=2)
         with pytest.raises(ValueError):
             DemixProblem(A=A, dictionary=d, link=link, y=np.zeros(m), s=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds dimension"):
             DemixProblem(A=A, dictionary=d, link=link, y=np.zeros(m), s=n + 1)
+        for bad in (2.5, np.nan, True, "3"):
+            with pytest.raises(ValueError, match="s must be an integer"):
+                DemixProblem(A=A, dictionary=d, link=link, y=np.zeros(m), s=bad)
+        assert DemixProblem(A=A, dictionary=d, link=link, y=np.zeros(m), s=np.int64(2)).s == 2
         d_bad = Dictionary(Basis("identity", 2 * n), Basis("dct", 2 * n))
         with pytest.raises(ValueError):
             DemixProblem(A=A, dictionary=d_bad, link=link, y=np.zeros(m), s=2)
@@ -370,6 +374,20 @@ class TestProblemValidation:
             soft_threshold(np.ones(3), bad)
         with pytest.raises(ValueError, match="finite"):
             project_l1_ball(np.ones(3), bad)
+
+    @pytest.mark.parametrize("bad", [True, "1e-6", [1.0], 10**400],
+                             ids=["bool", "str", "list", "big-int"])
+    def test_real_settings_that_are_not_floats_rejected(self, bad):
+        for name in ("step_size", "rel_tol", "lasso_radius", "dst_beta"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SolverConfig(**{name: bad})
+        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+            soft_threshold(np.ones(3), bad)
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            project_l1_ball(np.ones(3), bad)
+        # numpy scalars and ints are real numbers too
+        config = SolverConfig(step_size=np.float32(0.5), rel_tol=1, dst_beta=np.uint8(0))
+        assert (config.step_size, config.rel_tol, config.dst_beta) == (0.5, 1, 0)
 
 
 class TestLossCalculus:
