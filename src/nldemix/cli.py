@@ -67,84 +67,63 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE", help="JSON config; flags override it")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", metavar="CSV")
-
-
-def _add_instance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--phi", dest="basis_phi", choices=BASIS_KINDS)
-    p.add_argument("--psi", dest="basis_psi", choices=BASIS_KINDS)
-    p.add_argument("--ensemble", choices=ENSEMBLE_KINDS)
-    p.add_argument("--link", choices=LINK_KINDS)
-    p.add_argument("--tau", type=float)
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algorithm", choices=ALGORITHMS)
-    p.add_argument("--threshold", dest="success_threshold", type=float)
-    p.add_argument("--step-size", dest="step_size", type=_step_size)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float)
-    p.add_argument("--init", choices=INIT_MODES)
-    p.add_argument("--projection", dest="projection_mode", choices=PROJECTION_MODES)
-    p.add_argument("--lasso-radius", dest="lasso_radius", type=float)
-    p.add_argument("--dst-beta", dest="dst_beta", type=float)
+# Each flag defined once, by dest: (flag, add_argument keywords).
+_FLAGS = {
+    "config": ("--config", {"metavar": "FILE", "help": "JSON config; flags override it"}),
+    "seed": ("--seed", {"type": int}), "out": ("--out", {"metavar": "CSV"}),
+    "n": ("--n", {"type": int}), "s": ("--s", {"type": int}), "m": ("--m", {"type": int}),
+    "basis_phi": ("--phi", {"choices": BASIS_KINDS}),
+    "basis_psi": ("--psi", {"choices": BASIS_KINDS}),
+    "ensemble": ("--ensemble", {"choices": ENSEMBLE_KINDS}),
+    "link": ("--link", {"choices": LINK_KINDS}), "tau": ("--tau", {"type": float}),
+    "algorithm": ("--algorithm", {"choices": ALGORITHMS}),
+    "success_threshold": ("--threshold", {"type": float}),
+    "step_size": ("--step-size", {"type": _step_size}),
+    "max_iters": ("--max-iters", {"type": int}),
+    "rel_tol": ("--rel-tol", {"type": float}),
+    "init": ("--init", {"choices": INIT_MODES}),
+    "projection_mode": ("--projection", {"choices": PROJECTION_MODES}),
+    "lasso_radius": ("--lasso-radius", {"type": float}),
+    "dst_beta": ("--dst-beta", {"type": float}),
+    "s_list": ("--s-list", {"type": _int_list}), "m_list": ("--m-list", {"type": _int_list}),
+    "trials": ("--trials", {"type": int}), "workers": ("--workers", {"type": int}),
+    "algorithms": ("--algorithms", {"help": "comma-separated algorithm names"}),
+    "repeats": ("--repeats", {"type": int}),
+    "sparsity": ("--sparsity", {"type": int}),
+    "num_supports": ("--num-supports", {"type": int}),
+}
 
 
 def build_parser() -> _Parser:
-    """Each command takes only the flags it reads."""
+    """Each command takes only the flags it reads: its dests in `_COMMANDS`."""
     parser = _Parser(prog="nldemix", description="sparse demixing from nonlinear observations")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_trial = sub.add_parser("trial", help="run one recovery trial")
-    p_phase = sub.add_parser("phase", help="success probabilities over an (s, m) grid")
-    p_bench = sub.add_parser("bench", help="median solve wall times")
-    for p in (p_trial, p_phase, p_bench):
-        _add_run_flags(p)
-        _add_instance_flags(p)
-        _add_solver_flags(p)
-    p_phase.add_argument("--s-list", dest="s_list", type=_int_list)
-    p_phase.add_argument("--m-list", dest="m_list", type=_int_list)
-    p_phase.add_argument("--trials", type=int)
-    p_phase.add_argument("--workers", type=int)
-    p_bench.add_argument("--algorithms", help="comma-separated algorithm names")
-    p_bench.add_argument("--repeats", type=int)
-
-    p_diag = sub.add_parser("diag", help="diagnostics")
-    dsub = p_diag.add_subparsers(dest="diag_command", required=True)
-    p_coherence = dsub.add_parser("coherence")
-    p_rscrss = dsub.add_parser("rscrss")
-    p_linkconst = dsub.add_parser("linkconst")
-    for p in (p_coherence, p_rscrss, p_linkconst):
-        _add_run_flags(p)
-    for p in (p_coherence, p_rscrss):
-        _add_instance_flags(p)
-    p_rscrss.add_argument("--sparsity", type=int)
-    p_rscrss.add_argument("--num-supports", dest="num_supports", type=int)
-    p_linkconst.add_argument("--link", choices=LINK_KINDS)
-    p_linkconst.add_argument("--trials", type=int)
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (help_text, dests, _) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subs:  # "diag", made before its first subcommand
+            subs[group] = subs[""].add_parser(group, help="diagnostics").add_subparsers(
+                dest="diag_command", required=True)
+        p = subs[group].add_parser(leaf, help=help_text)
+        for dest in dests.split():
+            flag, kwargs = _FLAGS[dest]
+            p.add_argument(flag, dest=dest, **kwargs)
     return parser
 
 
-# Parser dests no config file may set: the subcommands, the file itself, the output.
-_NOT_CONFIG = {"command", "diag_command", "config", "out"}
+# Dests no config file may set: the file itself and the output.
+_NOT_CONFIG = {"config", "out"}
 _SPEC_FIELDS = {f.name for f in fields(TrialSpec)} - {"solver"}
 _SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
 
 
-def _resolve(args: argparse.Namespace, parser: _Parser) -> dict:
+def _resolve(dests: str, args: argparse.Namespace, parser: _Parser) -> dict:
     """defaults < config file < explicit flags, as one flat dict.
 
     A config key is valid only if it is one of the command's own flags
-    (by dest); those that are SolverConfig fields sit in a nested "solver"
-    object, the rest at the top level.
+    (`dests`, from `_COMMANDS`); those that are SolverConfig fields sit in a
+    nested "solver" object, the rest at the top level.
     """
-    dests = set(vars(args)) - _NOT_CONFIG
+    dests = set(dests.split()) - _NOT_CONFIG
     cfg: dict = {}
     if args.config:
         import json
@@ -188,21 +167,24 @@ def _emit(payload, out: str | None) -> None:
         sys.stdout.write(buf.getvalue())
 
 
-# Each command maps (args, merged settings, parser) to the payload it writes.
-def _cmd_trial(args, merged: dict, parser):
+# Each command maps (merged settings, parser) to the payload it writes.
+def _cmd_trial(merged: dict, parser):
     return [run_trial(_make_spec(merged))]
 
 
-def _cmd_phase(args, merged: dict, parser):
-    s_list = merged.get("s_list")
-    m_list = merged.get("m_list")
+def _cmd_phase(merged: dict, parser):
+    s_list, m_list = merged.get("s_list"), merged.get("m_list")
     if not s_list or not m_list:
         parser.error("phase requires --s-list and --m-list (or config keys s_list/m_list)")
+    # Every cell sets its own s and m, so the base takes the first cell's;
+    # run_phase_grid rejects s_list or m_list values that are not lists.
+    if isinstance(s_list, list) and isinstance(m_list, list):
+        merged = {**merged, "s": s_list[0], "m": m_list[0]}
     return run_phase_grid(s_list, m_list, trials=merged.get("trials", 20),
                           base=_make_spec(merged), **_given(merged, "workers"))
 
 
-def _cmd_bench(args, merged: dict, parser):
+def _cmd_bench(merged: dict, parser):
     names = merged["algorithms"] if "algorithms" in merged else merged.get("algorithm", "oneshot")
     if isinstance(names, str):
         names = [p.strip() for p in names.split(",") if p.strip()]
@@ -218,39 +200,53 @@ def _cmd_bench(args, merged: dict, parser):
     return run_benchmark(specs, **_given(merged, "repeats"))
 
 
-def _cmd_diag(args, merged: dict, parser):
+def _cmd_coherence(merged: dict, parser):
     spec = _make_spec(merged)
-    if args.diag_command == "coherence":
-        d = Dictionary(Basis(spec.basis_phi, spec.n), Basis(spec.basis_psi, spec.n))
-        gamma = mutual_coherence(d)
-        vartheta = ""
-        if "ensemble" in merged and "m" in merged:
-            vartheta = cross_coherence(sample_operator(spec.ensemble, spec.m, spec.n, spec.seed), d)
-        row = {
-            "basis_phi": spec.basis_phi, "basis_psi": spec.basis_psi,
-            "n": spec.n, "s": spec.s, "gamma": gamma,
-            "epsilon_bound": spec.s * gamma, "vartheta": vartheta,
-        }
-    elif args.diag_command == "rscrss":
-        problem, w, z, _ = _build_instance(spec)
-        est = estimate_rsc_rss(problem, t_ref=stack_constituents(w, z), seed=spec.seed,
-                               **_given(merged, "sparsity", "num_supports"))
-        row = {
-            "n": spec.n, "s": spec.s, "m": spec.m, "link": spec.link,
-            "sparsity_level": est.sparsity_level,
-            "supports_probed": est.supports_probed,
-            "m_hat": est.m_hat, "M_hat": est.M_hat,
-            "ratio": est.M_hat / est.m_hat if est.m_hat > 0 else float("inf"),
-        }
-    else:
-        trials = merged.get("trials", 100000)
-        mu, sigma2, eta2 = link_constants(make_link(spec.link), trials=trials, seed=spec.seed)
-        row = {"link": spec.link, "trials": trials,
-               "seed": spec.seed, "mu": mu, "sigma2": sigma2, "eta2": eta2}
-    return [row]
+    d = Dictionary(Basis(spec.basis_phi, spec.n), Basis(spec.basis_psi, spec.n))
+    gamma = mutual_coherence(d)
+    vartheta = ""
+    if "ensemble" in merged and "m" in merged:
+        vartheta = cross_coherence(sample_operator(spec.ensemble, spec.m, spec.n, spec.seed), d)
+    return [{"basis_phi": spec.basis_phi, "basis_psi": spec.basis_psi,
+             "n": spec.n, "s": spec.s, "gamma": gamma,
+             "epsilon_bound": spec.s * gamma, "vartheta": vartheta}]
 
 
-_COMMANDS = {"trial": _cmd_trial, "phase": _cmd_phase, "bench": _cmd_bench, "diag": _cmd_diag}
+def _cmd_rscrss(merged: dict, parser):
+    spec = _make_spec(merged)
+    problem, w, z, _ = _build_instance(spec)
+    est = estimate_rsc_rss(problem, t_ref=stack_constituents(w, z), seed=spec.seed,
+                           **_given(merged, "sparsity", "num_supports"))
+    return [{"n": spec.n, "s": spec.s, "m": spec.m, "link": spec.link,
+             "sparsity_level": est.sparsity_level, "supports_probed": est.supports_probed,
+             "m_hat": est.m_hat, "M_hat": est.M_hat,
+             "ratio": est.M_hat / est.m_hat if est.m_hat > 0 else float("inf")}]
+
+
+def _cmd_linkconst(merged: dict, parser):
+    spec = _make_spec(merged)
+    trials = merged.get("trials", 100000)
+    mu, sigma2, eta2 = link_constants(make_link(spec.link), trials=trials, seed=spec.seed)
+    return [{"link": spec.link, "trials": trials,
+             "seed": spec.seed, "mu": mu, "sigma2": sigma2, "eta2": eta2}]
+
+
+# The flags that trial, phase and bench all take.
+_SOLVE = ("config seed out n basis_phi basis_psi ensemble link tau algorithm "
+          "step_size max_iters rel_tol init projection_mode lasso_radius dst_beta")
+# Each command: (help, the dests of the flags it takes, which are the settings
+# it reads, handler).  The parser, the config-key check and main read this.
+_COMMANDS = {
+    "trial": ("run one recovery trial", _SOLVE + " s m success_threshold", _cmd_trial),
+    "phase": ("success probabilities over an (s, m) grid",
+              _SOLVE + " success_threshold s_list m_list trials workers", _cmd_phase),
+    "bench": ("median solve wall times", _SOLVE + " s m algorithms repeats", _cmd_bench),
+    "diag coherence": ("dictionary and operator coherence",
+                       "config seed out n s m basis_phi basis_psi ensemble", _cmd_coherence),
+    "diag rscrss": ("restricted curvature interval", "config seed out n s m basis_phi "
+                    "basis_psi ensemble link sparsity num_supports", _cmd_rscrss),
+    "diag linkconst": ("link constants", "config seed out link trials", _cmd_linkconst),
+}
 
 
 def main(argv=None) -> int:
@@ -260,7 +256,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _emit(_COMMANDS[args.command](args, _resolve(args, parser), parser), args.out)
+        name = f"diag {args.diag_command}" if args.command == "diag" else args.command
+        _, dests, handler = _COMMANDS[name]
+        _emit(handler(_resolve(dests, args, parser), parser), args.out)
         return 0
     except SystemExit as exc:  # parser.error inside a handler
         return int(exc.code or 0)

@@ -97,7 +97,10 @@ class PhaseGrid:
     m_values: tuple[int, ...]
     trials: int
     successes: np.ndarray  # shape (len(s_values), len(m_values)), int
-    prob: np.ndarray       # successes / trials
+
+    @property
+    def prob(self) -> np.ndarray:
+        return self.successes / float(self.trials)
 
 
 def child_seed(base_seed: int, *key: int) -> int:
@@ -287,7 +290,6 @@ def run_phase_grid(
             m_values=m_values,
             trials=trials,
             successes=successes[..., ai],
-            prob=successes[..., ai] / float(trials),
         )
         for ai, name in enumerate(names)
     }

@@ -26,8 +26,7 @@ FAST_TRIAL = [
 ]
 
 
-PHASE_CONFIG = {"n": 64, "s": 2, "m": 60, "algorithm": "oneshot",
-                "s_list": [2], "m_list": [60], "trials": 1}
+PHASE_CONFIG = {"n": 64, "algorithm": "oneshot", "s_list": [2], "m_list": [60], "trials": 1}
 
 
 def rows_from(text: str) -> list[dict]:
@@ -113,6 +112,13 @@ class TestPhaseCommand:
         assert main(["phase", "--n", "64"]) == 1
         assert "s-list" in capsys.readouterr().err
 
+    def test_base_spec_comes_from_the_grid(self, capsys):
+        # The default s (5) exceeds n here; phase never reads it.
+        assert main(["phase", "--n", "4", "--s-list", "1", "--m-list", "10", "--trials", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [(r["s"], r["m"]) for r in rows_from(captured.out)] == [("1", "10")]
+
 
 class TestBenchCommand:
     def test_multiple_algorithms(self, capsys):
@@ -173,17 +179,26 @@ class TestDiagCommand:
 
 
 _RUN = ["config", "seed", "out"]
-_INSTANCE = ["n", "s", "m", "basis_phi", "basis_psi", "ensemble", "link", "tau"]
-_SOLVER = ["algorithm", "success_threshold", "step_size", "max_iters", "rel_tol", "init",
-           "projection_mode", "lasso_radius", "dst_beta"]
-COMMAND_DESTS = {  # every flag of each command, by dest: 20 + 24 + 22 + 11 + 13 + 5 = 95
-    "trial": _RUN + _INSTANCE + _SOLVER,
-    "phase": _RUN + _INSTANCE + _SOLVER + ["s_list", "m_list", "trials", "workers"],
-    "bench": _RUN + _INSTANCE + _SOLVER + ["algorithms", "repeats"],
-    "diag coherence": _RUN + _INSTANCE,
-    "diag rscrss": _RUN + _INSTANCE + ["sparsity", "num_supports"],
+_BASES = ["n", "basis_phi", "basis_psi", "ensemble"]
+_SOLVE = _RUN + _BASES + ["link", "tau", "algorithm", "step_size", "max_iters", "rel_tol",
+                          "init", "projection_mode", "lasso_radius", "dst_beta"]
+COMMAND_DESTS = {  # every flag of each command, by dest: 20 + 22 + 21 + 9 + 12 + 5 = 89
+    "trial": _SOLVE + ["s", "m", "success_threshold"],
+    "phase": _SOLVE + ["success_threshold", "s_list", "m_list", "trials", "workers"],
+    "bench": _SOLVE + ["s", "m", "algorithms", "repeats"],
+    "diag coherence": _RUN + _BASES + ["s", "m"],
+    "diag rscrss": _RUN + _BASES + ["s", "m", "link", "sparsity", "num_supports"],
     "diag linkconst": _RUN + ["link", "trials"],
 }
+# The settings each command used to take but never read, by flag and dest.
+IGNORED = [
+    ("phase", "--s", "s", "3"),
+    ("phase", "--m", "m", "80"),
+    ("bench", "--threshold", "success_threshold", "0.5"),
+    ("diag coherence", "--link", "link", "sign"),
+    ("diag coherence", "--tau", "tau", "3"),
+    ("diag rscrss", "--tau", "tau", "0.5"),
+]
 
 
 class TestFlags:
@@ -207,11 +222,22 @@ class TestFlags:
         ["diag", "linkconst", "--n", "64"],
         ["diag", "coherence", "--step-size", "0"],
         ["diag", "rscrss", "--algorithm", "dht"],
+        *([*command.split(), flag, value] for command, flag, _, value in IGNORED),
     ])
     def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv):
-        # Never a prefix of another flag either: --s is not --seed.
+        # Never a prefix of another flag either: --s is not --seed, nor --s-list.
+        flags = argv[2:] if argv[0] == "diag" else argv[1:]
         assert main(argv) == 1
-        assert f"unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        (command, key, value) for command, _, key, value in IGNORED])
+    def test_keys_a_command_does_not_read_are_unknown(self, tmp_path, capsys, command, key,
+                                                      value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main([*command.split(), "--config", str(cfg)]) == 1
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -260,7 +286,7 @@ class TestConfigFile:
         assert "['s_list', 'trials', 'workers']" in captured.err
 
     @pytest.mark.parametrize("command, keys", [
-        (["phase"], {"n": 64, "s": 2, "m": 120, "algorithm": "oneshot",
+        (["phase"], {"n": 64, "algorithm": "oneshot",
                      "s_list": [2], "m_list": [120], "trials": 1, "workers": 1}),
         (["bench"], {"n": 64, "s": 2, "m": 120, "algorithm": "oneshot",
                      "algorithms": "oneshot", "repeats": 1}),

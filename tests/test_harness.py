@@ -343,6 +343,14 @@ class TestRunPhaseGrid:
         assert grid.s_values == (2, 3)
         assert grid.m_values == (80, 160)
 
+    def test_prob_follows_successes_and_trials(self):
+        grid = PhaseGrid(s_values=(1,), m_values=(8, 16), trials=4,
+                         successes=np.array([[3, 4]]))
+        np.testing.assert_array_equal(grid.prob, [[0.75, 1.0]])
+        with pytest.raises(TypeError):
+            PhaseGrid(s_values=(1,), m_values=(8,), trials=1,
+                      successes=np.array([[1]]), prob=np.array([[1.0]]))
+
     def test_deterministic(self):
         base = small_spec(algorithm="oneshot")
         g1 = run_phase_grid([2], [80, 160], trials=4, base=base)
