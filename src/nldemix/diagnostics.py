@@ -25,9 +25,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .links import CapabilityError, LinkFunction, link_deriv, link_eval
+from .links import _require, LinkFunction, link_deriv, link_eval
 from .measurement import MeasurementOperator
-from .transforms import _check_int, Dictionary, basis_adjoint, basis_apply, dict_apply
+from .transforms import (
+    _check_int, _check_vector, Dictionary, basis_adjoint, basis_apply, dict_apply,
+)
 
 if TYPE_CHECKING:  # solvers imports this module at load time
     from .solvers import DemixProblem
@@ -160,10 +162,7 @@ def estimate_rsc_rss(
     when given, is the forward product A Gamma t_ref a caller already holds;
     it is used as is instead of being recomputed.
     """
-    if not problem.link.has_derivative:
-        raise CapabilityError(
-            f"estimate_rsc_rss requires a link with a derivative; {problem.link.name!r} has none"
-        )
+    _require(problem.link, "estimate_rsc_rss", derivative=True)
     two_n = 2 * problem.n
     if sparsity is None:
         sparsity = min(6 * problem.s, two_n)
@@ -172,19 +171,11 @@ def estimate_rsc_rss(
     if sparsity < 1 or sparsity > two_n:
         raise ValueError(f"sparsity must be in [1, {two_n}], got {sparsity}")
 
-    if t_ref is None:
-        t_ref = np.zeros(two_n)
-    else:
-        t_ref = np.asarray(t_ref, dtype=float)
-        if t_ref.shape != (two_n,):
-            raise ValueError(f"t_ref must have length {two_n}, got shape {t_ref.shape}")
-
+    t_ref = np.zeros(two_n) if t_ref is None else _check_vector(t_ref, two_n, "t_ref", finite=True)
     if u_ref is None:
         u_ref = problem.A.apply(dict_apply(problem.dictionary, t_ref))
     else:
-        u_ref = np.asarray(u_ref, dtype=float)
-        if u_ref.shape != (problem.A.m,):
-            raise ValueError(f"u_ref must have length {problem.A.m}, got shape {u_ref.shape}")
+        u_ref = _check_vector(u_ref, problem.A.m, "u_ref", finite=True)
     gp = link_deriv(problem.link, u_ref)
 
     supports: list[np.ndarray] = []
@@ -194,12 +185,14 @@ def estimate_rsc_rss(
     for _ in range(num_supports):
         supports.append(rng.choice(two_n, size=sparsity, replace=False))
     for extra in extra_supports:
-        extra = np.asarray(extra)
-        if extra.size != sparsity:
+        idx = np.asarray(extra)
+        if (idx.shape != (sparsity,) or idx.dtype.kind not in "iu" or idx.min() < 0
+                or idx.max() >= two_n or np.unique(idx).size != sparsity):
             raise ValueError(
-                f"extra support has size {extra.size}, expected {sparsity}"
+                f"an extra support must be {sparsity} distinct integers in [0, {two_n}), "
+                f"got {extra!r}"
             )
-        supports.append(extra)
+        supports.append(idx)
 
     m_hat = np.inf
     M_hat = -np.inf

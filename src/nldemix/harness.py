@@ -61,11 +61,10 @@ class TrialSpec:
     success_threshold: float = 0.99
 
     def __post_init__(self) -> None:
-        for name in ("n", "s", "m", "seed"):
-            _check_int(name, getattr(self, name))
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"sizes must be positive, got n={self.n}, m={self.m}")
-        if self.s < 0 or self.s > self.n:
+        _check_int("n", self.n, 1)
+        _check_int("m", self.m, 1)
+        _check_int("seed", self.seed)
+        if _check_int("s", self.s, 0) > self.n:
             raise ValueError(f"s must be in [0, {self.n}], got {self.s}")
         _check_real("success_threshold", self.success_threshold, positive=True)
         if self.success_threshold > 1.0:
@@ -114,7 +113,7 @@ def generate_signal(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw s-sparse w, z with +/-1 entries on independent uniform supports
     and return (w, z, x) with x = Phi w + Psi z.  Deterministic in seed."""
-    if s > n:
+    if _check_int("s", s, 0) > n:
         raise ValueError(f"s must be at most n, got s={s}, n={n}")
     if dictionary.n != n:
         raise ValueError(f"dictionary dimension {dictionary.n} does not match n={n}")

@@ -55,6 +55,15 @@ class LinkFunction:
         return self.potential_fn is not None
 
 
+def _require(link: LinkFunction, who: str, *, potential: bool = False,
+             derivative: bool = False) -> None:
+    """CapabilityError unless `link` has each capability `who` asks for."""
+    missing = ("potential" if potential and not link.has_potential
+               else "derivative" if derivative and not link.has_derivative else None)
+    if missing:
+        raise CapabilityError(f"{who} requires a link with a {missing}; {link.name!r} has none")
+
+
 def _linsin(u: np.ndarray) -> np.ndarray:
     return 2.0 * u + np.sin(u)
 
@@ -129,14 +138,12 @@ def link_eval(g: LinkFunction, u):
 
 def link_deriv(g: LinkFunction, u):
     """g'(u); raises CapabilityError for links without a derivative."""
-    if g.deriv_fn is None:
-        raise CapabilityError(f"link {g.name!r} has no derivative")
+    _require(g, "link_deriv", derivative=True)
     return g.deriv_fn(np.asarray(u, dtype=float))
 
 
 def link_potential(g: LinkFunction, u):
     """Theta(u) with Theta(0) = 0 and Theta' = g; raises CapabilityError
     for links without a potential."""
-    if g.potential_fn is None:
-        raise CapabilityError(f"link {g.name!r} has no potential")
+    _require(g, "link_potential", potential=True)
     return g.potential_fn(np.asarray(u, dtype=float))

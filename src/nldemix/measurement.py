@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .links import LinkFunction, link_eval
-from .transforms import _check_int, _check_last_axis, _check_real, _dct2, _dct3
+from .transforms import _check_int, _check_last_axis, _check_real, _check_vector, _dct2, _dct3
 
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "subfast")
 
@@ -30,9 +30,7 @@ class MeasurementOperator:
     def __init__(self, kind: str, m: int, n: int, seed: int, _pages=None):
         if kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {kind!r}; expected one of {ENSEMBLE_KINDS}")
-        m, n, seed = _check_int("m", m), _check_int("n", n), _check_int("seed", seed)
-        if m < 1 or n < 1:
-            raise ValueError(f"operator dimensions must be positive, got m={m}, n={n}")
+        m, n, seed = _check_int("m", m, 1), _check_int("n", n, 1), _check_int("seed", seed)
         if kind == "subfast" and m > n:
             raise ValueError(f"subfast requires m <= n, got m={m}, n={n}")
         self.kind = kind
@@ -106,7 +104,7 @@ def observe(
     """Nonlinear observations y = g(Ax) + e, deterministic given seed; e is
     Gaussian with standard deviation tau, and absent when tau = 0."""
     _check_real("tau", tau, positive=False)
-    y = link_eval(link, A.apply(x))
+    y = link_eval(link, A.apply(_check_vector(x, A.n, "x")))
     if tau > 0:
         y = y + tau * np.random.default_rng(seed).standard_normal(A.m)
     return y

@@ -41,10 +41,11 @@ from typing import Callable
 import numpy as np
 
 from . import diagnostics
-from .links import CapabilityError, LinkFunction, link_deriv, link_eval, link_potential
+from .links import _require, LinkFunction, link_deriv, link_eval, link_potential
 from .measurement import MeasurementOperator
 from .transforms import (
-    _check_int, _check_real, Dictionary, dict_adjoint, dict_apply, split_constituents,
+    _check_int, _check_real, _check_vector, Dictionary, dict_adjoint, dict_apply,
+    split_constituents,
 )
 
 PROJECTION_MODES = ("stacked2s", "perblocks")
@@ -68,7 +69,7 @@ class DemixProblem:
 
     def __post_init__(self) -> None:
         # A read-only copy: editing the caller's array cannot change the problem.
-        y = np.array(self.y, dtype=float)
+        y = _check_vector(self.y, self.A.m, "y", finite=True).copy()
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
         if self.A.n != self.dictionary.n:
@@ -76,10 +77,6 @@ class DemixProblem:
                 f"operator columns ({self.A.n}) and dictionary dimension "
                 f"({self.dictionary.n}) disagree"
             )
-        if y.shape != (self.A.m,):
-            raise ValueError(f"y must have length {self.A.m}, got shape {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y must be finite; it holds NaN or infinite entries")
         if _check_int("s", self.s, 0) > self.A.n:
             raise ValueError(f"sparsity target {self.s} exceeds dimension {self.A.n}")
 
@@ -176,8 +173,7 @@ def hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
     runs deterministic.  k >= len(v) returns a copy of v; k = 0 returns zeros.
     """
     v = np.asarray(v, dtype=float)
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    k = _check_int("k", k, 0)
     if k >= v.size:
         return v.copy()
     out = np.zeros_like(v)
@@ -226,22 +222,6 @@ def project_l1_ball(v: np.ndarray, r: float) -> np.ndarray:
 # loss, gradient, Hessian-vector product
 
 
-def _require(problem: DemixProblem, *, potential: bool = False, derivative: bool = False,
-             who: str = "solver") -> None:
-    link = problem.link
-    if potential and not link.has_potential:
-        raise CapabilityError(f"{who} requires a link with a potential; {link.name!r} has none")
-    if derivative and not link.has_derivative:
-        raise CapabilityError(f"{who} requires a link with a derivative; {link.name!r} has none")
-
-
-def _check_t(problem: DemixProblem, t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if t.shape != (2 * problem.n,):
-        raise ValueError(f"t must have length {2 * problem.n}, got shape {t.shape}")
-    return t
-
-
 # The _at forms take the forward product u = A Gamma t, so a solver that has
 # just evaluated F at t reuses u for the gradient instead of recomputing it.
 def _forward(problem: DemixProblem, t: np.ndarray) -> np.ndarray:
@@ -259,21 +239,23 @@ def _gradient_at(problem: DemixProblem, u: np.ndarray) -> np.ndarray:
 
 def loss(problem: DemixProblem, t: np.ndarray) -> float:
     """F(t) = (1/m) sum Theta(a_i^T Gamma t) - y_i a_i^T Gamma t."""
-    _require(problem, potential=True, who="loss")
-    return _loss_at(problem, _forward(problem, _check_t(problem, t)))
+    _require(problem.link, "loss", potential=True)
+    t = _check_vector(t, 2 * problem.n, "t", finite=True)
+    return _loss_at(problem, _forward(problem, t))
 
 
 def loss_gradient(problem: DemixProblem, t: np.ndarray) -> np.ndarray:
     """grad F(t) = (1/m) Gamma^T A^T (g(A Gamma t) - y)."""
-    _require(problem, potential=True, who="loss_gradient")
-    return _gradient_at(problem, _forward(problem, _check_t(problem, t)))
+    _require(problem.link, "loss_gradient", potential=True)
+    t = _check_vector(t, 2 * problem.n, "t", finite=True)
+    return _gradient_at(problem, _forward(problem, t))
 
 
 def loss_hessian_matvec(problem: DemixProblem, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(grad^2 F(t)) @ v = (1/m) Gamma^T A^T (g'(A Gamma t) * (A Gamma v))."""
-    _require(problem, derivative=True, who="loss_hessian_matvec")
-    t = _check_t(problem, t)
-    v = _check_t(problem, v)
+    _require(problem.link, "loss_hessian_matvec", derivative=True)
+    t = _check_vector(t, 2 * problem.n, "t", finite=True)
+    v = _check_vector(v, 2 * problem.n, "v", finite=True)
     gp = link_deriv(problem.link, _forward(problem, t))
     Av = _forward(problem, v)
     return dict_adjoint(problem.dictionary, problem.A.adjoint(gp * Av)) / problem.A.m
@@ -309,8 +291,6 @@ def oneshot(problem: DemixProblem) -> SolveResult:
     coefficients of x_lin = (1/m) A^T y.  Works for any link, including sign.
     """
     start = time.perf_counter()
-    if problem.s == 0:
-        return _zero_result(problem, start, False)
     c = dict_adjoint(problem.dictionary, _x_lin(problem))
     w, z = split_constituents(c, problem.n)
     w_hat = hard_threshold(w, problem.s)
@@ -329,7 +309,7 @@ def _resolve_init(problem: DemixProblem, config: SolverConfig) -> np.ndarray:
             return np.zeros(2 * problem.n)
         t = problem._shared.get("oneshot")
         return oneshot(problem).t_hat if t is None else t
-    return _check_t(problem, config.init)
+    return _check_vector(config.init, 2 * problem.n, "init")
 
 
 def _resolve_step(problem: DemixProblem, config: SolverConfig, t0: np.ndarray,
@@ -427,7 +407,7 @@ def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, 
 def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> SolveResult:
     """dht (hard projection) and dst (soft thresholding) on F."""
     algorithm = "dst" if soft else "dht"
-    _require(problem, potential=True, derivative=True, who=algorithm)
+    _require(problem.link, algorithm, potential=True, derivative=True)
     start = time.perf_counter()
     if problem.s == 0:
         return _zero_result(problem, start, config.keep_iterates)

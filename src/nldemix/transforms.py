@@ -66,8 +66,7 @@ class Basis:
     def __post_init__(self) -> None:
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}; expected one of {BASIS_KINDS}")
-        if _check_int("n", self.n) < 1:
-            raise ValueError(f"basis dimension must be positive, got {self.n}")
+        _check_int("n", self.n, 1)
         if self.kind == "haar" and not _is_power_of_two(self.n):
             raise ValueError(f"haar basis requires n to be a power of two, got {self.n}")
 
@@ -169,6 +168,17 @@ def _dct3(c: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_vector(v, n: int, what: str, *, finite: bool = False) -> np.ndarray:
+    """`v` as a float array of shape (n,), or ValueError; with `finite`, also
+    ValueError if it holds NaN or infinite entries."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{what} must be a vector of length {n}, got shape {v.shape}")
+    if finite and not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} must be finite; it holds NaN or infinite entries")
+    return v
+
+
 def _check_last_axis(v: np.ndarray, n: int, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim < 1 or v.shape[-1] != n:
@@ -205,9 +215,7 @@ def basis_matrix(b: Basis) -> np.ndarray:
 
 def split_constituents(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Split a stacked vector t = [w; z] of length 2n into (w, z)."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or t.shape[0] != 2 * n:
-        raise ValueError(f"constituent vector must have length {2 * n}, got shape {t.shape}")
+    t = _check_vector(t, 2 * n, "t")
     return t[:n].copy(), t[n:].copy()
 
 
@@ -228,7 +236,5 @@ def dict_apply(d: Dictionary, t: np.ndarray) -> np.ndarray:
 
 def dict_adjoint(d: Dictionary, x: np.ndarray) -> np.ndarray:
     """Gamma^T @ x = [Phi^T x; Psi^T x]; dict_apply(dict_adjoint(x)) = 2x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d.n,):
-        raise ValueError(f"x must be a vector of length {d.n}, got shape {x.shape}")
+    x = _check_vector(x, d.n, "x")
     return np.concatenate([basis_adjoint(d.phi, x), basis_adjoint(d.psi, x)])

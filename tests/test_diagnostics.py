@@ -294,6 +294,20 @@ class TestRscRssEstimate:
         assert est == estimate_rsc_rss(problem, t_star, sparsity=4, num_supports=2)
         assert type(est.sparsity_level) is int
 
+    @pytest.mark.parametrize("extra", [
+        [0, 99], [-1, 3], [1, 1], [0.5, 1.0], [[0, 1]], [True, False],
+    ], ids=["beyond-2n", "negative", "repeated", "float", "2-D", "bool"])
+    def test_extra_support_must_be_distinct_indices_in_range(self, extra):
+        # 2n = 32.  Unchecked, 99 and -1 would wrap to an atom, a repeated
+        # index would make H_xi singular (m_hat = 0), and floats cannot index.
+        problem, _ = planted_instance(16, 2, 20, seed=66)
+        with pytest.raises(ValueError,
+                           match=r"extra support must be 2 distinct integers in \[0, 32\)"):
+            estimate_rsc_rss(problem, sparsity=2, num_supports=0, extra_supports=(extra,))
+        est = estimate_rsc_rss(problem, sparsity=2, num_supports=0,
+                               extra_supports=([0, 31], np.array([5, 17], dtype=np.uint8)))
+        assert est.supports_probed == 3
+
     def test_sign_link_rejected(self):
         problem, _ = planted_instance(16, 2, 20, link_name="sign", seed=67)
         with pytest.raises(CapabilityError):

@@ -83,6 +83,15 @@ class TestGenerateSignal:
         with pytest.raises(ValueError):
             generate_signal(32, 3, seed=0, dictionary=d)
 
+    def test_sparsity_must_be_a_nonnegative_integer(self):
+        # Unchecked, -1 would draw zero signals and 2.5 would reach rng.choice.
+        d = Dictionary(Basis("identity", 16), Basis("dct", 16))
+        with pytest.raises(ValueError, match="s must be >= 0, got -1"):
+            generate_signal(16, -1, seed=0, dictionary=d)
+        for bad in (2.5, True, np.nan):
+            with pytest.raises(ValueError, match="s must be an integer"):
+                generate_signal(16, bad, seed=0, dictionary=d)
+
 
 class TestTrialSpecValidation:
     def test_rejects_bad_values(self):

@@ -1,7 +1,13 @@
 """The package's public surface."""
 
+import ast
 import dataclasses
 import inspect
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 import nldemix
 
@@ -25,3 +31,103 @@ def test_links_take_no_working_interval():
     # radius setting changed no result.
     assert list(inspect.signature(nldemix.make_link).parameters) == ["name"]
     assert "radius" not in {f.name for f in dataclasses.fields(nldemix.LinkFunction)}
+
+
+# ---------------------------------------------------------------------------
+# Input checks: each rule has one implementation, and every public entry
+# that takes a vector calls it.
+
+N, M = 16, 20
+
+
+def _problem(link="linsin"):
+    d = nldemix.Dictionary(nldemix.Basis("identity", N), nldemix.Basis("dct", N))
+    A = nldemix.sample_operator("gaussian", M, N, 0)
+    return nldemix.DemixProblem(A=A, dictionary=d, link=nldemix.make_link(link),
+                                y=np.zeros(M), s=2)
+
+
+# name -> (call with the vector under test, the argument's name, its length)
+VECTOR_ENTRIES = {
+    "loss": (nldemix.loss, "t", 2 * N),
+    "loss_gradient": (nldemix.loss_gradient, "t", 2 * N),
+    "loss_hessian_matvec-t": (
+        lambda p, v: nldemix.loss_hessian_matvec(p, v, np.zeros(2 * N)), "t", 2 * N),
+    "loss_hessian_matvec-v": (
+        lambda p, v: nldemix.loss_hessian_matvec(p, np.zeros(2 * N), v), "v", 2 * N),
+    "dict_adjoint": (lambda p, v: nldemix.dict_adjoint(p.dictionary, v), "x", N),
+    "split_constituents": (lambda p, v: nldemix.split_constituents(v, N), "t", 2 * N),
+    "observe": (lambda p, v: nldemix.observe(p.A, p.link, v, tau=0.5, seed=1), "x", N),
+    "estimate_rsc_rss-t_ref": (lambda p, v: nldemix.estimate_rsc_rss(p, t_ref=v), "t_ref", 2 * N),
+    "estimate_rsc_rss-u_ref": (lambda p, v: nldemix.estimate_rsc_rss(p, u_ref=v), "u_ref", M),
+    "DemixProblem-y": (
+        lambda p, v: nldemix.DemixProblem(A=p.A, dictionary=p.dictionary, link=p.link,
+                                          y=v, s=2), "y", M),
+}
+FINITE_ENTRIES = ("loss", "loss_gradient", "loss_hessian_matvec-t", "loss_hessian_matvec-v",
+                  "estimate_rsc_rss-t_ref", "estimate_rsc_rss-u_ref")
+
+
+@pytest.mark.parametrize("entry", sorted(VECTOR_ENTRIES))
+@pytest.mark.parametrize("shape", ["batch", "long"])
+def test_vector_entries_reject_misshaped_input(entry, shape):
+    call, what, k = VECTOR_ENTRIES[entry]
+    bad = np.zeros((2, k) if shape == "batch" else (k + 1,))
+    message = f"{what} must be a vector of length {k}, got shape {bad.shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(_problem(), bad)
+    call(_problem(), np.zeros(k))  # the right shape passes
+
+
+@pytest.mark.parametrize("entry", FINITE_ENTRIES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_boundary_entries_reject_non_finite_vectors(entry, bad):
+    call, what, k = VECTOR_ENTRIES[entry]
+    v = np.zeros(k)
+    v[1] = bad
+    with pytest.raises(ValueError, match=f"{what} must be finite; it holds NaN or infinite"):
+        call(_problem(), v)
+
+
+def test_per_iteration_entries_do_not_check_finiteness():
+    p = _problem()
+    assert np.isnan(nldemix.dict_adjoint(p.dictionary, np.full(N, np.nan))).all()
+    assert np.isnan(nldemix.dict_apply(p.dictionary, np.full(2 * N, np.nan))).all()
+    assert np.isnan(p.A.apply(np.full(N, np.nan))).all()
+    assert np.isnan(p.A.adjoint(np.full(M, np.nan))).all()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: nldemix.Basis("dct", 0), "n must be >= 1, got 0"),
+    (lambda: nldemix.sample_operator("gaussian", 0, 4, 0), "m must be >= 1, got 0"),
+    (lambda: nldemix.sample_operator("gaussian", 4, 0, 0), "n must be >= 1, got 0"),
+    (lambda: nldemix.TrialSpec(n=0), "n must be >= 1, got 0"),
+    (lambda: nldemix.TrialSpec(m=0), "m must be >= 1, got 0"),
+    (lambda: nldemix.TrialSpec(s=-1), "s must be >= 0, got -1"),
+], ids=["Basis-n", "operator-m", "operator-n", "TrialSpec-n", "TrialSpec-m", "TrialSpec-s"])
+def test_sizes_below_minimum_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_capability_error_is_raised_in_one_function():
+    raisers = set()
+    for path in Path(nldemix.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Raise) and "CapabilityError" in ast.unparse(node)
+                    for node in ast.walk(fn)):
+                raisers.add(f"{path.stem}.{fn.name}")
+    assert raisers == {"links._require"}
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: nldemix.link_deriv(p.link, 0.0),
+    lambda p: nldemix.link_potential(p.link, 0.0),
+    lambda p: nldemix.estimate_rsc_rss(p),
+    lambda p: nldemix.loss(p, np.zeros(2 * N)),
+    lambda p: nldemix.dht(p),
+], ids=["link_deriv", "link_potential", "estimate_rsc_rss", "loss", "dht"])
+def test_capability_messages_name_the_caller(call):
+    with pytest.raises(nldemix.CapabilityError, match="requires a link with a .*; 'sign' has none"):
+        call(_problem("sign"))

@@ -149,6 +149,14 @@ class TestHardThreshold:
         with pytest.raises(ValueError):
             hard_threshold(v, -1)
 
+    @pytest.mark.parametrize("k", [2.5, True, np.nan, "1"])
+    def test_count_must_be_an_integer(self, k):
+        # Unchecked, True would run as k = 1 and 2.5 would reach np.partition.
+        with pytest.raises(ValueError, match="k must be an integer"):
+            hard_threshold(np.array([1.0, -2.0, 3.0]), k)
+        np.testing.assert_array_equal(hard_threshold(np.array([1.0, -2.0]), np.int64(1)),
+                                      [0.0, -2.0])
+
     def test_ties_break_toward_lowest_index(self):
         v = np.array([1.0, -1.0, 1.0, -1.0])
         np.testing.assert_array_equal(
@@ -513,7 +521,10 @@ class TestOneShot:
         )
         res = oneshot(problem0)
         np.testing.assert_array_equal(res.t_hat, np.zeros(64))
+        np.testing.assert_array_equal(res.x_hat, np.zeros(32))
         assert res.converged
+        assert res.iterations_run == 0
+        assert len(res.trace) == 1 and res.trace[0].support_size == 0
 
 
 class TestDht:
