@@ -102,7 +102,7 @@ def link_constants(link: LinkFunction, trials: int, seed: int) -> tuple[float, f
     For unit x the projection <a, x> is exactly N(0, 1), so the constants
     reduce to one-dimensional integrals over Z ~ N(0,1) with y = g(Z).
     """
-    trials = _check_int("trials", trials, 1)
+    trials, seed = _check_int("trials", trials, 1), _check_int("seed", seed, 0)
     z = np.random.default_rng(seed).standard_normal(trials)
     y = link_eval(link, z)
     yz = y * z
@@ -167,7 +167,7 @@ def estimate_rsc_rss(
     if sparsity is None:
         sparsity = min(6 * problem.s, two_n)
     sparsity = _check_int("sparsity", sparsity)
-    num_supports = _check_int("num_supports", num_supports, 0)
+    num_supports, seed = _check_int("num_supports", num_supports, 0), _check_int("seed", seed, 0)
     if sparsity < 1 or sparsity > two_n:
         raise ValueError(f"sparsity must be in [1, {two_n}], got {sparsity}")
 

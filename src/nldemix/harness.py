@@ -63,7 +63,7 @@ class TrialSpec:
     def __post_init__(self) -> None:
         _check_int("n", self.n, 1)
         _check_int("m", self.m, 1)
-        _check_int("seed", self.seed)
+        _check_int("seed", self.seed, 0)
         if _check_int("s", self.s, 0) > self.n:
             raise ValueError(f"s must be in [0, {self.n}], got {self.s}")
         _check_real("success_threshold", self.success_threshold, positive=True)
@@ -117,7 +117,7 @@ def generate_signal(
         raise ValueError(f"s must be at most n, got s={s}, n={n}")
     if dictionary.n != n:
         raise ValueError(f"dictionary dimension {dictionary.n} does not match n={n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int("seed", seed, 0))
     w = np.zeros(n)
     z = np.zeros(n)
     if s > 0:

@@ -5,12 +5,6 @@ requesting its derivative or potential raises :class:`CapabilityError`.
 That statically separates the one-shot path (unknown g, no derivative
 needed) from the descent path (known g).
 
-Derivative bounds (l1, l2) certify l1 <= g'(u) <= l2.  For "linsin"
-(g(u) = 2u + sin u) they hold globally and exactly: (1, 3).  The logistic
-links have g' -> 0 in the tails, so their l1 = g'(20) holds on the working
-interval [-20, 20]; l2 = 1/4 is the global maximum at 0.  No solver reads
-them: they record the known-link analysis's assumption.
-
 Potentials are normalized so Theta(0) = 0, making loss values comparable
 across links.
 """
@@ -21,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-LINK_KINDS = ("sign", "linsin", "logistic", "shifted-logistic")
 
 _LN2 = float(np.log(2.0))
 
@@ -36,15 +28,12 @@ class LinkFunction:
     """Scalar nonlinearity with optional derivative and antiderivative.
 
     eval_fn, deriv_fn, potential_fn operate elementwise on arrays.
-    l1, l2 bound g' on [-20, 20] when deriv_fn is present.
     """
 
     name: str
     eval_fn: Callable[[np.ndarray], np.ndarray]
     deriv_fn: Callable[[np.ndarray], np.ndarray] | None = None
     potential_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    l1: float = 0.0
-    l2: float = 0.0
 
     @property
     def has_derivative(self) -> bool:
@@ -104,31 +93,23 @@ def _shifted_logistic_potential(u: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, u) - _LN2 - 0.5 * u
 
 
+# name -> (g, g', Theta); the two logistic links share g' = p (1 - p).
+_LINKS = {
+    "sign": (np.sign, None, None),
+    "linsin": (_linsin, _linsin_deriv, _linsin_potential),
+    "logistic": (_logistic, _logistic_deriv, _logistic_potential),
+    "shifted-logistic": (_shifted_logistic, _logistic_deriv, _shifted_logistic_potential),
+}
+LINK_KINDS = tuple(_LINKS)
+
+
 def make_link(name: str) -> LinkFunction:
     """Build a link by name: "sign", "linsin", "logistic", "shifted-logistic"."""
-    if name == "sign":
-        return LinkFunction(name="sign", eval_fn=np.sign)
-    if name == "linsin":
-        return LinkFunction(
-            name="linsin",
-            eval_fn=_linsin,
-            deriv_fn=_linsin_deriv,
-            potential_fn=_linsin_potential,
-            l1=1.0,
-            l2=3.0,
-        )
-    if name in ("logistic", "shifted-logistic"):
-        # Both share g' = p (1 - p), so l2 = 1/4 at 0 and l1 = g'(20).
-        shifted = name == "shifted-logistic"
-        return LinkFunction(
-            name=name,
-            eval_fn=_shifted_logistic if shifted else _logistic,
-            deriv_fn=_logistic_deriv,
-            potential_fn=_shifted_logistic_potential if shifted else _logistic_potential,
-            l1=float(_logistic_deriv(np.float64(20.0))),
-            l2=0.25,
-        )
-    raise ValueError(f"unknown link {name!r}; expected one of {LINK_KINDS}")
+    # A non-string (a config file's list, a numpy array) is unknown too, not
+    # a TypeError from the table lookup.
+    if not isinstance(name, str) or name not in LINK_KINDS:
+        raise ValueError(f"unknown link {name!r}; expected one of {LINK_KINDS}")
+    return LinkFunction(name, *_LINKS[name])
 
 
 def link_eval(g: LinkFunction, u):

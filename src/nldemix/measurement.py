@@ -30,7 +30,7 @@ class MeasurementOperator:
     def __init__(self, kind: str, m: int, n: int, seed: int, _pages=None):
         if kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {kind!r}; expected one of {ENSEMBLE_KINDS}")
-        m, n, seed = _check_int("m", m, 1), _check_int("n", n, 1), _check_int("seed", seed)
+        m, n, seed = _check_int("m", m, 1), _check_int("n", n, 1), _check_int("seed", seed, 0)
         if kind == "subfast" and m > n:
             raise ValueError(f"subfast requires m <= n, got m={m}, n={n}")
         self.kind = kind
@@ -104,6 +104,7 @@ def observe(
     """Nonlinear observations y = g(Ax) + e, deterministic given seed; e is
     Gaussian with standard deviation tau, and absent when tau = 0."""
     _check_real("tau", tau, positive=False)
+    seed = _check_int("seed", seed, 0)
     y = link_eval(link, A.apply(_check_vector(x, A.n, "x")))
     if tau > 0:
         y = y + tau * np.random.default_rng(seed).standard_normal(A.m)

@@ -423,17 +423,30 @@ class TestExitCodes:
         assert captured.err.startswith(f"nldemix: error: {setting} must be finite and")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("command, setting", [
+    @pytest.mark.parametrize("command, config, message", [
         (["bench", "--n", "64", "--s", "2", "--m", "60", "--algorithm", "oneshot",
-          "--repeats", "0"], "repeats"),
+          "--repeats", "0"], None, "repeats must be >= 1, got 0"),
         (["phase", "--n", "64", "--algorithm", "oneshot", "--s-list", "2", "--m-list", "60",
-          "--trials", "1", "--workers", "0"], "workers"),
-    ], ids=["bench", "phase"])
-    def test_setting_below_minimum_exits_2(self, capsys, command, setting):
+          "--trials", "1", "--workers", "0"], None, "workers must be >= 1, got 0"),
+        (["trial", "--n", "64", "--s", "2", "--m", "80", "--seed", "-1"], None,
+         "seed must be >= 0, got -1"),
+        (["diag", "linkconst", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+        (["trial"], {"n": 64, "s": 2, "m": 80, "seed": -1}, "seed must be >= 0, got -1"),
+        (["trial"], {"n": 64, "s": 2, "m": 80, "link": ["linsin"]},
+         "unknown link ['linsin']; expected one of "
+         "('sign', 'linsin', 'logistic', 'shifted-logistic')"),
+    ], ids=["bench-repeats", "phase-workers", "trial-seed-flag", "linkconst-seed-flag",
+            "trial-seed-config", "trial-link-list"])
+    def test_rejected_setting_exits_2_with_one_line(self, tmp_path, capsys, command, config,
+                                                    message):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            command = [*command, "--config", str(cfg)]
         assert main(command) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"nldemix: error: {setting} must be >= 1, got 0\n"
+        assert captured.err == f"nldemix: error: {message}\n"
 
     @pytest.mark.parametrize("command, config, code, message", [
         (["phase"], {**PHASE_CONFIG, "s_list": 2}, 2, "s_values must be a sequence of integers"),

@@ -28,21 +28,18 @@ class TestConstruction:
             make_link("relu")
 
     def test_fields_are_pinned(self):
-        # The two logistic links share g', l1 and l2; l1 = g'(20).
-        logistic_l1 = 2.061153613941849e-09
+        # The two logistic links share g'.
         pinned = {
-            "sign": (np.sign, None, None, 0.0, 0.0),
-            "linsin": (links._linsin, links._linsin_deriv, links._linsin_potential, 1.0, 3.0),
-            "logistic": (links._logistic, links._logistic_deriv, links._logistic_potential,
-                         logistic_l1, 0.25),
+            "sign": (np.sign, None, None),
+            "linsin": (links._linsin, links._linsin_deriv, links._linsin_potential),
+            "logistic": (links._logistic, links._logistic_deriv, links._logistic_potential),
             "shifted-logistic": (links._shifted_logistic, links._logistic_deriv,
-                                 links._shifted_logistic_potential, logistic_l1, 0.25),
+                                 links._shifted_logistic_potential),
         }
-        for name, (g, g_prime, theta, l1, l2) in pinned.items():
+        for name, (g, g_prime, theta) in pinned.items():
             link = make_link(name)
             assert (link.name, link.eval_fn, link.deriv_fn, link.potential_fn) == (
                 name, g, g_prime, theta)
-            assert (link.l1, link.l2) == (l1, l2)
 
     def test_capability_flags(self):
         sign = make_link("sign")
@@ -134,7 +131,7 @@ class TestValues:
             assert abs(got_p - want_p) <= 4 * np.spacing(want_p), ui
             assert abs(got_d - want_d) <= 4 * np.spacing(want_d), ui
         want = reference(20.0)[1]
-        assert abs(make_link("logistic").l1 - want) <= 4 * np.spacing(want)
+        assert abs(links._logistic_deriv(np.float64(20.0)) - want) <= 4 * np.spacing(want)
 
     def test_potential_overflow_safe(self):
         for name in ("logistic", "shifted-logistic"):
@@ -185,7 +182,6 @@ class TestCalculusIdentities:
 class TestDerivativeBounds:
     def test_linsin_bounds_global(self):
         g = make_link("linsin")
-        assert (g.l1, g.l2) == (1.0, 3.0)
         u = np.linspace(-50, 50, 10001)
         d = link_deriv(g, u)
         assert d.min() >= 1.0 - 1e-12 and d.max() <= 3.0 + 1e-12
@@ -193,11 +189,10 @@ class TestDerivativeBounds:
     @pytest.mark.parametrize("name", ["logistic", "shifted-logistic"])
     def test_logistic_bounds_on_working_interval(self, name):
         g = make_link(name)
-        l1, l2 = g.l1, g.l2
-        assert l2 == 0.25
+        lower = links._logistic_deriv(np.float64(20.0))
         u = np.linspace(-20.0, 20.0, 40001)
         d = link_deriv(g, u)
-        assert d.max() <= l2 + 1e-12
-        assert d.min() >= l1 * (1 - 1e-12)
-        # bound is attained at the interval edges
-        np.testing.assert_allclose(link_deriv(g, np.array([-20.0, 20.0])), l1, rtol=1e-12)
+        assert d.max() <= 0.25 + 1e-12
+        assert d.min() >= lower * (1 - 1e-12)
+        # the lower bound is attained at the interval edges
+        np.testing.assert_allclose(link_deriv(g, np.array([-20.0, 20.0])), lower, rtol=1e-12)

@@ -19,18 +19,28 @@ def test_every_exported_name_resolves():
 
 
 def test_deleted_aliases_and_bundles_stay_gone():
-    # Each only renamed or bundled names that remain: l1/l2 on LinkFunction,
-    # mutual_coherence and cross_coherence, write_csv on an open file.
+    # derivative_bounds read two link fields that are gone too; the others only
+    # bundled names that remain: mutual_coherence and cross_coherence, write_csv.
     for name in ("derivative_bounds", "coherence_report", "CoherenceReport", "export_csv"):
         assert name not in nldemix.__all__
         assert not hasattr(nldemix, name)
 
 
-def test_links_take_no_working_interval():
-    # l1, l2 hold on the fixed interval [-20, 20]; no solver reads them, so a
-    # radius setting changed no result.
+def test_a_link_is_its_name_and_three_functions():
+    # No solver stepped by derivative bounds or a working interval, so a link
+    # carries neither: it is its name plus (g, g', Theta).
     assert list(inspect.signature(nldemix.make_link).parameters) == ["name"]
-    assert "radius" not in {f.name for f in dataclasses.fields(nldemix.LinkFunction)}
+    assert [f.name for f in dataclasses.fields(nldemix.LinkFunction)] == [
+        "name", "eval_fn", "deriv_fn", "potential_fn"]
+    # The CLI's --link choices list the links in this order.
+    assert nldemix.links.LINK_KINDS == ("sign", "linsin", "logistic", "shifted-logistic")
+
+
+@pytest.mark.parametrize("name", [["linsin"], {"linsin": 1}, np.array(["linsin"]), None],
+                         ids=["list", "dict", "array", "None"])
+def test_unknown_link_is_a_value_error(name):
+    with pytest.raises(ValueError, match=r"^unknown link .*; expected one of \('sign', "):
+        nldemix.make_link(name)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +114,18 @@ def test_per_iteration_entries_do_not_check_finiteness():
     (lambda: nldemix.TrialSpec(n=0), "n must be >= 1, got 0"),
     (lambda: nldemix.TrialSpec(m=0), "m must be >= 1, got 0"),
     (lambda: nldemix.TrialSpec(s=-1), "s must be >= 0, got -1"),
-], ids=["Basis-n", "operator-m", "operator-n", "TrialSpec-n", "TrialSpec-m", "TrialSpec-s"])
+    (lambda: nldemix.TrialSpec(seed=-1), "seed must be >= 0, got -1"),
+    (lambda: nldemix.sample_operator("gaussian", 4, 4, -1), "seed must be >= 0, got -1"),
+    (lambda: nldemix.generate_signal(N, 2, -1, _problem().dictionary),
+     "seed must be >= 0, got -1"),
+    (lambda: nldemix.observe(_problem().A, nldemix.make_link("linsin"), np.zeros(N), seed=-1),
+     "seed must be >= 0, got -1"),
+    (lambda: nldemix.link_constants(nldemix.make_link("sign"), 10, -1),
+     "seed must be >= 0, got -1"),
+    (lambda: nldemix.estimate_rsc_rss(_problem(), seed=-1), "seed must be >= 0, got -1"),
+], ids=["Basis-n", "operator-m", "operator-n", "TrialSpec-n", "TrialSpec-m", "TrialSpec-s",
+        "TrialSpec-seed", "operator-seed", "generate_signal-seed", "observe-seed",
+        "link_constants-seed", "estimate_rsc_rss-seed"])
 def test_sizes_below_minimum_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
