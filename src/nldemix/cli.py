@@ -201,12 +201,15 @@ def _cmd_bench(merged: dict, parser):
 
 
 def _cmd_coherence(merged: dict, parser):
-    spec = _make_spec(merged)
+    # The ensemble is read only when m is given, so it stays out of the spec,
+    # where the default m could fail its subfast m <= n check.
+    spec = _make_spec({k: v for k, v in merged.items() if k != "ensemble"})
     d = Dictionary(Basis(spec.basis_phi, spec.n), Basis(spec.basis_psi, spec.n))
     gamma = mutual_coherence(d)
     vartheta = ""
     if "ensemble" in merged and "m" in merged:
-        vartheta = cross_coherence(sample_operator(spec.ensemble, spec.m, spec.n, spec.seed), d)
+        A = sample_operator(merged["ensemble"], spec.m, spec.n, spec.seed)
+        vartheta = cross_coherence(A, d)
     return [{"basis_phi": spec.basis_phi, "basis_psi": spec.basis_psi,
              "n": spec.n, "s": spec.s, "gamma": gamma,
              "epsilon_bound": spec.s * gamma, "vartheta": vartheta}]

@@ -6,8 +6,9 @@ nonzero off-diagonal entries live in the cross block Phi^T Psi, so gamma is
 the largest absolute entry of that block.  The incoherence of an s-sparse
 pair is bounded by s * gamma.
 
-RSC/RSS estimation samples index sets xi of a given size, forms the
-restricted Hessian
+RSC/RSS estimation probes index sets xi of a given size (the top support
+of a reference point t_ref and seeded random sets), forms the restricted
+Hessian
 
     H_xi = (1/m) (A Gamma_xi)^T diag(g'(A Gamma t_ref)) (A Gamma_xi)
 
@@ -123,19 +124,24 @@ def _atoms(d: Dictionary, idx: np.ndarray) -> np.ndarray:
     return atoms
 
 
+# Atoms per block of a subfast restricted Gram factor: 4 x n floats at a time.
+_GRAM_BLOCK = 4
+
+
 def _restricted_gram_factor(problem: DemixProblem, idx: np.ndarray) -> np.ndarray:
     """G = A Gamma_xi (m x |xi|).
 
-    On a subfast A the atoms go through A 16 at a time, so no |xi| x n
-    array is held.  On a dense A an identity-basis column of Gamma selects a
-    column of A, so only the atoms of the other bases are multiplied through.
+    On a subfast A the atoms go through A _GRAM_BLOCK at a time, so no
+    |xi| x n array is held.  On a dense A an identity-basis column of Gamma
+    selects a column of A, so only the atoms of the other bases are
+    multiplied through.
     """
     A, d = problem.A, problem.dictionary
     idx = np.asarray(idx)
     G = np.empty((A.m, idx.size))
     if A.kind == "subfast":
-        for lo in range(0, idx.size, 16):
-            G[:, lo : lo + 16] = A.apply(_atoms(d, idx[lo : lo + 16])).T
+        for lo in range(0, idx.size, _GRAM_BLOCK):
+            G[:, lo : lo + _GRAM_BLOCK] = A.apply(_atoms(d, idx[lo : lo + _GRAM_BLOCK])).T
         return G
     ident = np.where(idx < d.n, d.phi.kind == "identity", d.psi.kind == "identity")
     G[:, ident] = A.dense()[:, idx[ident] % d.n]
@@ -150,17 +156,18 @@ def estimate_rsc_rss(
     sparsity: int | None = None,
     num_supports: int = 8,
     seed: int = 0,
-    extra_supports: tuple[np.ndarray, ...] = (),
     *,
     u_ref: np.ndarray | None = None,
 ) -> RscRssEstimate:
     """Sampled restricted strong convexity/smoothness bounds.
 
-    Probes the top-|sparsity| support of t_ref (when given), num_supports
-    random supports, and any extra_supports (e.g. sets visited by a solver
-    trace); returns the running min/max eigenvalues across probes.  u_ref,
-    when given, is the forward product A Gamma t_ref a caller already holds;
-    it is used as is instead of being recomputed.
+    Probes the top-|sparsity| support of t_ref whenever t_ref is given (an
+    all-zero t_ref included), then num_supports random supports drawn from
+    seed, and nothing else; a call that names no support raises ValueError.
+    Each H_xi takes g' at u_ref = A Gamma t_ref, with t_ref = 0 when
+    omitted; a caller that already holds u_ref passes it, and it is used as
+    is instead of being recomputed.  Returns the min/max eigenvalues across
+    probes.
     """
     _require(problem.link, "estimate_rsc_rss", derivative=True)
     two_n = 2 * problem.n
@@ -170,40 +177,26 @@ def estimate_rsc_rss(
     num_supports, seed = _check_int("num_supports", num_supports, 0), _check_int("seed", seed, 0)
     if sparsity < 1 or sparsity > two_n:
         raise ValueError(f"sparsity must be in [1, {two_n}], got {sparsity}")
+    if t_ref is None and num_supports == 0:
+        raise ValueError("estimate_rsc_rss probes no support: pass t_ref or num_supports >= 1")
 
-    t_ref = np.zeros(two_n) if t_ref is None else _check_vector(t_ref, two_n, "t_ref", finite=True)
+    supports: list[np.ndarray] = []
+    if t_ref is None:
+        t_ref = np.zeros(two_n)
+    else:
+        t_ref = _check_vector(t_ref, two_n, "t_ref", finite=True)
+        supports.append(np.argsort(-np.abs(t_ref), kind="stable")[:sparsity])
+    rng = np.random.default_rng(seed)
+    supports += [rng.choice(two_n, size=sparsity, replace=False) for _ in range(num_supports)]
     if u_ref is None:
         u_ref = problem.A.apply(dict_apply(problem.dictionary, t_ref))
     else:
         u_ref = _check_vector(u_ref, problem.A.m, "u_ref", finite=True)
     gp = link_deriv(problem.link, u_ref)
 
-    supports: list[np.ndarray] = []
-    if np.any(t_ref != 0) or num_supports == 0:
-        supports.append(np.argsort(-np.abs(t_ref), kind="stable")[:sparsity])
-    rng = np.random.default_rng(seed)
-    for _ in range(num_supports):
-        supports.append(rng.choice(two_n, size=sparsity, replace=False))
-    for extra in extra_supports:
-        idx = np.asarray(extra)
-        if (idx.shape != (sparsity,) or idx.dtype.kind not in "iu" or idx.min() < 0
-                or idx.max() >= two_n or np.unique(idx).size != sparsity):
-            raise ValueError(
-                f"an extra support must be {sparsity} distinct integers in [0, {two_n}), "
-                f"got {extra!r}"
-            )
-        supports.append(idx)
-
-    m_hat = np.inf
-    M_hat = -np.inf
+    m_hat, M_hat = np.inf, -np.inf
     for idx in supports:
         G = _restricted_gram_factor(problem, idx)
         eigs = np.linalg.eigvalsh((G.T * gp) @ G / problem.A.m)
-        M_hat = max(M_hat, float(eigs[-1]))
-        m_hat = min(m_hat, float(eigs[0]))
-    return RscRssEstimate(
-        m_hat=float(m_hat),
-        M_hat=float(M_hat),
-        supports_probed=len(supports),
-        sparsity_level=sparsity,
-    )
+        m_hat, M_hat = min(m_hat, float(eigs[0])), max(M_hat, float(eigs[-1]))
+    return RscRssEstimate(m_hat, M_hat, len(supports), sparsity)

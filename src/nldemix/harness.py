@@ -21,7 +21,7 @@ import numpy as np
 
 from .diagnostics import cosine_similarity
 from .links import make_link
-from .measurement import observe, sample_operator
+from .measurement import _check_ensemble, observe, sample_operator
 from .solvers import (
     DemixProblem,
     SolveResult,
@@ -72,6 +72,10 @@ class TrialSpec:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         _check_real("tau", self.tau, positive=False)
+        # The checks the instance build runs, so a bad spec fails here, not in a worker.
+        Dictionary(Basis(self.basis_phi, self.n), Basis(self.basis_psi, self.n))
+        make_link(self.link)
+        _check_ensemble(self.ensemble, self.m, self.n)
 
 
 @dataclass(frozen=True)
@@ -262,8 +266,8 @@ def run_phase_grid(
     for name, values in (("s_values", s_values), ("m_values", m_values)):
         if isinstance(values, str) or not np.iterable(values):
             raise ValueError(f"{name} must be a sequence of integers, got {values!r}")
-    s_values = tuple(_check_int("s", s) for s in s_values)
-    m_values = tuple(_check_int("m", m) for m in m_values)
+    s_values = tuple(_check_int("s", s, 0) for s in s_values)
+    m_values = tuple(_check_int("m", m, 1) for m in m_values)
     trials = _check_int("trials", trials, 1)
     _check_int("workers", workers, 1)
     names = (base.algorithm,) if algorithms is None else tuple(algorithms)

@@ -18,6 +18,14 @@ from .transforms import _check_int, _check_last_axis, _check_real, _check_vector
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "subfast")
 
 
+def _check_ensemble(kind: str, m: int, n: int) -> None:
+    """ValueError unless `kind` is an ensemble that can draw an m x n operator."""
+    if kind not in ENSEMBLE_KINDS:
+        raise ValueError(f"unknown ensemble kind {kind!r}; expected one of {ENSEMBLE_KINDS}")
+    if kind == "subfast" and m > n:
+        raise ValueError(f"subfast requires m <= n, got m={m}, n={n}")
+
+
 class MeasurementOperator:
     """m x n measurement map; construct via :func:`sample_operator`.
 
@@ -28,11 +36,8 @@ class MeasurementOperator:
     """
 
     def __init__(self, kind: str, m: int, n: int, seed: int, _pages=None):
-        if kind not in ENSEMBLE_KINDS:
-            raise ValueError(f"unknown ensemble kind {kind!r}; expected one of {ENSEMBLE_KINDS}")
         m, n, seed = _check_int("m", m, 1), _check_int("n", n, 1), _check_int("seed", seed, 0)
-        if kind == "subfast" and m > n:
-            raise ValueError(f"subfast requires m <= n, got m={m}, n={n}")
+        _check_ensemble(kind, m, n)
         self.kind = kind
         self.m = m
         self.n = n

@@ -201,13 +201,13 @@ def soft_threshold(v: np.ndarray, lam: float) -> np.ndarray:
 
 
 def project_l1_ball(v: np.ndarray, r: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball of finite radius r > 0.
+    """Euclidean projection of a finite v onto the l1 ball of finite radius r > 0.
 
     Returns v unchanged when already feasible; otherwise soft-thresholds by
     the unique lambda making the l1 norm equal r (sort-based exact rule).
     """
     _check_real("radius", r, positive=True)
-    v = np.asarray(v, dtype=float)
+    v = _check_vector(v, np.size(v), "v", finite=True)
     a = np.abs(v)
     if a.sum() <= r:
         return v.copy()
@@ -317,7 +317,7 @@ def _resolve_step(problem: DemixProblem, config: SolverConfig, t0: np.ndarray,
     # u0 = A Gamma t0, which the solver needs for its initial objective anyway.
     if not isinstance(config.step_size, str):
         return float(config.step_size)
-    est = diagnostics.estimate_rsc_rss(problem, t_ref=t0, num_supports=0, seed=0, u_ref=u0)
+    est = diagnostics.estimate_rsc_rss(problem, t_ref=t0, num_supports=0, u_ref=u0)
     if not np.isfinite(est.M_hat) or est.M_hat <= 1e-12:
         raise RuntimeError(
             f"auto step failed: smoothness estimate M_hat={est.M_hat} is not usable"

@@ -158,6 +158,13 @@ class TestDiagCommand:
         A = sample_operator("gaussian", 32, 64, TrialSpec().seed)
         assert float(row["vartheta"]) == cross_coherence(A, d)
 
+    def test_coherence_ensemble_without_m_is_not_read(self, capsys):
+        # The default m = 500 exceeds n = 64, which a subfast operator rejects.
+        assert main(["diag", "coherence", "--n", "64", "--ensemble", "subfast"]) == 0
+        assert rows_from(capsys.readouterr().out)[0]["vartheta"] == ""
+        assert main(["diag", "coherence", "--n", "64", "--ensemble", "subfast", "--m", "65"]) == 2
+        assert "subfast requires m <= n, got m=65, n=64" in capsys.readouterr().err
+
     def test_rscrss_interval(self, capsys):
         args = ["diag", "rscrss", "--n", "128", "--s", "3", "--m", "200",
                 "--num-supports", "2", "--seed", "3"]

@@ -176,20 +176,29 @@ def restricted_hessian(problem, t_ref, idx):
     return (M.T * gp) @ M / problem.A.m
 
 
+def with_top_support(two_n, idx):
+    """A reference point whose top-|idx| support is exactly the set idx."""
+    t = np.zeros(two_n)
+    t[np.asarray(idx)] = 1.0
+    return t
+
+
+def random_supports(two_n, k, count, seed):
+    """The random supports estimate_rsc_rss(num_supports=count, seed=seed) probes."""
+    rng = np.random.default_rng(seed)
+    return [rng.choice(two_n, size=k, replace=False) for _ in range(count)]
+
+
 class TestRscRssEstimate:
     @pytest.mark.parametrize("ensemble", ["gaussian", "subfast"])
     def test_matches_dense_eigenvalues_on_chosen_supports(self, ensemble):
         n, s, m, k = 48, 2, 40, 6
         problem, _ = planted_instance(n, s, m, seed=60, ensemble=ensemble)
-        rng = np.random.default_rng(61)
-        extras = tuple(rng.choice(2 * n, size=k, replace=False) for _ in range(3))
-        # t_ref omitted and num_supports=0 pins the probe list to the first
-        # k stacked indices plus the extras, so the oracle can replay it.
-        est = estimate_rsc_rss(
-            problem, sparsity=k, num_supports=0, extra_supports=extras
-        )
+        # An all-zero t_ref probes its stable top support, the first k
+        # stacked indices, and then the three seeded random supports.
         zero_ref = np.zeros(2 * n)
-        supports = [np.arange(k)] + [np.asarray(e) for e in extras]
+        est = estimate_rsc_rss(problem, t_ref=zero_ref, sparsity=k, num_supports=3, seed=61)
+        supports = [np.arange(k)] + random_supports(2 * n, k, 3, seed=61)
         eigs = [
             np.linalg.eigvalsh(restricted_hessian(problem, zero_ref, idx))
             for idx in supports
@@ -210,37 +219,45 @@ class TestRscRssEstimate:
         rng = np.random.default_rng(69)
         # Atoms 0 and n are both the constant vector for dct+haar; a support
         # holding both makes H singular, where no rtol is meaningful.
-        extras = (
+        chosen = (
             np.r_[1:1 + k // 2, n + 1:n + 1 + k // 2],
             np.r_[n - 1, 2 * n - 1, rng.choice(np.r_[1:n - 1, n + 1:2 * n - 1], k - 2,
                                                replace=False)],
             rng.choice(2 * n, size=k, replace=False),
         )
-        est = estimate_rsc_rss(problem, t_ref=t_star, sparsity=k, num_supports=0,
-                               extra_supports=extras)
         top = np.argsort(-np.abs(t_star), kind="stable")[:k]
-        eigs = [
-            np.linalg.eigvalsh(restricted_hessian(problem, t_star, idx))
-            for idx in (top, *extras)
-        ]
-        assert est.supports_probed == 4
-        np.testing.assert_allclose(est.M_hat, max(e[-1] for e in eigs), rtol=1e-10)
-        np.testing.assert_allclose(est.m_hat, min(e[0] for e in eigs), rtol=1e-10)
+        # Each t_ref probes its own top support alone, with g' taken there.
+        for t_ref, idx in [(t_star, top)] + [(with_top_support(2 * n, c), c) for c in chosen]:
+            est = estimate_rsc_rss(problem, t_ref=t_ref, sparsity=k, num_supports=0)
+            eigs = np.linalg.eigvalsh(restricted_hessian(problem, t_ref, idx))
+            assert est.supports_probed == 1
+            np.testing.assert_allclose(est.M_hat, eigs[-1], rtol=1e-10)
+            np.testing.assert_allclose(est.m_hat, eigs[0], rtol=1e-10)
 
     def test_reference_point_enters_through_derivative(self):
+        # The random support is probed with g' at t_star, not at the origin.
         n, s, m = 24, 2, 40
         problem, t_star = planted_instance(n, s, m, seed=62)
-        est = estimate_rsc_rss(
-            problem, t_ref=t_star, sparsity=6, num_supports=0,
-            extra_supports=(np.arange(6),),
-        )
+        est = estimate_rsc_rss(problem, t_ref=t_star, sparsity=6, num_supports=1, seed=62)
         idx_top = np.argsort(-np.abs(t_star), kind="stable")[:6]
         eigs = [
             np.linalg.eigvalsh(restricted_hessian(problem, t_star, idx))
-            for idx in (idx_top, np.arange(6))
+            for idx in (idx_top, *random_supports(2 * n, 6, 1, seed=62))
         ]
+        assert est.supports_probed == 2
         np.testing.assert_allclose(est.M_hat, max(e[-1] for e in eigs), rtol=1e-5)
         np.testing.assert_allclose(est.m_hat, min(e[0] for e in eigs), rtol=1e-5)
+
+    def test_probes_the_t_ref_support_then_the_random_ones(self):
+        problem, t_star = planted_instance(16, 2, 20, seed=66)
+        est = estimate_rsc_rss(problem, t_ref=np.zeros(32), num_supports=3)
+        assert est.supports_probed == 4
+        assert estimate_rsc_rss(problem, num_supports=3).supports_probed == 3
+        assert estimate_rsc_rss(problem, t_star, num_supports=0).supports_probed == 1
+        with pytest.raises(ValueError, match="probes no support"):
+            estimate_rsc_rss(problem, num_supports=0)
+        with pytest.raises(ValueError, match="probes no support"):
+            estimate_rsc_rss(problem, num_supports=0, u_ref=np.zeros(20))
 
     def test_interval_sane_and_ordered(self):
         problem, t_star = planted_instance(64, 3, 200, seed=63)
@@ -280,10 +297,6 @@ class TestRscRssEstimate:
             estimate_rsc_rss(problem, sparsity=33)
         with pytest.raises(ValueError):
             estimate_rsc_rss(problem, t_ref=np.zeros(5))
-        with pytest.raises(ValueError):
-            estimate_rsc_rss(
-                problem, sparsity=4, extra_supports=(np.arange(3),)
-            )
         with pytest.raises(ValueError, match="num_supports must be >= 0, got -1"):
             estimate_rsc_rss(problem, num_supports=-1)
         for bad in (True, 2.5, np.nan, "4"):
@@ -293,20 +306,6 @@ class TestRscRssEstimate:
         est = estimate_rsc_rss(problem, t_star, sparsity=np.int64(4), num_supports=np.int32(2))
         assert est == estimate_rsc_rss(problem, t_star, sparsity=4, num_supports=2)
         assert type(est.sparsity_level) is int
-
-    @pytest.mark.parametrize("extra", [
-        [0, 99], [-1, 3], [1, 1], [0.5, 1.0], [[0, 1]], [True, False],
-    ], ids=["beyond-2n", "negative", "repeated", "float", "2-D", "bool"])
-    def test_extra_support_must_be_distinct_indices_in_range(self, extra):
-        # 2n = 32.  Unchecked, 99 and -1 would wrap to an atom, a repeated
-        # index would make H_xi singular (m_hat = 0), and floats cannot index.
-        problem, _ = planted_instance(16, 2, 20, seed=66)
-        with pytest.raises(ValueError,
-                           match=r"extra support must be 2 distinct integers in \[0, 32\)"):
-            estimate_rsc_rss(problem, sparsity=2, num_supports=0, extra_supports=(extra,))
-        est = estimate_rsc_rss(problem, sparsity=2, num_supports=0,
-                               extra_supports=([0, 31], np.array([5, 17], dtype=np.uint8)))
-        assert est.supports_probed == 3
 
     def test_sign_link_rejected(self):
         problem, _ = planted_instance(16, 2, 20, link_name="sign", seed=67)
@@ -338,7 +337,7 @@ class TestRestrictedGramFactor:
         n, m = 64, 40
         problem, _ = planted_instance(n, 2, m, seed=70, phi=phi, psi=psi, ensemble=ensemble)
         A, d = problem.A, problem.dictionary
-        # more than one 16-atom block, from both halves of the stack
+        # many atom blocks, the last one partial, from both halves of the stack
         idx = np.random.default_rng(71).choice(2 * n, size=37, replace=False)
         G = _restricted_gram_factor(problem, idx)
 
@@ -359,7 +358,8 @@ class TestRestrictedGramFactor:
         np.testing.assert_array_equal(G.view(np.int64), oracle.view(np.int64))
 
     def test_subfast_holds_no_full_atom_matrix(self):
-        # One 120 x 2^16 float array is 60 MiB; a 16-atom block is 8 MiB.
+        # One 120 x 2^16 float array is 60 MiB; a 4-atom block is 2 MiB, and
+        # the whole factor peaks near 12 MiB (34 MiB with 16-atom blocks).
         n, m = 2**16, 2000
         problem, _ = planted_instance(n, 2, m, seed=72, phi="identity", psi="dct",
                                       ensemble="subfast")
@@ -371,4 +371,4 @@ class TestRestrictedGramFactor:
         finally:
             tracemalloc.stop()
         assert G.shape == (m, 120)
-        assert peak < 96 * 2**20
+        assert peak < 24 * 2**20

@@ -119,6 +119,19 @@ class TestTrialSpecValidation:
         spec = TrialSpec(n=np.int64(16), s=np.int32(2), m=np.uint16(8), seed=np.uint64(7))
         assert (spec.n, spec.s, spec.m, spec.seed) == (16, 2, 8, 7)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(link="foo"), "unknown link 'foo'; expected one of"),
+        (dict(ensemble="bar"), "unknown ensemble kind 'bar'; expected one of"),
+        (dict(basis_phi="baz"), "unknown basis kind 'baz'; expected one of"),
+        (dict(n=100, basis_psi="haar"), "haar basis requires n to be a power of two, got 100"),
+        (dict(n=64, m=5000, ensemble="subfast"), "subfast requires m <= n, got m=5000, n=64"),
+    ], ids=["link", "ensemble", "basis", "haar-n", "subfast-m"])
+    def test_rejects_what_its_build_would_reject(self, kwargs, message):
+        # Unchecked, each would fail only inside run_trial, in a worker process
+        # when workers > 1; the message is the build's own.
+        with pytest.raises(ValueError, match=f"^{message}"):
+            TrialSpec(**kwargs)
+
     def test_spec_with_array_init_compares_and_hashes(self):
         def spec(init):
             return TrialSpec(n=16, s=1, m=8, solver=SolverConfig(init=init))
@@ -413,6 +426,11 @@ class TestRunPhaseGrid:
             run_phase_grid([2], [100], trials=0, base=base)
         with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
             run_phase_grid([2], [100], trials=2, base=base, workers=0)
+        # Unchecked, these reach the seed derivation and fail inside numpy.
+        with pytest.raises(ValueError, match="s must be >= 0, got -1"):
+            run_phase_grid([-1], [100], trials=1, base=base)
+        with pytest.raises(ValueError, match="m must be >= 1, got -5"):
+            run_phase_grid([2], [-5], trials=1, base=base)
         for name, kw in (("s_values", dict(s_values=2)), ("s_values", dict(s_values="2,3")),
                          ("m_values", dict(m_values=100)), ("m_values", dict(m_values="100"))):
             args = {"s_values": [2], "m_values": [100], "trials": 1, **kw}
@@ -482,6 +500,37 @@ class TestRunBenchmark:
         monkeypatch.setattr(diagnostics, "estimate_rsc_rss", counted)
         run_benchmark([small_spec(algorithm="dht")], repeats=3)
         assert len(estimates) == 3
+
+
+class TestCallTimeLookups:
+    """Names that are looked up when called, so that patching them reaches
+    every later call; the benchmark's solve capture and tracer rely on it."""
+
+    @staticmethod
+    def spy_on(monkeypatch, module, name) -> list:
+        calls = []
+        fn = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("name, algorithm", [
+        ("oneshot", "oneshot"), ("dht", "dht"), ("dst", "dst"), ("nlcd_lasso", "nlcdlasso"),
+    ])
+    def test_run_trial_calls_the_solver_in_harness_globals(self, monkeypatch, name, algorithm):
+        calls = self.spy_on(monkeypatch, harness, name)
+        run_trial(small_spec(algorithm=algorithm, solver=SolverConfig(max_iters=5)))
+        assert calls == [name]
+
+    def test_auto_step_calls_the_estimate_in_diagnostics(self, monkeypatch):
+        calls = self.spy_on(monkeypatch, diagnostics, "estimate_rsc_rss")
+        problem = harness._build_instance(small_spec())[0]
+        harness.dht(problem, SolverConfig(max_iters=5))
+        assert calls == ["estimate_rsc_rss"]
 
 
 class TestCsv:

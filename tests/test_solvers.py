@@ -303,6 +303,16 @@ class TestProjectL1Ball:
         with pytest.raises(ValueError):
             project_l1_ball(np.ones(3), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        # Unchecked, NaN leaves no index for the threshold and numpy raises IndexError.
+        with pytest.raises(ValueError, match="v must be finite; it holds NaN or infinite"):
+            project_l1_ball(np.array([bad, 1.0, 2.0]), 1.0)
+
+    def test_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"v must be a vector of length 4, got shape \(2, 2\)"):
+            project_l1_ball(np.ones((2, 2)), 1.0)
+
 
 class TestProblemValidation:
     def test_dimension_mismatches(self):
