@@ -35,7 +35,7 @@ from .harness import (
 from .links import CapabilityError, LINK_KINDS, make_link
 from .measurement import ENSEMBLE_KINDS, sample_operator
 from .solvers import INIT_MODES, PROJECTION_MODES, SolverConfig
-from .transforms import BASIS_KINDS, Basis, Dictionary, stack_constituents
+from .transforms import _check_choice, BASIS_KINDS, Basis, Dictionary, stack_constituents
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract reserves 2 for
@@ -185,7 +185,9 @@ def _cmd_phase(merged: dict, parser):
 
 
 def _cmd_bench(merged: dict, parser):
-    names = merged["algorithms"] if "algorithms" in merged else merged.get("algorithm", "oneshot")
+    if "algorithm" in merged and "algorithms" in merged:
+        parser.error("bench takes --algorithm or --algorithms, not both")
+    names = merged.get("algorithms", merged.get("algorithm", "oneshot"))
     if isinstance(names, str):
         names = [p.strip() for p in names.split(",") if p.strip()]
     elif not isinstance(names, list):
@@ -193,23 +195,22 @@ def _cmd_bench(merged: dict, parser):
     if not names:
         parser.error("bench needs at least one algorithm")
     for name in names:
-        if name not in ALGORITHMS:
-            parser.error(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+        try:
+            _check_choice("algorithm", name, ALGORITHMS)
+        except ValueError as exc:
+            parser.error(str(exc))
     base = _make_spec(merged)
     specs = [replace(base, algorithm=name) for name in names]
     return run_benchmark(specs, **_given(merged, "repeats"))
 
 
 def _cmd_coherence(merged: dict, parser):
-    # The ensemble is read only when m is given, so it stays out of the spec,
-    # where the default m could fail its subfast m <= n check.
-    spec = _make_spec({k: v for k, v in merged.items() if k != "ensemble"})
+    spec = _make_spec(merged)
     d = Dictionary(Basis(spec.basis_phi, spec.n), Basis(spec.basis_psi, spec.n))
     gamma = mutual_coherence(d)
     vartheta = ""
-    if "ensemble" in merged and "m" in merged:
-        A = sample_operator(merged["ensemble"], spec.m, spec.n, spec.seed)
-        vartheta = cross_coherence(A, d)
+    if "ensemble" in merged or "m" in merged:  # the spec defaults the other
+        vartheta = cross_coherence(sample_operator(spec.ensemble, spec.m, spec.n, spec.seed), d)
     return [{"basis_phi": spec.basis_phi, "basis_psi": spec.basis_psi,
              "n": spec.n, "s": spec.s, "gamma": gamma,
              "epsilon_bound": spec.s * gamma, "vartheta": vartheta}]

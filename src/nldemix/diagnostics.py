@@ -48,10 +48,8 @@ class RscRssEstimate:
 
 def cosine_similarity(x: np.ndarray, x_hat: np.ndarray) -> float:
     """x^T x_hat / (||x|| ||x_hat||); errors on zero vectors."""
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    if x.shape != x_hat.shape or x.ndim != 1:
-        raise ValueError(f"inputs must be vectors of equal length, got {x.shape}, {x_hat.shape}")
+    x = _check_vector(x, np.size(x), "x")
+    x_hat = _check_vector(x_hat, x.size, "x_hat")
     nx = np.linalg.norm(x)
     nh = np.linalg.norm(x_hat)
     if nx == 0 or nh == 0:
@@ -173,10 +171,8 @@ def estimate_rsc_rss(
     two_n = 2 * problem.n
     if sparsity is None:
         sparsity = min(6 * problem.s, two_n)
-    sparsity = _check_int("sparsity", sparsity)
+    sparsity = _check_int("sparsity", sparsity, 1, two_n)
     num_supports, seed = _check_int("num_supports", num_supports, 0), _check_int("seed", seed, 0)
-    if sparsity < 1 or sparsity > two_n:
-        raise ValueError(f"sparsity must be in [1, {two_n}], got {sparsity}")
     if t_ref is None and num_supports == 0:
         raise ValueError("estimate_rsc_rss probes no support: pass t_ref or num_supports >= 1")
 

@@ -31,7 +31,9 @@ from .solvers import (
     nlcd_lasso,
     oneshot,
 )
-from .transforms import _check_int, _check_real, Basis, Dictionary, dict_apply, stack_constituents
+from .transforms import (
+    _check_choice, _check_int, _check_real, Basis, Dictionary, dict_apply, stack_constituents,
+)
 
 ALGORITHMS = ("oneshot", "dht", "dst", "nlcdlasso")
 
@@ -64,13 +66,13 @@ class TrialSpec:
         _check_int("n", self.n, 1)
         _check_int("m", self.m, 1)
         _check_int("seed", self.seed, 0)
-        if _check_int("s", self.s, 0) > self.n:
-            raise ValueError(f"s must be in [0, {self.n}], got {self.s}")
+        _check_int("s", self.s, 0, self.n)
         _check_real("success_threshold", self.success_threshold, positive=True)
         if self.success_threshold > 1.0:
             raise ValueError(f"success threshold must be in (0, 1], got {self.success_threshold}")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
+        _check_choice("algorithm", self.algorithm, ALGORITHMS)
+        if not isinstance(self.solver, SolverConfig):
+            raise ValueError(f"solver must be a SolverConfig, got {type(self.solver).__name__}")
         _check_real("tau", self.tau, positive=False)
         # The checks the instance build runs, so a bad spec fails here, not in a worker.
         Dictionary(Basis(self.basis_phi, self.n), Basis(self.basis_psi, self.n))
@@ -117,8 +119,7 @@ def generate_signal(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw s-sparse w, z with +/-1 entries on independent uniform supports
     and return (w, z, x) with x = Phi w + Psi z.  Deterministic in seed."""
-    if _check_int("s", s, 0) > n:
-        raise ValueError(f"s must be at most n, got s={s}, n={n}")
+    _check_int("s", s, 0, _check_int("n", n, 1))
     if dictionary.n != n:
         raise ValueError(f"dictionary dimension {dictionary.n} does not match n={n}")
     rng = np.random.default_rng(_check_int("seed", seed, 0))

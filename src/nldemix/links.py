@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from .transforms import _check_choice
+
 _LN2 = float(np.log(2.0))
 
 
@@ -105,11 +107,7 @@ LINK_KINDS = tuple(_LINKS)
 
 def make_link(name: str) -> LinkFunction:
     """Build a link by name: "sign", "linsin", "logistic", "shifted-logistic"."""
-    # A non-string (a config file's list, a numpy array) is unknown too, not
-    # a TypeError from the table lookup.
-    if not isinstance(name, str) or name not in LINK_KINDS:
-        raise ValueError(f"unknown link {name!r}; expected one of {LINK_KINDS}")
-    return LinkFunction(name, *_LINKS[name])
+    return LinkFunction(name, *_LINKS[_check_choice("link", name, LINK_KINDS)])
 
 
 def link_eval(g: LinkFunction, u):

@@ -13,16 +13,16 @@ from __future__ import annotations
 import numpy as np
 
 from .links import LinkFunction, link_eval
-from .transforms import _check_int, _check_last_axis, _check_real, _check_vector, _dct2, _dct3
+from .transforms import (
+    _check_choice, _check_int, _check_last_axis, _check_real, _check_vector, _dct2, _dct3,
+)
 
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "subfast")
 
 
 def _check_ensemble(kind: str, m: int, n: int) -> None:
     """ValueError unless `kind` is an ensemble that can draw an m x n operator."""
-    if kind not in ENSEMBLE_KINDS:
-        raise ValueError(f"unknown ensemble kind {kind!r}; expected one of {ENSEMBLE_KINDS}")
-    if kind == "subfast" and m > n:
+    if _check_choice("ensemble kind", kind, ENSEMBLE_KINDS) == "subfast" and m > n:
         raise ValueError(f"subfast requires m <= n, got m={m}, n={n}")
 
 

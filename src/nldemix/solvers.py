@@ -44,7 +44,7 @@ from . import diagnostics
 from .links import _require, LinkFunction, link_deriv, link_eval, link_potential
 from .measurement import MeasurementOperator
 from .transforms import (
-    _check_int, _check_real, _check_vector, Dictionary, dict_adjoint, dict_apply,
+    _check_choice, _check_int, _check_real, _check_vector, Dictionary, dict_adjoint, dict_apply,
     split_constituents,
 )
 
@@ -77,8 +77,7 @@ class DemixProblem:
                 f"operator columns ({self.A.n}) and dictionary dimension "
                 f"({self.dictionary.n}) disagree"
             )
-        if _check_int("s", self.s, 0) > self.A.n:
-            raise ValueError(f"sparsity target {self.s} exceeds dimension {self.A.n}")
+        _check_int("s", self.s, 0, self.A.n)
 
     @property
     def n(self) -> int:
@@ -109,22 +108,17 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self) -> None:
-        if self.step_size != "auto":
+        if not isinstance(self.step_size, str) or self.step_size != "auto":
             _check_real("step_size", self.step_size, positive=True)
         _check_int("max_iters", self.max_iters, 1)
         _check_real("rel_tol", self.rel_tol, positive=True)
-        if isinstance(self.init, str):
-            if self.init not in INIT_MODES:
-                raise ValueError(f"init must be one of {INIT_MODES} or an array, got {self.init!r}")
+        init = np.asarray(self.init)
+        if init.dtype.kind not in "biuf":  # a name, or anything but an array of numbers
+            _check_choice("init mode", self.init, INIT_MODES)
         else:
-            init = np.asarray(self.init, dtype=float)
-            if init.ndim != 1 or not np.all(np.isfinite(init)):
-                raise ValueError(f"an array init must be 1-D and finite, got shape {init.shape}")
+            init = _check_vector(init, init.size, "init", finite=True)
             object.__setattr__(self, "init", tuple(init.tolist()))
-        if self.projection_mode not in PROJECTION_MODES:
-            raise ValueError(
-                f"projection_mode must be one of {PROJECTION_MODES}, got {self.projection_mode!r}"
-            )
+        _check_choice("projection mode", self.projection_mode, PROJECTION_MODES)
         if self.lasso_radius is not None:
             _check_real("lasso_radius", self.lasso_radius, positive=True)
         _check_real("dst_beta", self.dst_beta, positive=False)
@@ -172,7 +166,7 @@ def hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
     Ties between equal magnitudes are broken toward the lowest index, making
     runs deterministic.  k >= len(v) returns a copy of v; k = 0 returns zeros.
     """
-    v = np.asarray(v, dtype=float)
+    v = _check_vector(v, np.size(v), "v")
     k = _check_int("k", k, 0)
     if k >= v.size:
         return v.copy()

@@ -26,14 +26,25 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _check_int(name: str, value, minimum: int | None = None) -> int:
+def _check_int(name: str, value, minimum: int | None = None,
+               maximum: int | None = None) -> int:
     """`value` as a Python int, or ValueError unless it is a Python or numpy
-    integer (not a bool) of at least `minimum`."""
+    integer (not a bool) of at least `minimum` and at most `maximum`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return int(value)
+
+
+def _check_choice(what: str, value, choices: tuple[str, ...]) -> str:
+    """`value`, or ValueError unless it is a string (numpy's included) in
+    `choices`; a list or an array is unknown too, whatever it holds."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
+    return value
 
 
 def _check_real(name: str, value, *, positive: bool) -> None:
@@ -50,6 +61,24 @@ def _check_real(name: str, value, *, positive: bool) -> None:
         raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
 
 
+def _check_vector(v, n: int, what: str, *, finite: bool = False) -> np.ndarray:
+    """`v` as a float array of shape (n,), or ValueError; with `finite`, also
+    ValueError if it holds NaN or infinite entries."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{what} must be a vector of length {n}, got shape {v.shape}")
+    if finite and not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} must be finite; it holds NaN or infinite entries")
+    return v
+
+
+def _check_last_axis(v: np.ndarray, n: int, what: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.ndim < 1 or v.shape[-1] != n:
+        raise ValueError(f"{what} must have a last axis of length {n}, got shape {v.shape}")
+    return v
+
+
 @dataclass(frozen=True)
 class Basis:
     """Orthonormal basis of R^n selected by kind.
@@ -64,8 +93,7 @@ class Basis:
     n: int
 
     def __post_init__(self) -> None:
-        if self.kind not in BASIS_KINDS:
-            raise ValueError(f"unknown basis kind {self.kind!r}; expected one of {BASIS_KINDS}")
+        _check_choice("basis kind", self.kind, BASIS_KINDS)
         _check_int("n", self.n, 1)
         if self.kind == "haar" and not _is_power_of_two(self.n):
             raise ValueError(f"haar basis requires n to be a power of two, got {self.n}")
@@ -168,24 +196,6 @@ def _dct3(c: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_vector(v, n: int, what: str, *, finite: bool = False) -> np.ndarray:
-    """`v` as a float array of shape (n,), or ValueError; with `finite`, also
-    ValueError if it holds NaN or infinite entries."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"{what} must be a vector of length {n}, got shape {v.shape}")
-    if finite and not np.all(np.isfinite(v)):
-        raise ValueError(f"{what} must be finite; it holds NaN or infinite entries")
-    return v
-
-
-def _check_last_axis(v: np.ndarray, n: int, what: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.ndim < 1 or v.shape[-1] != n:
-        raise ValueError(f"{what} must have a last axis of length {n}, got shape {v.shape}")
-    return v
-
-
 def basis_apply(b: Basis, coeffs: np.ndarray) -> np.ndarray:
     """Synthesis Phi @ coeffs along the last axis; preserves the l2 norm.
 
@@ -221,11 +231,8 @@ def split_constituents(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def stack_constituents(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Stack (w, z) into t = [w; z]."""
-    w = np.asarray(w, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if w.shape != z.shape or w.ndim != 1:
-        raise ValueError(f"w and z must be vectors of equal length, got {w.shape} and {z.shape}")
-    return np.concatenate([w, z])
+    w = _check_vector(w, np.size(w), "w")
+    return np.concatenate([w, _check_vector(z, w.size, "z")])
 
 
 def dict_apply(d: Dictionary, t: np.ndarray) -> np.ndarray:

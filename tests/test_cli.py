@@ -136,6 +136,21 @@ class TestBenchCommand:
         assert main(args) == 1
         assert "unknown algorithm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--algorithm", "dht", "--algorithms", "oneshot"], {}),
+        (["--algorithms", "oneshot"], {"algorithm": "dht"}),
+        ([], {"algorithm": "dht", "algorithms": "oneshot"}),
+    ], ids=["flags", "flag-and-config", "config"])
+    def test_algorithm_and_algorithms_together_is_usage_error(self, tmp_path, capsys, flags,
+                                                              config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 64, "s": 2, "m": 60, "repeats": 1, **config}))
+        assert main(["bench", "--config", str(cfg), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "nldemix: error: bench takes --algorithm or --algorithms, not both")
+
 
 class TestDiagCommand:
     def test_coherence_matches_library(self, capsys):
@@ -158,12 +173,33 @@ class TestDiagCommand:
         A = sample_operator("gaussian", 32, 64, TrialSpec().seed)
         assert float(row["vartheta"]) == cross_coherence(A, d)
 
-    def test_coherence_ensemble_without_m_is_not_read(self, capsys):
-        # The default m = 500 exceeds n = 64, which a subfast operator rejects.
-        assert main(["diag", "coherence", "--n", "64", "--ensemble", "subfast"]) == 0
-        assert rows_from(capsys.readouterr().out)[0]["vartheta"] == ""
-        assert main(["diag", "coherence", "--n", "64", "--ensemble", "subfast", "--m", "65"]) == 2
-        assert "subfast requires m <= n, got m=65, n=64" in capsys.readouterr().err
+    @pytest.mark.parametrize("flags, kind, m", [
+        (["--ensemble", "rademacher"], "rademacher", TrialSpec().m),
+        (["--m", "32"], TrialSpec().ensemble, 32),
+    ], ids=["ensemble-alone", "m-alone"])
+    def test_coherence_reads_ensemble_or_m_alone(self, capsys, flags, kind, m):
+        # Either setting draws the operator; the spec defaults the other.
+        assert main(["diag", "coherence", "--n", "64", "--s", "4", *flags]) == 0
+        row = rows_from(capsys.readouterr().out)[0]
+        d = Dictionary(Basis("identity", 64), Basis("dct", 64))
+        A = sample_operator(kind, m, 64, TrialSpec().seed)
+        assert float(row["vartheta"]) == cross_coherence(A, d)
+
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--ensemble", "subfast"], None, "subfast requires m <= n, got m=500, n=64"),
+        (["--ensemble", "subfast", "--m", "65"], None, "subfast requires m <= n, got m=65, n=64"),
+        ([], {"ensemble": "bogus"}, "unknown ensemble kind 'bogus'; expected one of "
+                                    "('gaussian', 'rademacher', 'subfast')"),
+    ], ids=["subfast-default-m", "subfast-m", "config-unknown"])
+    def test_coherence_checks_the_ensemble(self, tmp_path, capsys, flags, config, message):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            flags = [*flags, "--config", str(cfg)]
+        assert main(["diag", "coherence", "--n", "64", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"nldemix: error: {message}\n"
 
     def test_rscrss_interval(self, capsys):
         args = ["diag", "rscrss", "--n", "128", "--s", "3", "--m", "200",
@@ -295,8 +331,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, keys", [
         (["phase"], {"n": 64, "algorithm": "oneshot",
                      "s_list": [2], "m_list": [120], "trials": 1, "workers": 1}),
-        (["bench"], {"n": 64, "s": 2, "m": 120, "algorithm": "oneshot",
-                     "algorithms": "oneshot", "repeats": 1}),
+        (["bench"], {"n": 64, "s": 2, "m": 120, "algorithms": "oneshot", "repeats": 1}),
         (["diag", "rscrss"], {"n": 64, "s": 2, "m": 120, "sparsity": 4, "num_supports": 2}),
         (["diag", "linkconst"], {"link": "sign", "trials": 1000}),
     ])

@@ -132,6 +132,14 @@ class TestTrialSpecValidation:
         with pytest.raises(ValueError, match=f"^{message}"):
             TrialSpec(**kwargs)
 
+    @pytest.mark.parametrize("solver", [{}, None, "dht"], ids=["dict", "None", "str"])
+    def test_solver_must_be_a_solver_config(self, solver):
+        # A dict used to construct, then fail inside run_trial (or be ignored by oneshot).
+        message = f"^solver must be a SolverConfig, got {type(solver).__name__}$"
+        for algorithm in ("dht", "oneshot"):
+            with pytest.raises(ValueError, match=message):
+                TrialSpec(n=16, s=1, m=20, algorithm=algorithm, solver=solver)
+
     def test_spec_with_array_init_compares_and_hashes(self):
         def spec(init):
             return TrialSpec(n=16, s=1, m=8, solver=SolverConfig(init=init))

@@ -99,6 +99,34 @@ def test_boundary_entries_reject_non_finite_vectors(entry, bad):
         call(_problem(), v)
 
 
+# name -> (call with the vector under test, its name, the length it must have:
+# None where any length will do, else that of the other vector, np.ones(3))
+SIZED_BY_INPUT_ENTRIES = {
+    "hard_threshold": (lambda v: nldemix.hard_threshold(v, 2), "v", None),
+    "project_l1_ball": (lambda v: nldemix.project_l1_ball(v, 1.0), "v", None),
+    "cosine_similarity-x": (
+        lambda v: nldemix.cosine_similarity(v, np.ones(np.size(v))), "x", None),
+    "cosine_similarity-x_hat": (lambda v: nldemix.cosine_similarity(np.ones(3), v), "x_hat", 3),
+    "stack_constituents-w": (
+        lambda v: nldemix.stack_constituents(v, np.ones(np.size(v))), "w", None),
+    "stack_constituents-z": (lambda v: nldemix.stack_constituents(np.ones(3), v), "z", 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SIZED_BY_INPUT_ENTRIES))
+@pytest.mark.parametrize("shape", [(2, 3), (), (4,)], ids=["matrix", "scalar", "long"])
+def test_entries_sized_by_their_input_reject_misshaped_vectors(entry, shape):
+    call, what, k = SIZED_BY_INPUT_ENTRIES[entry]
+    bad = np.ones(shape)
+    if k is None and len(shape) == 1:
+        call(bad)  # any length will do
+        return
+    message = f"{what} must be a vector of length {k or bad.size}, got shape {bad.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+    call(np.ones(3))
+
+
 def test_per_iteration_entries_do_not_check_finiteness():
     p = _problem()
     assert np.isnan(nldemix.dict_adjoint(p.dictionary, np.full(N, np.nan))).all()
@@ -123,23 +151,85 @@ def test_per_iteration_entries_do_not_check_finiteness():
     (lambda: nldemix.link_constants(nldemix.make_link("sign"), 10, -1),
      "seed must be >= 0, got -1"),
     (lambda: nldemix.estimate_rsc_rss(_problem(), seed=-1), "seed must be >= 0, got -1"),
+    (lambda: nldemix.generate_signal(0, 0, 0, _problem().dictionary), "n must be >= 1, got 0"),
+    (lambda: nldemix.estimate_rsc_rss(_problem(), sparsity=0), "sparsity must be >= 1, got 0"),
 ], ids=["Basis-n", "operator-m", "operator-n", "TrialSpec-n", "TrialSpec-m", "TrialSpec-s",
         "TrialSpec-seed", "operator-seed", "generate_signal-seed", "observe-seed",
-        "link_constants-seed", "estimate_rsc_rss-seed"])
+        "link_constants-seed", "estimate_rsc_rss-seed", "generate_signal-n",
+        "estimate_rsc_rss-sparsity"])
 def test_sizes_below_minimum_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
 
 
-def test_capability_error_is_raised_in_one_function():
+@pytest.mark.parametrize("build, message", [
+    (lambda: nldemix.TrialSpec(n=N, s=N + 1), "s must be <= 16, got 17"),
+    (lambda: nldemix.generate_signal(N, N + 1, 0, _problem().dictionary),
+     "s must be <= 16, got 17"),
+    (lambda: nldemix.DemixProblem(A=_problem().A, dictionary=_problem().dictionary,
+                                  link=_problem().link, y=np.zeros(M), s=N + 1),
+     "s must be <= 16, got 17"),
+    (lambda: nldemix.estimate_rsc_rss(_problem(), sparsity=2 * N + 1),
+     "sparsity must be <= 32, got 33"),
+], ids=["TrialSpec-s", "generate_signal-s", "DemixProblem-s", "estimate_rsc_rss-sparsity"])
+def test_counts_above_maximum_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def _raisers(pattern: str) -> set[str]:
+    """module.function for every function in the package whose raise
+    statements' source matches `pattern`."""
     raisers = set()
     for path in Path(nldemix.__file__).parent.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
             if isinstance(fn, ast.FunctionDef) and any(
-                    isinstance(node, ast.Raise) and "CapabilityError" in ast.unparse(node)
+                    isinstance(node, ast.Raise) and re.search(pattern, ast.unparse(node))
                     for node in ast.walk(fn)):
                 raisers.add(f"{path.stem}.{fn.name}")
-    assert raisers == {"links._require"}
+    return raisers
+
+
+def test_capability_error_is_raised_in_one_function():
+    assert _raisers("CapabilityError") == {"links._require"}
+
+
+@pytest.mark.parametrize("pattern, checks", [
+    (r"unknown .*expected one of", {"transforms._check_choice"}),
+    (r"must be (>=|<=|in \[|at most)|exceeds", {"transforms._check_int"}),
+    (r"vectors? of|last axis|1-D", {"transforms._check_vector", "transforms._check_last_axis"}),
+], ids=["choice", "count-bound", "vector-shape"])
+def test_each_input_rule_is_raised_in_its_own_check(pattern, checks):
+    assert _raisers(pattern) == checks
+
+
+# name -> (call with the value under test, what the message calls it, the choices)
+CHOICE_ENTRIES = {
+    "TrialSpec-algorithm": (lambda v: nldemix.TrialSpec(algorithm=v), "algorithm",
+                            ("oneshot", "dht", "dst", "nlcdlasso")),
+    "make_link": (nldemix.make_link, "link", ("sign", "linsin", "logistic", "shifted-logistic")),
+    "sample_operator": (lambda v: nldemix.sample_operator(v, 4, 4, 0), "ensemble kind",
+                        ("gaussian", "rademacher", "subfast")),
+    "Basis": (lambda v: nldemix.Basis(v, N), "basis kind", ("identity", "dct", "haar")),
+    "SolverConfig-init": (lambda v: nldemix.SolverConfig(init=v), "init mode",
+                          ("oneshot", "zero")),
+    "SolverConfig-projection_mode": (lambda v: nldemix.SolverConfig(projection_mode=v),
+                                     "projection mode", ("stacked2s", "perblocks")),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CHOICE_ENTRIES))
+@pytest.mark.parametrize("bad", ["unknown", "list", "None", "array-1", "array-2"])
+def test_choice_entries_reject_what_is_not_one_name(entry, bad):
+    call, what, choices = CHOICE_ENTRIES[entry]
+    value = {"unknown": "bogus", "list": [choices[0]], "None": None,
+             "array-1": np.array(choices[:1]), "array-2": np.array(choices[:2])}[bad]
+    message = f"unknown {what} {value!r}; expected one of {choices}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+    for name in choices:  # every listed name passes, as a numpy string too
+        call(name)
+        call(np.str_(name))
 
 
 @pytest.mark.parametrize("call", [

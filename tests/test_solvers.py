@@ -324,7 +324,7 @@ class TestProblemValidation:
             DemixProblem(A=A, dictionary=d, link=link, y=np.zeros(m + 1), s=2)
         with pytest.raises(ValueError):
             DemixProblem(A=A, dictionary=d, link=link, y=np.zeros(m), s=-1)
-        with pytest.raises(ValueError, match="exceeds dimension"):
+        with pytest.raises(ValueError, match="^s must be <= 16, got 17$"):
             DemixProblem(A=A, dictionary=d, link=link, y=np.zeros(m), s=n + 1)
         for bad in (2.5, np.nan, True, "3"):
             with pytest.raises(ValueError, match="s must be an integer"):
@@ -380,6 +380,13 @@ class TestProblemValidation:
             with pytest.raises(ValueError, match="max_iters must be an integer"):
                 SolverConfig(max_iters=bad)
         assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
+
+    @pytest.mark.parametrize("bad", [np.array([0.1, 0.2]), np.array(["auto"])],
+                             ids=["numbers", "names"])
+    def test_array_step_size_rejected(self, bad):
+        # An array is neither "auto" nor a number, whatever it holds.
+        with pytest.raises(ValueError, match="^step_size must be finite and positive, got array"):
+            SolverConfig(step_size=bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_settings_rejected(self, bad):
