@@ -60,7 +60,6 @@ from .transforms import (
     basis_matrix,
     dict_adjoint,
     dict_apply,
-    split_constituents,
     stack_constituents,
 )
 
@@ -68,7 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Basis", "Dictionary", "basis_apply", "basis_adjoint", "basis_matrix",
-    "dict_apply", "dict_adjoint", "split_constituents", "stack_constituents",
+    "dict_apply", "dict_adjoint", "stack_constituents",
     "MeasurementOperator", "sample_operator", "observe",
     "LinkFunction", "CapabilityError", "make_link", "link_eval", "link_deriv",
     "link_potential",

@@ -32,7 +32,8 @@ from .solvers import (
     oneshot,
 )
 from .transforms import (
-    _check_choice, _check_int, _check_real, Basis, Dictionary, dict_apply, stack_constituents,
+    _check_choice, _check_int, _check_real, _check_vector, Basis, Dictionary, dict_apply,
+    stack_constituents,
 )
 
 ALGORITHMS = ("oneshot", "dht", "dst", "nlcdlasso")
@@ -73,6 +74,8 @@ class TrialSpec:
         _check_choice("algorithm", self.algorithm, ALGORITHMS)
         if not isinstance(self.solver, SolverConfig):
             raise ValueError(f"solver must be a SolverConfig, got {type(self.solver).__name__}")
+        if not isinstance(self.solver.init, str):
+            _check_vector(self.solver.init, 2 * self.n, "init")
         _check_real("tau", self.tau, positive=False)
         # The checks the instance build runs, so a bad spec fails here, not in a worker.
         Dictionary(Basis(self.basis_phi, self.n), Basis(self.basis_psi, self.n))
@@ -264,14 +267,16 @@ def run_phase_grid(
     them in turn, and the result is ``{algorithm: PhaseGrid}``; each grid
     equals a separate call with ``base.algorithm`` set to that algorithm.
     """
-    for name, values in (("s_values", s_values), ("m_values", m_values)):
+    names = (base.algorithm,) if algorithms is None else algorithms
+    for name, values, of in (("s_values", s_values, "integers"),
+                             ("m_values", m_values, "integers"), ("algorithms", names, "names")):
         if isinstance(values, str) or not np.iterable(values):
-            raise ValueError(f"{name} must be a sequence of integers, got {values!r}")
+            raise ValueError(f"{name} must be a sequence of {of}, got {values!r}")
     s_values = tuple(_check_int("s", s, 0) for s in s_values)
     m_values = tuple(_check_int("m", m, 1) for m in m_values)
+    names = tuple(_check_choice("algorithm", name, ALGORITHMS) for name in names)
     trials = _check_int("trials", trials, 1)
     _check_int("workers", workers, 1)
-    names = (base.algorithm,) if algorithms is None else tuple(algorithms)
     if not s_values or not m_values:
         raise ValueError("phase grid needs at least one s and one m value")
     if not names or len(set(names)) != len(names):

@@ -27,9 +27,9 @@ whenever the objective would increase (composite F + beta ||t||_1 for dst).
 When no halving lowers it, the solve keeps its iterate and stops unconverged.
 
 Solves on one problem share what they derive from it alone: x_lin (oneshot,
-nlcd_lasso), the oneshot estimate, and for each (init, step_size) the
-descent start t0, A Gamma t0, the step and grad F(t0) (dht, dst).  They are
-kept, read-only, on the problem itself and die with it.
+nlcd_lasso) and, for each (init, step_size), the descent start t0,
+A Gamma t0, the step and grad F(t0) (dht, dst).  They are kept, read-only,
+on the problem itself and die with it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .links import _require, LinkFunction, link_deriv, link_eval, link_potential
 from .measurement import MeasurementOperator
 from .transforms import (
     _check_choice, _check_int, _check_real, _check_vector, Dictionary, dict_adjoint, dict_apply,
-    split_constituents,
 )
 
 PROJECTION_MODES = ("stacked2s", "perblocks")
@@ -63,8 +62,8 @@ class DemixProblem:
     link: LinkFunction
     y: np.ndarray
     s: int
-    # Read-only state its solves share: "x_lin", "oneshot" and one descent
-    # start per (init, step_size) key.  A dataclasses.replace copy starts empty.
+    # Read-only state its solves share: "x_lin" and one descent start per
+    # (init, step_size) key.  A dataclasses.replace copy starts empty.
     _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -137,14 +136,14 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Estimates plus per-iteration trace.
+    """The read-only estimate t_hat = [w_hat; z_hat] plus per-iteration trace.
 
-    x_hat equals dict_apply([w_hat; z_hat]) exactly.  iterates is populated
-    only when SolverConfig.keep_iterates is set.
+    w_hat and z_hat are views of t_hat's halves, and x_hat equals
+    dict_apply(t_hat) exactly.  iterates is populated only when
+    SolverConfig.keep_iterates is set.
     """
 
-    w_hat: np.ndarray
-    z_hat: np.ndarray
+    t_hat: np.ndarray
     x_hat: np.ndarray
     trace: tuple[TraceRecord, ...]
     iterations_run: int
@@ -152,8 +151,12 @@ class SolveResult:
     iterates: tuple[np.ndarray, ...] | None = None
 
     @property
-    def t_hat(self) -> np.ndarray:
-        return np.concatenate([self.w_hat, self.z_hat])
+    def w_hat(self) -> np.ndarray:
+        return self.t_hat[: self.t_hat.size // 2]
+
+    @property
+    def z_hat(self) -> np.ndarray:
+        return self.t_hat[self.t_hat.size // 2 :]
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +275,25 @@ def _x_lin(problem: DemixProblem) -> np.ndarray:
     return shared["x_lin"]
 
 
-def _zero_result(problem: DemixProblem, t0: float, keep: bool) -> SolveResult:
-    n = problem.n
-    zn = np.zeros(n)
-    rec = TraceRecord(0, None, 0.0, time.perf_counter() - t0, 0)
-    its = (np.zeros(2 * n),) if keep else None
-    return SolveResult(zn, zn.copy(), zn.copy(), (rec,), 0, True, its)
+def _finish(problem: DemixProblem, t: np.ndarray, trace, iterations: int, converged: bool,
+            iterates=None) -> SolveResult:
+    """The result of a solve whose estimate is t, frozen in place."""
+    return SolveResult(_frozen(t), dict_apply(problem.dictionary, t), tuple(trace), iterations,
+                       converged, None if iterates is None else tuple(iterates))
+
+
+def _zero_result(problem: DemixProblem, start: float, keep: bool) -> SolveResult:
+    rec = TraceRecord(0, None, 0.0, time.perf_counter() - start, 0)
+    its = (np.zeros(2 * problem.n),) if keep else None
+    return _finish(problem, np.zeros(2 * problem.n), (rec,), 0, True, its)
+
+
+def _project(t: np.ndarray, problem: DemixProblem, mode: str) -> np.ndarray:
+    """t hard-thresholded to 2s entries ("stacked2s") or s per block ("perblocks")."""
+    if mode == "perblocks":
+        n, s = problem.n, problem.s
+        return np.concatenate([hard_threshold(t[:n], s), hard_threshold(t[n:], s)])
+    return hard_threshold(t, 2 * problem.s)
 
 
 def oneshot(problem: DemixProblem) -> SolveResult:
@@ -285,59 +301,34 @@ def oneshot(problem: DemixProblem) -> SolveResult:
     coefficients of x_lin = (1/m) A^T y.  Works for any link, including sign.
     """
     start = time.perf_counter()
-    c = dict_adjoint(problem.dictionary, _x_lin(problem))
-    w, z = split_constituents(c, problem.n)
-    w_hat = hard_threshold(w, problem.s)
-    z_hat = hard_threshold(z, problem.s)
-    t_hat = np.concatenate([w_hat, z_hat])
-    problem._shared["oneshot"] = _frozen(t_hat)
-    x_hat = dict_apply(problem.dictionary, t_hat)
-    rec = TraceRecord(0, None, 0.0, time.perf_counter() - start,
-                      int(np.count_nonzero(t_hat)))
-    return SolveResult(w_hat, z_hat, x_hat, (rec,), 0, True)
-
-
-def _resolve_init(problem: DemixProblem, config: SolverConfig) -> np.ndarray:
-    if isinstance(config.init, str):
-        if config.init == "zero":
-            return np.zeros(2 * problem.n)
-        t = problem._shared.get("oneshot")
-        return oneshot(problem).t_hat if t is None else t
-    return _check_vector(config.init, 2 * problem.n, "init")
-
-
-def _resolve_step(problem: DemixProblem, config: SolverConfig, t0: np.ndarray,
-                  u0: np.ndarray) -> float:
-    # u0 = A Gamma t0, which the solver needs for its initial objective anyway.
-    if not isinstance(config.step_size, str):
-        return float(config.step_size)
-    est = diagnostics.estimate_rsc_rss(problem, t_ref=t0, num_supports=0, u_ref=u0)
-    if not np.isfinite(est.M_hat) or est.M_hat <= 1e-12:
-        raise RuntimeError(
-            f"auto step failed: smoothness estimate M_hat={est.M_hat} is not usable"
-        )
-    return 1.0 / est.M_hat
+    t = _project(dict_adjoint(problem.dictionary, _x_lin(problem)), problem, "perblocks")
+    rec = TraceRecord(0, None, 0.0, time.perf_counter() - start, int(np.count_nonzero(t)))
+    return _finish(problem, t, (rec,), 0, True)
 
 
 def _descent_start(problem: DemixProblem, config: SolverConfig) -> tuple:
     """(t0, A Gamma t0, step, grad F(t0)) for config's init and step size."""
     shared = problem._shared
-    init = config.init
+    init, step = config.init, config.step_size
     # Equal tuples may differ in the sign of a zero, which the iterates keep.
-    key = (init if isinstance(init, str) else np.array(init).tobytes(), config.step_size)
+    key = (init if isinstance(init, str) else np.array(init).tobytes(), step)
     if key not in shared:
-        t = _resolve_init(problem, config)
+        if init == "zero":
+            t = np.zeros(2 * problem.n)
+        elif init == "oneshot":
+            t = oneshot(problem).t_hat
+        else:
+            t = _check_vector(init, 2 * problem.n, "init")
         u = _forward(problem, t)
-        step = _resolve_step(problem, config, t, u)
-        shared[key] = (_frozen(t), _frozen(u), step, _frozen(_gradient_at(problem, u)))
+        if isinstance(step, str):  # "auto": 1/M_hat, with u sparing a forward product
+            est = diagnostics.estimate_rsc_rss(problem, t_ref=t, num_supports=0, u_ref=u)
+            if not np.isfinite(est.M_hat) or est.M_hat <= 1e-12:
+                raise RuntimeError(
+                    f"auto step failed: smoothness estimate M_hat={est.M_hat} is not usable"
+                )
+            step = 1.0 / est.M_hat
+        shared[key] = (_frozen(t), _frozen(u), float(step), _frozen(_gradient_at(problem, u)))
     return shared[key]
-
-
-def _project(t: np.ndarray, problem: DemixProblem, config: SolverConfig) -> np.ndarray:
-    if config.projection_mode == "perblocks":
-        n, s = problem.n, problem.s
-        return np.concatenate([hard_threshold(t[:n], s), hard_threshold(t[n:], s)])
-    return hard_threshold(t, 2 * problem.s)
 
 
 def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, start: float,
@@ -390,12 +381,7 @@ def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, 
         if converged:
             break
 
-    w_hat, z_hat = split_constituents(t, problem.n)
-    x_hat = dict_apply(problem.dictionary, t)
-    return SolveResult(
-        w_hat, z_hat, x_hat, tuple(trace), k, converged,
-        tuple(iterates) if iterates is not None else None,
-    )
+    return _finish(problem, t, trace, k, converged, iterates)
 
 
 def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> SolveResult:
@@ -421,7 +407,7 @@ def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> Solv
         objective=objective,
         gradient=lambda uv: _gradient_at(problem, uv),
         prox=((lambda v, h: soft_threshold(v, beta * h)) if soft
-              else (lambda v, h: _project(v, problem, config))),
+              else (lambda v, h: _project(v, problem, config.projection_mode))),
         step=step,
         slack=1e-12,
         done=lambda delta, tv, old, new: (
@@ -448,7 +434,7 @@ def nlcd_lasso(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> 
 
     Minimizes ||x_lin - Gamma t||_2 subject to ||t||_1 <= radius
     (radius = config.lasso_radius, default 2 sqrt(s)).  Needs no link
-    capabilities.  Estimates are dense: t is split, not thresholded.
+    capabilities.  Estimates are dense: t is not thresholded.
     """
     start = time.perf_counter()
     if problem.s == 0:

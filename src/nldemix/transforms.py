@@ -17,8 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-BASIS_KINDS = ("identity", "dct", "haar")
-
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -196,23 +194,26 @@ def _dct3(c: np.ndarray) -> np.ndarray:
     return x
 
 
+# kind -> (synthesis, analysis), each along the last axis.
+_BASES = {
+    "identity": (np.copy, np.copy),
+    "dct": (_dct3, _dct2),
+    "haar": (_haar_synthesis, _haar_analysis),
+}
+BASIS_KINDS = tuple(_BASES)
+
+
 def basis_apply(b: Basis, coeffs: np.ndarray) -> np.ndarray:
     """Synthesis Phi @ coeffs along the last axis; preserves the l2 norm.
 
     A 2-D input is a batch of coefficient rows, each synthesized alone.
     """
-    c = _check_last_axis(coeffs, b.n, "coeffs")
-    if b.kind == "identity":
-        return c.copy()
-    return _dct3(c) if b.kind == "dct" else _haar_synthesis(c)
+    return _BASES[b.kind][0](_check_last_axis(coeffs, b.n, "coeffs"))
 
 
 def basis_adjoint(b: Basis, x: np.ndarray) -> np.ndarray:
     """Analysis Phi^T @ x along the last axis; inverse of :func:`basis_apply`."""
-    x = _check_last_axis(x, b.n, "x")
-    if b.kind == "identity":
-        return x.copy()
-    return _dct2(x) if b.kind == "dct" else _haar_analysis(x)
+    return _BASES[b.kind][1](_check_last_axis(x, b.n, "x"))
 
 
 def basis_matrix(b: Basis) -> np.ndarray:
@@ -221,12 +222,6 @@ def basis_matrix(b: Basis) -> np.ndarray:
     Intended for small-n testing and diagnostics; O(n^2) memory.
     """
     return basis_apply(b, np.eye(b.n)).T
-
-
-def split_constituents(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a stacked vector t = [w; z] of length 2n into (w, z)."""
-    t = _check_vector(t, 2 * n, "t")
-    return t[:n].copy(), t[n:].copy()
 
 
 def stack_constituents(w: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -140,6 +140,15 @@ class TestTrialSpecValidation:
             with pytest.raises(ValueError, match=message):
                 TrialSpec(n=16, s=1, m=20, algorithm=algorithm, solver=solver)
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_array_init_must_have_length_2n(self, algorithm):
+        # Unchecked, a bad init failed inside run_trial (dht, dst) or was
+        # ignored (oneshot, nlcdlasso).
+        solver = SolverConfig(init=np.zeros(5))
+        message = r"^init must be a vector of length 32, got shape \(5,\)$"
+        with pytest.raises(ValueError, match=message):
+            TrialSpec(n=16, s=1, m=20, algorithm=algorithm, solver=solver)
+
     def test_spec_with_array_init_compares_and_hashes(self):
         def spec(init):
             return TrialSpec(n=16, s=1, m=8, solver=SolverConfig(init=init))
@@ -421,6 +430,12 @@ class TestRunPhaseGrid:
         run_phase_grid([2, 3], [80], trials=2, base=small_spec(), algorithms=ALGORITHMS)
         assert len(builds) == 2 * 1 * 2
 
+    def test_unknown_algorithm_fails_before_any_build(self, builds):
+        with pytest.raises(ValueError, match="^unknown algorithm 'bogus'; expected one of"):
+            run_phase_grid([2], [100], trials=1, base=small_spec(),
+                           algorithms=("dht", "dst", "bogus"))
+        assert builds == []
+
     def test_validation(self):
         base = small_spec()
         for algorithms in ((), ("dht", "dht"), ("omp",)):
@@ -439,6 +454,8 @@ class TestRunPhaseGrid:
             run_phase_grid([-1], [100], trials=1, base=base)
         with pytest.raises(ValueError, match="m must be >= 1, got -5"):
             run_phase_grid([2], [-5], trials=1, base=base)
+        with pytest.raises(ValueError, match="^algorithms must be a sequence of names, got 'dht'$"):
+            run_phase_grid([2], [100], trials=1, base=base, algorithms="dht")
         for name, kw in (("s_values", dict(s_values=2)), ("s_values", dict(s_values="2,3")),
                          ("m_values", dict(m_values=100)), ("m_values", dict(m_values="100"))):
             args = {"s_values": [2], "m_values": [100], "trials": 1, **kw}

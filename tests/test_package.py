@@ -21,7 +21,9 @@ def test_every_exported_name_resolves():
 def test_deleted_aliases_and_bundles_stay_gone():
     # derivative_bounds read two link fields that are gone too; the others only
     # bundled names that remain: mutual_coherence and cross_coherence, write_csv.
-    for name in ("derivative_bounds", "coherence_report", "CoherenceReport", "export_csv"):
+    # split_constituents copied the halves of t, which t[:n] and t[n:] give as views.
+    for name in ("derivative_bounds", "coherence_report", "CoherenceReport", "export_csv",
+                 "split_constituents"):
         assert name not in nldemix.__all__
         assert not hasattr(nldemix, name)
 
@@ -66,7 +68,6 @@ VECTOR_ENTRIES = {
     "loss_hessian_matvec-v": (
         lambda p, v: nldemix.loss_hessian_matvec(p, np.zeros(2 * N), v), "v", 2 * N),
     "dict_adjoint": (lambda p, v: nldemix.dict_adjoint(p.dictionary, v), "x", N),
-    "split_constituents": (lambda p, v: nldemix.split_constituents(v, N), "t", 2 * N),
     "observe": (lambda p, v: nldemix.observe(p.A, p.link, v, tau=0.5, seed=1), "x", N),
     "estimate_rsc_rss-t_ref": (lambda p, v: nldemix.estimate_rsc_rss(p, t_ref=v), "t_ref", 2 * N),
     "estimate_rsc_rss-u_ref": (lambda p, v: nldemix.estimate_rsc_rss(p, u_ref=v), "u_ref", M),
@@ -192,6 +193,17 @@ def _raisers(pattern: str) -> set[str]:
 
 def test_capability_error_is_raised_in_one_function():
     assert _raisers("CapabilityError") == {"links._require"}
+
+
+def test_solve_results_are_built_in_one_function():
+    builders = set()
+    for path in Path(nldemix.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and ast.unparse(node.func) == "SolveResult"
+                    for node in ast.walk(fn)):
+                builders.add(f"{path.stem}.{fn.name}")
+    assert builders == {"solvers._finish"}
 
 
 @pytest.mark.parametrize("pattern, checks", [

@@ -765,8 +765,8 @@ def count_step_estimates(monkeypatch) -> list:
 
 
 class TestSharedStart:
-    """Solves on one problem share x_lin, the oneshot estimate and each
-    (init, step_size) descent start, and give the same bits as cold solves."""
+    """Solves on one problem share x_lin and each (init, step_size) descent
+    start, and give the same bits as cold solves."""
 
     @pytest.mark.parametrize("link_name", ["linsin", "logistic"])
     @pytest.mark.parametrize("step", ["auto", 0.3])
@@ -823,13 +823,29 @@ class TestSharedStart:
         nlcd_lasso(problem, SolverConfig(max_iters=5))
         shared = problem._shared
         t0, u0, _, grad0 = shared[("oneshot", "auto")]
-        for array in (shared["x_lin"], shared["oneshot"], t0, u0, grad0):
+        for array in (shared["x_lin"], t0, u0, grad0):
             with pytest.raises(ValueError):
                 array[0] = 1.0
         alive = weakref.ref(problem), weakref.ref(problem.A)
         del problem, shared
         gc.collect()
         assert [ref() for ref in alive] == [None, None]
+
+
+@pytest.mark.parametrize("s", [3, 0])
+@pytest.mark.parametrize("algorithm", ["oneshot", "dht", "dst", "nlcd_lasso"])
+def test_result_is_the_stacked_estimate(algorithm, s):
+    # w_hat and z_hat are views of t_hat's halves, and x_hat = Gamma t_hat bit for bit.
+    problem, _ = planted_instance(64, 3, 90, seed=51)
+    problem = DemixProblem(A=problem.A, dictionary=problem.dictionary, link=problem.link,
+                           y=problem.y, s=s)
+    solve = getattr(solvers, algorithm)
+    res = solve(problem) if algorithm == "oneshot" else solve(problem, SolverConfig(max_iters=5))
+    assert res.t_hat.shape == (128,) and not res.t_hat.flags.writeable
+    for half, block in ((res.w_hat, res.t_hat[:64]), (res.z_hat, res.t_hat[64:])):
+        assert np.shares_memory(half, block)
+        assert_bits_equal(half, block)
+    assert_bits_equal(res.x_hat, dict_apply(problem.dictionary, res.t_hat))
 
 
 class TestDst:

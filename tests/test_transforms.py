@@ -12,7 +12,6 @@ from nldemix.transforms import (
     basis_matrix,
     dict_adjoint,
     dict_apply,
-    split_constituents,
     stack_constituents,
 )
 from nldemix.transforms import _dct2, _dct3
@@ -276,9 +275,4 @@ class TestConstituents:
     def test_split_and_stack_round_trip(self):
         rng = np.random.default_rng(2)
         t = rng.standard_normal(20)
-        w, z = split_constituents(t, 10)
-        np.testing.assert_array_equal(stack_constituents(w, z), t)
-
-    def test_split_rejects_odd_length(self):
-        with pytest.raises(ValueError):
-            split_constituents(np.zeros(9), 5)
+        np.testing.assert_array_equal(stack_constituents(t[:10], t[10:]), t)
