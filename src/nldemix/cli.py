@@ -35,7 +35,7 @@ from .harness import (
 from .links import CapabilityError, LINK_KINDS, make_link
 from .measurement import ENSEMBLE_KINDS, sample_operator
 from .solvers import INIT_MODES, PROJECTION_MODES, SolverConfig
-from .transforms import _check_choice, BASIS_KINDS, Basis, Dictionary, stack_constituents
+from .transforms import _check_list, BASIS_KINDS, Basis, Dictionary, stack_constituents
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract reserves 2 for
@@ -176,12 +176,9 @@ def _cmd_phase(merged: dict, parser):
     s_list, m_list = merged.get("s_list"), merged.get("m_list")
     if not s_list or not m_list:
         parser.error("phase requires --s-list and --m-list (or config keys s_list/m_list)")
-    # Every cell sets its own s and m, so the base takes the first cell's;
-    # run_phase_grid rejects s_list or m_list values that are not lists.
-    if isinstance(s_list, list) and isinstance(m_list, list):
-        merged = {**merged, "s": s_list[0], "m": m_list[0]}
+    # Every cell sets its own s and m; the base's are placeholders any n allows.
     return run_phase_grid(s_list, m_list, trials=merged.get("trials", 20),
-                          base=_make_spec(merged), **_given(merged, "workers"))
+                          base=_make_spec({**merged, "s": 0, "m": 1}), **_given(merged, "workers"))
 
 
 def _cmd_bench(merged: dict, parser):
@@ -190,17 +187,12 @@ def _cmd_bench(merged: dict, parser):
     names = merged.get("algorithms", merged.get("algorithm", "oneshot"))
     if isinstance(names, str):
         names = [p.strip() for p in names.split(",") if p.strip()]
-    elif not isinstance(names, list):
-        parser.error(f"algorithms must be a comma-separated string or a list of names, got {names!r}")
-    if not names:
-        parser.error("bench needs at least one algorithm")
-    for name in names:
-        try:
-            _check_choice("algorithm", name, ALGORITHMS)
-        except ValueError as exc:
-            parser.error(str(exc))
     base = _make_spec(merged)
-    specs = [replace(base, algorithm=name) for name in names]
+    try:  # each spec checks its name; a bad list is a usage error, as a bad --algorithm is
+        specs = _check_list("algorithms", names, "names",
+                            lambda name: replace(base, algorithm=name))
+    except ValueError as exc:
+        parser.error(str(exc))
     return run_benchmark(specs, **_given(merged, "repeats"))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import itertools
 import sys
-import sysconfig
 import time
 from dataclasses import dataclass, field, replace
 
@@ -32,8 +31,8 @@ from .solvers import (
     oneshot,
 )
 from .transforms import (
-    _check_choice, _check_int, _check_real, _check_vector, Basis, Dictionary, dict_apply,
-    stack_constituents,
+    _check_choice, _check_instance, _check_int, _check_list, _check_real, _check_vector, Basis,
+    Dictionary, dict_apply, stack_constituents,
 )
 
 ALGORITHMS = ("oneshot", "dht", "dst", "nlcdlasso")
@@ -72,8 +71,7 @@ class TrialSpec:
         if self.success_threshold > 1.0:
             raise ValueError(f"success threshold must be in (0, 1], got {self.success_threshold}")
         _check_choice("algorithm", self.algorithm, ALGORITHMS)
-        if not isinstance(self.solver, SolverConfig):
-            raise ValueError(f"solver must be a SolverConfig, got {type(self.solver).__name__}")
+        _check_instance("solver", self.solver, SolverConfig)
         if not isinstance(self.solver.init, str):
             _check_vector(self.solver.init, 2 * self.n, "init")
         _check_real("tau", self.tau, positive=False)
@@ -164,9 +162,9 @@ def _safe_cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 # (key, instance) of the last instance run_trial built, or None.
 _last_instance: tuple | None = None
-# Whether this interpreter runs without the GIL, where reference counts are
-# split between threads and cannot show that nobody else holds an array.
-_FREE_THREADED = bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
+# Whether this interpreter was built without the GIL, whose reference counts
+# stay split between threads with the GIL on at run time; None until a refill.
+_FREE_THREADED: bool | None = None
 
 
 def _instance(spec: TrialSpec):
@@ -182,7 +180,7 @@ def _instance(spec: TrialSpec):
     memory, so the cache keeps the largest such buffer until a larger or a
     non-gaussian build, or a held instance, makes it drop the buffer.
     """
-    global _last_instance
+    global _last_instance, _FREE_THREADED
     key = replace(spec, algorithm=ALGORITHMS[0], solver=SolverConfig(), success_threshold=1.0)
     last = _last_instance
     if last is not None and last[0] == key:
@@ -191,6 +189,10 @@ def _instance(spec: TrialSpec):
     if last is not None and last[1][0].A.kind == "gaussian":
         pages = last[1][0].A.dense().base  # the 1-D array that owns the matrix
     _last_instance = last = None
+    if pages is not None and _FREE_THREADED is None:
+        import sysconfig
+
+        _FREE_THREADED = bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
     # Whoever still holds the old problem, its operator, its matrix or a view
     # of the matrix holds `pages` too.  What getrefcount adds for its own
     # argument differs between interpreters (CPython 3.14 may borrow a local
@@ -267,20 +269,12 @@ def run_phase_grid(
     them in turn, and the result is ``{algorithm: PhaseGrid}``; each grid
     equals a separate call with ``base.algorithm`` set to that algorithm.
     """
-    names = (base.algorithm,) if algorithms is None else algorithms
-    for name, values, of in (("s_values", s_values, "integers"),
-                             ("m_values", m_values, "integers"), ("algorithms", names, "names")):
-        if isinstance(values, str) or not np.iterable(values):
-            raise ValueError(f"{name} must be a sequence of {of}, got {values!r}")
-    s_values = tuple(_check_int("s", s, 0) for s in s_values)
-    m_values = tuple(_check_int("m", m, 1) for m in m_values)
-    names = tuple(_check_choice("algorithm", name, ALGORITHMS) for name in names)
+    s_values = _check_list("s_values", s_values, "integers", lambda s: _check_int("s", s, 0))
+    m_values = _check_list("m_values", m_values, "integers", lambda m: _check_int("m", m, 1))
+    names = _check_list("algorithms", (base.algorithm,) if algorithms is None else algorithms,
+                        "names", lambda name: _check_choice("algorithm", name, ALGORITHMS))
     trials = _check_int("trials", trials, 1)
     _check_int("workers", workers, 1)
-    if not s_values or not m_values:
-        raise ValueError("phase grid needs at least one s and one m value")
-    if not names or len(set(names)) != len(names):
-        raise ValueError(f"algorithms must be distinct and non-empty, got {names}")
     cells = [replace(base, s=s, m=m, seed=child_seed(base.seed, s, m, k))
              for s in s_values for m in m_values for k in range(trials)]
     if workers > 1:
@@ -293,15 +287,8 @@ def run_phase_grid(
     # Cells run s, then m, then trial: sum each (s, m)'s trials per algorithm.
     shape = (len(s_values), len(m_values), trials, len(names))
     successes = np.array(outcomes, dtype=int).reshape(shape).sum(axis=2)
-    grids = {
-        name: PhaseGrid(
-            s_values=s_values,
-            m_values=m_values,
-            trials=trials,
-            successes=successes[..., ai],
-        )
-        for ai, name in enumerate(names)
-    }
+    grids = {name: PhaseGrid(s_values, m_values, trials, successes[..., ai])
+             for ai, name in enumerate(names)}
     return grids[base.algorithm] if algorithms is None else grids
 
 
@@ -325,22 +312,15 @@ def run_benchmark(specs, repeats: int = 5) -> list[dict]:
     generation.  Consecutive specs share an instance as in run_trial, but
     each repeat solves a fresh copy of its problem, so it times a whole
     solve and never a start that an earlier solve left behind."""
+    specs = _check_list("specs", specs, "TrialSpecs",
+                        lambda spec: _check_instance("spec", spec, TrialSpec))
     repeats = _check_int("repeats", repeats, 1)
     rows = []
     for spec in specs:
         times, iters = _time_solves(spec, repeats)
-        rows.append(
-            {
-                "algorithm": spec.algorithm,
-                "n": spec.n,
-                "s": spec.s,
-                "m": spec.m,
-                "link": spec.link,
-                "repeats": repeats,
-                "median_ms": float(np.median(times)),
-                "iters": iters,
-            }
-        )
+        rows.append({"algorithm": spec.algorithm, "n": spec.n, "s": spec.s, "m": spec.m,
+                     "link": spec.link, "repeats": repeats,
+                     "median_ms": float(np.median(times)), "iters": iters})
     return rows
 
 

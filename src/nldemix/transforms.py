@@ -12,6 +12,7 @@ so that ``dict_apply`` computes Phi w + Psi z and ``dict_adjoint`` computes
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +44,26 @@ def _check_choice(what: str, value, choices: tuple[str, ...]) -> str:
     if not isinstance(value, str) or value not in choices:
         raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
     return value
+
+
+def _check_instance(name: str, value, cls: type):
+    """`value`, or ValueError unless it is an instance of `cls`."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _check_list(name: str, values, of: str, item) -> tuple:
+    """`item(v)` for each entry v, as a tuple, or ValueError unless `values` is
+    a non-empty sequence or 1-D array of distinct entries (not a `str`, `bytes`,
+    set, dict or iterator); `of` names the entries in the message."""
+    if (values.ndim != 1 if isinstance(values, np.ndarray)
+            else isinstance(values, (str, bytes)) or not isinstance(values, Sequence)):
+        raise ValueError(f"{name} must be a sequence of {of}, got {values!r}")
+    checked = tuple(item(v) for v in values)
+    if not checked or len(set(checked)) != len(checked):
+        raise ValueError(f"{name} must be distinct and non-empty, got {values!r}")
+    return checked
 
 
 def _check_real(name: str, value, *, positive: bool) -> None:

@@ -74,6 +74,21 @@ class TestTrialCommand:
         row = rows_from(capsys.readouterr().out)[0]
         assert int(row["iters"]) <= 4
 
+    def test_step_size_auto_is_the_default(self, capsys):
+        assert main(["trial", *FAST_TRIAL, "--algorithm", "dht"]) == 0
+        default = rows_from(capsys.readouterr().out)[0]
+        assert main(["trial", *FAST_TRIAL, "--algorithm", "dht", "--step-size", "auto"]) == 0
+        auto = rows_from(capsys.readouterr().out)[0]
+        assert {**auto, "time_ms": ""} == {**default, "time_ms": ""}
+
+    @pytest.mark.parametrize("text", ["fast", "", "AUTO"])
+    def test_step_size_that_is_not_a_number_is_usage_error(self, capsys, text):
+        assert main(["trial", *FAST_TRIAL, "--step-size", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            f"argument --step-size: step size must be a number or 'auto', got {text!r}")
+
     def test_sign_link_l2_is_nan(self, capsys):
         args = ["trial", "--n", "128", "--s", "2", "--m", "800",
                 "--algorithm", "oneshot", "--link", "sign"]
@@ -111,6 +126,16 @@ class TestPhaseCommand:
     def test_missing_lists_is_usage_error(self, capsys):
         assert main(["phase", "--n", "64"]) == 1
         assert "s-list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--s-list", "--m-list"])
+    @pytest.mark.parametrize("text", ["2,x", "2.5", "2;3"])
+    def test_malformed_list_is_usage_error(self, capsys, flag, text):
+        lists = {"--s-list": "2", "--m-list": "60", flag: text}
+        assert main(["phase", "--n", "64", *(part for item in lists.items() for part in item)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            f"argument {flag}: expected comma-separated integers, got {text!r}")
 
     def test_base_spec_comes_from_the_grid(self, capsys):
         # The default s (5) exceeds n here; phase never reads it.
@@ -388,6 +413,21 @@ class TestConfigFile:
         cfg.write_text("{not json")
         assert main(["trial", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("config, message", [
+        ([1, 2], "config {path!r} must be a JSON object"),
+        ("n=64", "config {path!r} must be a JSON object"),
+        ({"n": 64, "solver": [1]}, "config key 'solver' must be an object"),
+        ({"n": 64, "solver": "dht"}, "config key 'solver' must be an object"),
+    ], ids=["list", "string", "solver-list", "solver-string"])
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys, config,
+                                                         message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["trial", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(message.format(path=str(cfg)))
+
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert main(["trial", "--config", str(tmp_path / "absent.json")]) == 1
 
@@ -494,8 +534,11 @@ class TestExitCodes:
         (["phase"], {**PHASE_CONFIG, "s_list": 2}, 2, "s_values must be a sequence of integers"),
         (["phase"], {**PHASE_CONFIG, "s_list": "2,3"}, 2, "s_values must be a sequence of integers"),
         (["bench"], {"n": 64, "s": 2, "m": 60, "algorithms": 5}, 1,
-         "algorithms must be a comma-separated string or a list of names"),
-    ], ids=["phase-s_list-int", "phase-s_list-str", "bench-algorithms-int"])
+         "algorithms must be a sequence of names, got 5"),
+        (["bench"], {"n": 64, "s": 2, "m": 60, "algorithms": {"dht": 1}}, 1,
+         "algorithms must be a sequence of names, got {'dht': 1}"),
+    ], ids=["phase-s_list-int", "phase-s_list-str", "bench-algorithms-int",
+            "bench-algorithms-object"])
     def test_list_setting_of_wrong_type_fails_cleanly(self, tmp_path, capsys, command, config,
                                                       code, message):
         cfg = tmp_path / "cfg.json"
@@ -517,7 +560,27 @@ class TestExitCodes:
         assert main(["bench", "--config", str(cfg), *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1] == "nldemix: error: bench needs at least one algorithm"
+        assert captured.err.splitlines()[-1] == (
+            "nldemix: error: algorithms must be distinct and non-empty, got []")
+
+    @pytest.mark.parametrize("command, code, message", [
+        (["bench", "--n", "64", "--s", "2", "--m", "60", "--algorithms", "dht,dht"], 1,
+         "algorithms must be distinct and non-empty, got ['dht', 'dht']"),
+        (["bench", "--n", "64", "--s", "2", "--m", "60", "--algorithms", "oneshot, dht,oneshot"],
+         1, "algorithms must be distinct and non-empty, got ['oneshot', 'dht', 'oneshot']"),
+        (["phase", "--n", "64", "--algorithm", "oneshot", "--s-list", "2,2", "--m-list", "60"], 2,
+         "s_values must be distinct and non-empty, got [2, 2]"),
+        (["phase", "--n", "64", "--algorithm", "oneshot", "--s-list", "2", "--m-list", "60,80,60"],
+         2, "m_values must be distinct and non-empty, got [60, 80, 60]"),
+    ], ids=["bench-algorithms", "bench-algorithms-spaced", "phase-s-list", "phase-m-list"])
+    def test_repeated_list_entries_fail_before_any_work(self, capsys, monkeypatch, command, code,
+                                                        message):
+        # Unchecked, each repeat redid a build or a solve and wrote a second row.
+        monkeypatch.setattr(harness, "_build_instance", None)  # any build would raise TypeError
+        assert main(command) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"nldemix: error: {message}"
 
     def test_invalid_dimension_exits_2(self, capsys):
         # passes parsing, fails dataclass validation at runtime
@@ -532,12 +595,14 @@ def _checkout_env() -> dict:
 
 class TestEntryPoint:
     def test_cli_import_loads_no_scipy(self):
-        # Nor the modules only some commands use: json (--config) and
-        # concurrent.futures (phase --workers > 1).
+        # Nor the modules only some commands use: json (--config),
+        # concurrent.futures (phase --workers > 1) and sysconfig (the first
+        # operator refill).
         code = (
-            "import nldemix.cli, sys; "
-            "print(sorted(m for m in ('scipy', 'json', 'concurrent.futures') if m in sys.modules "
-            "or any(k.startswith(m + '.') for k in sys.modules)))"
+            "import sys; before = set(sys.modules); import nldemix.cli; "
+            "new = set(sys.modules) - before; "
+            "print(sorted(m for m in ('scipy', 'json', 'concurrent.futures', 'sysconfig') "
+            "if any(k == m or k.startswith(m + '.') for k in new)))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,

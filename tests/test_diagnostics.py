@@ -117,6 +117,16 @@ class TestCrossCoherence:
         )
         np.testing.assert_allclose(cross_coherence(A, d), ref, rtol=1e-12)
 
+    def test_zero_row_rejected(self):
+        n, m = 16, 6
+        A = sample_operator("gaussian", m, n, 3)
+        d = Dictionary(Basis("identity", n), Basis("dct", n))
+        rows = A.dense().copy()
+        rows[4] = 0.0
+        A._matrix = rows
+        with pytest.raises(ValueError, match="^cross-coherence is undefined when A has a zero row"):
+            cross_coherence(A, d)
+
 
 def gauss_expect(f):
     """One-dimensional Gaussian expectation by quadrature."""

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import weakref
 from dataclasses import replace
 
@@ -103,6 +104,11 @@ class TestTrialSpecValidation:
             TrialSpec(n=16, s=17)
         with pytest.raises(ValueError):
             TrialSpec(success_threshold=0.0)
+        for bad in (1.5, 1.0 + 1e-12, 2):
+            message = f"success threshold must be in (0, 1], got {bad}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TrialSpec(success_threshold=bad)
+        assert TrialSpec(success_threshold=1.0).success_threshold == 1.0
         with pytest.raises(ValueError):
             TrialSpec(algorithm="omp")
         with pytest.raises(ValueError):
@@ -328,6 +334,16 @@ class TestInstanceReuse:
         assert _address(_cached_matrix()) != address
         np.testing.assert_array_equal(read(held), values)
 
+    def test_build_flag_is_read_at_the_first_refill(self, builds, monkeypatch):
+        import sysconfig
+
+        monkeypatch.setattr(harness, "_FREE_THREADED", None)
+        run_trial(small_spec(algorithm="oneshot", ensemble="rademacher"))
+        run_trial(small_spec(algorithm="oneshot"))
+        assert harness._FREE_THREADED is None  # no gaussian matrix to refill yet
+        run_trial(small_spec(algorithm="oneshot", seed=43))
+        assert harness._FREE_THREADED is bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
+
     def test_free_threaded_interpreter_never_refills(self, builds, monkeypatch):
         monkeypatch.setattr(harness, "_FREE_THREADED", True)
         run_trial(small_spec(algorithm="oneshot"))
@@ -494,6 +510,18 @@ class TestRunBenchmark:
                 run_benchmark(specs, repeats=bad)
         (row,) = run_benchmark(specs, repeats=np.int64(2))
         assert row["repeats"] == 2 and type(row["repeats"]) is int
+
+    @pytest.mark.parametrize("specs, message", [
+        ([small_spec(), "dht"], "spec must be a TrialSpec, got str"),
+        ([small_spec(), small_spec(algorithm="dst"), small_spec()],
+         "specs must be distinct and non-empty, got "),
+    ], ids=["not-a-spec", "repeated"])
+    def test_specs_are_checked_before_any_build(self, builds, specs, message):
+        # Unchecked, the first spec was built and timed before the bad one
+        # failed, and a repeated spec timed the same solves twice.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            run_benchmark(specs, repeats=1)
+        assert builds == []
 
     def test_algorithms_share_one_build(self, builds):
         run_benchmark([small_spec(algorithm=a) for a in ALGORITHMS], repeats=1)

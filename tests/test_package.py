@@ -210,7 +210,9 @@ def test_solve_results_are_built_in_one_function():
     (r"unknown .*expected one of", {"transforms._check_choice"}),
     (r"must be (>=|<=|in \[|at most)|exceeds", {"transforms._check_int"}),
     (r"vectors? of|last axis|1-D", {"transforms._check_vector", "transforms._check_last_axis"}),
-], ids=["choice", "count-bound", "vector-shape"])
+    (r"sequence of|distinct|non-empty|at least one", {"transforms._check_list"}),
+    (r"must be an? (\{|[A-Z])", {"transforms._check_instance"}),
+], ids=["choice", "count-bound", "vector-shape", "list", "type"])
 def test_each_input_rule_is_raised_in_its_own_check(pattern, checks):
     assert _raisers(pattern) == checks
 
@@ -242,6 +244,35 @@ def test_choice_entries_reject_what_is_not_one_name(entry, bad):
     for name in choices:  # every listed name passes, as a numpy string too
         call(name)
         call(np.str_(name))
+
+
+_SPEC = nldemix.TrialSpec(n=N, s=2, m=M, algorithm="oneshot")
+# name -> (call with the list under test, its name, what its entries are, two valid entries)
+LIST_ENTRIES = {
+    "run_phase_grid-s_values": (lambda v: nldemix.run_phase_grid(v, [M], 1, _SPEC),
+                                "s_values", "integers", (1, 2)),
+    "run_phase_grid-m_values": (lambda v: nldemix.run_phase_grid([2], v, 1, _SPEC),
+                                "m_values", "integers", (M, M + 4)),
+    "run_phase_grid-algorithms": (
+        lambda v: nldemix.run_phase_grid([2], [M], 1, _SPEC, algorithms=v), "algorithms",
+        "names", ("oneshot", "nlcdlasso")),
+    "run_benchmark": (lambda v: nldemix.run_benchmark(v, repeats=1), "specs", "TrialSpecs",
+                      (_SPEC, dataclasses.replace(_SPEC, algorithm="nlcdlasso"))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LIST_ENTRIES))
+@pytest.mark.parametrize("bad", ["str", "entry", "set", "dict", "iterator", "empty", "repeated"])
+def test_list_entries_follow_one_rule(entry, bad):
+    call, name, of, (a, b) = LIST_ENTRIES[entry]
+    value = {"str": "ab", "entry": a, "set": {a}, "dict": {a: 1}, "iterator": iter([a, b]),
+             "empty": [], "repeated": [a, b, a]}[bad]
+    rule = "distinct and non-empty" if bad in ("empty", "repeated") else f"a sequence of {of}"
+    message = f"{name} must be {rule}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+    for good in ([a, b], (b,), np.array([a, b], dtype=object)):  # any sequence or 1-D array
+        call(good)
 
 
 @pytest.mark.parametrize("call", [

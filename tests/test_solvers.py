@@ -552,6 +552,16 @@ class TestDht:
             err = np.linalg.norm(res.t_hat - t_star) / np.linalg.norm(t_star)
             assert err < 1e-5
 
+    @pytest.mark.parametrize("solve", [dht, dst])
+    def test_auto_step_rejects_an_unusable_smoothness_estimate(self, solve):
+        # At a start this far out every logistic g'(u) underflows, so the
+        # restricted Hessian, and with it M_hat, is ~0: no step 1/M_hat exists.
+        problem, _ = planted_instance(32, 2, 40, link_name="logistic", seed=3)
+        with pytest.raises(RuntimeError, match=r"^auto step failed: smoothness estimate "
+                                               r"M_hat=\S+ is not usable$"):
+            solve(problem, SolverConfig(init=np.full(64, 1e3)))
+        solve(problem, SolverConfig(init=np.full(64, 1e3), step_size=1.0, max_iters=3))
+
     def test_truth_is_fixed_point(self):
         problem, t_star = planted_instance(128, 4, 200, seed=30)
         res = dht(problem, SolverConfig(init=t_star))
