@@ -157,28 +157,28 @@ def _make_spec(merged: dict) -> TrialSpec:
     return TrialSpec(solver=solver, **{k: merged[k] for k in _SPEC_FIELDS & merged.keys()})
 
 
-def _emit(payload, out: str | None) -> None:
+def _emit(rows, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            write_csv(payload, handle)
+            write_csv(rows, handle)
     else:
         buf = io.StringIO()
-        write_csv(payload, buf)
+        write_csv(rows, buf)
         sys.stdout.write(buf.getvalue())
 
 
-# Each command maps (merged settings, parser) to the payload it writes.
+# Each command maps (merged settings, parser) to the rows it writes: dicts or records.
 def _cmd_trial(merged: dict, parser):
     return [run_trial(_make_spec(merged))]
 
 
 def _cmd_phase(merged: dict, parser):
-    s_list, m_list = merged.get("s_list"), merged.get("m_list")
-    if not s_list or not m_list:
+    if "s_list" not in merged or "m_list" not in merged:
         parser.error("phase requires --s-list and --m-list (or config keys s_list/m_list)")
     # Every cell sets its own s and m; the base's are placeholders any n allows.
-    return run_phase_grid(s_list, m_list, trials=merged.get("trials", 20),
+    grid = run_phase_grid(merged["s_list"], merged["m_list"], trials=merged.get("trials", 20),
                           base=_make_spec({**merged, "s": 0, "m": 1}), **_given(merged, "workers"))
+    return grid.rows()
 
 
 def _cmd_bench(merged: dict, parser):

@@ -94,6 +94,14 @@ class TrialRecord:
     wall_time_ms: float
     success: bool
 
+    def row(self) -> dict:
+        """This trial's CSV row, keyed in TRIAL_CSV_FIELDS order."""
+        sp = self.spec
+        return dict(zip(TRIAL_CSV_FIELDS, (
+            sp.algorithm, sp.n, sp.s, sp.m, sp.basis_phi, sp.basis_psi, sp.ensemble, sp.link,
+            float(sp.tau), sp.seed, float(self.cosine), float(self.cos_w), float(self.cos_z),
+            float(self.l2_err), self.iterations, float(self.wall_time_ms), self.success)))
+
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -107,6 +115,13 @@ class PhaseGrid:
     @property
     def prob(self) -> np.ndarray:
         return self.successes / float(self.trials)
+
+    def rows(self) -> list[dict]:
+        """One CSV row per cell, s-major, keyed in PHASE_CSV_FIELDS order."""
+        prob = self.prob
+        return [dict(zip(PHASE_CSV_FIELDS, (int(s), int(m), int(self.trials),
+                                            int(self.successes[si, mi]), float(prob[si, mi]))))
+                for si, s in enumerate(self.s_values) for mi, m in enumerate(self.m_values)]
 
 
 def child_seed(base_seed: int, *key: int) -> int:
@@ -336,39 +351,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _trial_row(rec: TrialRecord) -> list[str]:
-    sp = rec.spec
-    values = (
-        sp.algorithm, sp.n, sp.s, sp.m, sp.basis_phi, sp.basis_psi,
-        sp.ensemble, sp.link, float(sp.tau), sp.seed, float(rec.cosine),
-        float(rec.cos_w), float(rec.cos_z), float(rec.l2_err),
-        rec.iterations, float(rec.wall_time_ms), rec.success,
-    )
-    return [_fmt(v) for v in values]
-
-
-def write_csv(payload, stream) -> None:
-    """Write trial records, a phase grid, or benchmark rows to a text stream.
+def write_csv(rows, stream) -> None:
+    """Write a header of the first row's keys, then one line per row, to a
+    text stream.  `rows` is a non-empty sequence whose items are dicts or
+    records with a `row()` method; an empty one, or a row whose keys differ
+    from the first row's, is a ValueError and writes nothing.
 
     LF line endings, floats in shortest round-trip form; open a file with
     newline="" so its line endings stay LF.
     """
+    rows = [row if isinstance(row, dict) else row.row() for row in rows]
+    if not rows:
+        raise ValueError("write_csv was given no rows")
+    fields = list(rows[0])
+    for i, row in enumerate(rows):
+        if row.keys() != rows[0].keys():
+            raise ValueError(f"row {i} has keys {list(row)}, row 0 has {fields}")
     writer = csv.writer(stream, lineterminator="\n")
-    if isinstance(payload, PhaseGrid):
-        writer.writerow(PHASE_CSV_FIELDS)
-        for si, s in enumerate(payload.s_values):
-            for mi, m in enumerate(payload.m_values):
-                writer.writerow([
-                    str(s), str(m), str(payload.trials),
-                    str(int(payload.successes[si, mi])),
-                    repr(float(payload.prob[si, mi])),
-                ])
-    elif payload and isinstance(payload[0], dict):
-        fields = list(payload[0].keys())
-        writer.writerow(fields)
-        for row in payload:
-            writer.writerow([_fmt(row[f]) for f in fields])
-    else:
-        writer.writerow(TRIAL_CSV_FIELDS)
-        for rec in payload:
-            writer.writerow(_trial_row(rec))
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow([_fmt(row[f]) for f in fields])

@@ -12,6 +12,7 @@ so that ``dict_apply`` computes Phi w + Psi z and ``dict_adjoint`` computes
 from __future__ import annotations
 
 import math
+import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,13 +57,21 @@ def _check_instance(name: str, value, cls: type):
 def _check_list(name: str, values, of: str, item) -> tuple:
     """`item(v)` for each entry v, as a tuple, or ValueError unless `values` is
     a non-empty sequence or 1-D array of distinct entries (not a `str`, `bytes`,
-    set, dict or iterator); `of` names the entries in the message."""
+    set, dict or iterator); `of` names the entries in the message, which
+    abbreviates `values` and names the first entry that repeats."""
     if (values.ndim != 1 if isinstance(values, np.ndarray)
             else isinstance(values, (str, bytes)) or not isinstance(values, Sequence)):
-        raise ValueError(f"{name} must be a sequence of {of}, got {values!r}")
+        raise ValueError(f"{name} must be a sequence of {of}, got {reprlib.repr(values)}")
     checked = tuple(item(v) for v in values)
-    if not checked or len(set(checked)) != len(checked):
-        raise ValueError(f"{name} must be distinct and non-empty, got {values!r}")
+    first: dict = {}
+    repeat = ""
+    for j, v in enumerate(checked):
+        if first.setdefault(v, j) != j:
+            repeat = f"; entry {j} repeats entry {first[v]}"
+            break
+    if not checked or repeat:
+        raise ValueError(
+            f"{name} must be distinct and non-empty, got {reprlib.repr(values)}{repeat}")
     return checked
 
 

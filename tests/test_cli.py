@@ -123,9 +123,13 @@ class TestPhaseCommand:
         assert main(args + ["--workers", "2"]) == 0
         assert capsys.readouterr().out == serial
 
-    def test_missing_lists_is_usage_error(self, capsys):
-        assert main(["phase", "--n", "64"]) == 1
-        assert "s-list" in capsys.readouterr().err
+    @pytest.mark.parametrize("lists", [[], ["--s-list", "2"], ["--m-list", "60"]],
+                             ids=["neither", "no-m-list", "no-s-list"])
+    def test_missing_lists_is_usage_error(self, capsys, lists):
+        assert main(["phase", "--n", "64", *lists]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "nldemix: error: phase requires --s-list and --m-list "
+            "(or config keys s_list/m_list)")
 
     @pytest.mark.parametrize("flag", ["--s-list", "--m-list"])
     @pytest.mark.parametrize("text", ["2,x", "2.5", "2;3"])
@@ -531,22 +535,32 @@ class TestExitCodes:
         assert captured.err == f"nldemix: error: {message}\n"
 
     @pytest.mark.parametrize("command, config, code, message", [
-        (["phase"], {**PHASE_CONFIG, "s_list": 2}, 2, "s_values must be a sequence of integers"),
-        (["phase"], {**PHASE_CONFIG, "s_list": "2,3"}, 2, "s_values must be a sequence of integers"),
+        (["phase"], {**PHASE_CONFIG, "s_list": 2}, 2,
+         "s_values must be a sequence of integers, got 2"),
+        (["phase"], {**PHASE_CONFIG, "s_list": "2,3"}, 2,
+         "s_values must be a sequence of integers, got '2,3'"),
+        (["phase"], {**PHASE_CONFIG, "s_list": 0}, 2,
+         "s_values must be a sequence of integers, got 0"),
+        (["phase"], {**PHASE_CONFIG, "s_list": []}, 2,
+         "s_values must be distinct and non-empty, got []"),
+        (["phase", "--s-list", ","], PHASE_CONFIG, 2,
+         "s_values must be distinct and non-empty, got []"),
         (["bench"], {"n": 64, "s": 2, "m": 60, "algorithms": 5}, 1,
          "algorithms must be a sequence of names, got 5"),
         (["bench"], {"n": 64, "s": 2, "m": 60, "algorithms": {"dht": 1}}, 1,
          "algorithms must be a sequence of names, got {'dht': 1}"),
-    ], ids=["phase-s_list-int", "phase-s_list-str", "bench-algorithms-int",
-            "bench-algorithms-object"])
+    ], ids=["phase-s_list-int", "phase-s_list-str", "phase-s_list-zero", "phase-s_list-empty",
+            "phase-s-list-flag-comma", "bench-algorithms-int", "bench-algorithms-object"])
     def test_list_setting_of_wrong_type_fails_cleanly(self, tmp_path, capsys, command, config,
                                                       code, message):
+        # A list that is given but bad gets the list rule; only an absent
+        # phase list is reported as missing.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main([*command, "--config", str(cfg)]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith(f"nldemix: error: {message}")
+        assert captured.err.splitlines()[-1] == f"nldemix: error: {message}"
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("config, flags", [
@@ -565,13 +579,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, code, message", [
         (["bench", "--n", "64", "--s", "2", "--m", "60", "--algorithms", "dht,dht"], 1,
-         "algorithms must be distinct and non-empty, got ['dht', 'dht']"),
+         "algorithms must be distinct and non-empty, got ['dht', 'dht']; "
+         "entry 1 repeats entry 0"),
         (["bench", "--n", "64", "--s", "2", "--m", "60", "--algorithms", "oneshot, dht,oneshot"],
-         1, "algorithms must be distinct and non-empty, got ['oneshot', 'dht', 'oneshot']"),
+         1, "algorithms must be distinct and non-empty, got ['oneshot', 'dht', 'oneshot']; "
+         "entry 2 repeats entry 0"),
         (["phase", "--n", "64", "--algorithm", "oneshot", "--s-list", "2,2", "--m-list", "60"], 2,
-         "s_values must be distinct and non-empty, got [2, 2]"),
+         "s_values must be distinct and non-empty, got [2, 2]; entry 1 repeats entry 0"),
         (["phase", "--n", "64", "--algorithm", "oneshot", "--s-list", "2", "--m-list", "60,80,60"],
-         2, "m_values must be distinct and non-empty, got [60, 80, 60]"),
+         2, "m_values must be distinct and non-empty, got [60, 80, 60]; entry 2 repeats entry 0"),
     ], ids=["bench-algorithms", "bench-algorithms-spaced", "phase-s-list", "phase-m-list"])
     def test_repeated_list_entries_fail_before_any_work(self, capsys, monkeypatch, command, code,
                                                         message):
@@ -585,6 +601,54 @@ class TestExitCodes:
     def test_invalid_dimension_exits_2(self, capsys):
         # passes parsing, fails dataclass validation at runtime
         assert main(["trial", "--n", "64", "--s", "100", "--m", "80"]) == 2
+
+
+# Header lines and one phase CSV as recorded with numpy 2.4.6 and scipy 1.17.1.
+GOLDEN_HEADERS = {
+    "trial": "algorithm,n,s,m,basis_phi,basis_psi,ensemble,link,tau,seed,"
+             "cosine,cos_w,cos_z,l2_err,iters,time_ms,success",
+    "phase": "s,m,trials,successes,prob",
+    "bench": "algorithm,n,s,m,link,repeats,median_ms,iters",
+    "diag coherence": "basis_phi,basis_psi,n,s,gamma,epsilon_bound,vartheta",
+    "diag rscrss": "n,s,m,link,sparsity_level,supports_probed,m_hat,M_hat,ratio",
+    "diag linkconst": "link,trials,seed,mu,sigma2,eta2",
+}
+GOLDEN_ARGS = {
+    "trial": FAST_TRIAL,
+    "phase": ["--n", "64", "--algorithm", "oneshot", "--s-list", "2", "--m-list", "60",
+              "--trials", "1"],
+    "bench": ["--n", "64", "--s", "2", "--m", "60", "--algorithm", "oneshot", "--repeats", "1"],
+    "diag coherence": ["--n", "64", "--s", "2"],
+    "diag rscrss": ["--n", "64", "--s", "2", "--m", "80"],
+    "diag linkconst": ["--link", "sign", "--trials", "1000"],
+}
+# A grid whose cells include 0, some and all of their trials.
+GOLDEN_PHASE_ARGS = ["phase", "--n", "256", "--s-list", "2,4,8", "--m-list", "40,80,160",
+                     "--trials", "4", "--algorithm", "dht", "--seed", "5"]
+GOLDEN_PHASE_CSV = """\
+s,m,trials,successes,prob
+2,40,4,3,0.75
+2,80,4,4,1.0
+2,160,4,4,1.0
+4,40,4,0,0.0
+4,80,4,1,0.25
+4,160,4,4,1.0
+8,40,4,0,0.0
+8,80,4,0,0.0
+8,160,4,1,0.25
+"""
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("command", sorted(GOLDEN_HEADERS))
+    def test_header_line(self, capsys, command):
+        assert main([*command.split(), *GOLDEN_ARGS[command]]) == 0
+        assert capsys.readouterr().out.split("\n", 1)[0] == GOLDEN_HEADERS[command]
+
+    def test_phase_csv(self, tmp_path):
+        path = tmp_path / "phase.csv"
+        assert main([*GOLDEN_PHASE_ARGS, "--out", str(path)]) == 0
+        assert path.read_bytes() == GOLDEN_PHASE_CSV.encode()
 
 
 def _checkout_env() -> dict:

@@ -488,6 +488,13 @@ class TestRunPhaseGrid:
         assert (grid.s_values, grid.m_values, grid.trials) == ((2,), (80,), 1)
         assert all(type(v) is int for v in (*grid.s_values, *grid.m_values, grid.trials))
 
+    def test_single_algorithm_grids_on_one_cell_share_one_build(self, builds):
+        # The phase-grid benchmark workload makes one such call per algorithm.
+        base = small_spec()
+        for a in ALGORITHMS:
+            run_phase_grid((3,), (160,), 1, replace(base, algorithm=a))
+        assert len(builds) == 1
+
 
 class TestRunBenchmark:
     def test_rows_and_fields(self):
@@ -514,12 +521,14 @@ class TestRunBenchmark:
     @pytest.mark.parametrize("specs, message", [
         ([small_spec(), "dht"], "spec must be a TrialSpec, got str"),
         ([small_spec(), small_spec(algorithm="dst"), small_spec()],
-         "specs must be distinct and non-empty, got "),
+         "specs must be distinct and non-empty, got [TrialSpec(n=1...hreshold=0.99), "
+         "TrialSpec(n=1...hreshold=0.99), TrialSpec(n=1...hreshold=0.99)]; "
+         "entry 2 repeats entry 0"),
     ], ids=["not-a-spec", "repeated"])
     def test_specs_are_checked_before_any_build(self, builds, specs, message):
         # Unchecked, the first spec was built and timed before the bad one
         # failed, and a repeated spec timed the same solves twice.
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_benchmark(specs, repeats=1)
         assert builds == []
 
@@ -609,7 +618,7 @@ class TestCsv:
         base = small_spec(algorithm="oneshot")
         grid = run_phase_grid([2], [80, 160], trials=2, base=base)
         buf = io.StringIO()
-        write_csv(grid, buf)
+        write_csv(grid.rows(), buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == ",".join(PHASE_CSV_FIELDS)
         assert len(lines) == 3
@@ -624,7 +633,29 @@ class TestCsv:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "algorithm,n,s,m,link,repeats,median_ms,iters"
 
-    def test_empty_payload_writes_header_only(self):
+    def test_rows_are_keyed_in_column_order(self):
+        rec = run_trial(small_spec(algorithm="oneshot"))
+        assert tuple(rec.row()) == TRIAL_CSV_FIELDS
+        grid = PhaseGrid((np.int64(2), 3), (80,), np.int64(4), np.array([[1], [4]]))
+        assert grid.rows() == [{"s": 2, "m": 80, "trials": 4, "successes": 1, "prob": 0.25},
+                               {"s": 3, "m": 80, "trials": 4, "successes": 4, "prob": 1.0}]
+        for row in grid.rows():
+            assert tuple(row) == PHASE_CSV_FIELDS
+            assert [type(v) for v in row.values()] == [int, int, int, int, float]
+
+    def test_empty_payload_is_rejected(self):
         buf = io.StringIO()
-        write_csv([], buf)
-        assert buf.getvalue() == ",".join(TRIAL_CSV_FIELDS) + "\n"
+        with pytest.raises(ValueError, match="^write_csv was given no rows$"):
+            write_csv([], buf)
+        assert buf.getvalue() == ""
+
+    def test_rows_with_other_keys_are_rejected_before_any_write(self):
+        rec = run_trial(small_spec(algorithm="oneshot"))
+        buf = io.StringIO()
+        message = f"row 1 has keys ['s'], row 0 has {list(TRIAL_CSV_FIELDS)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_csv([rec, {"s": 3}], buf)
+        assert buf.getvalue() == ""
+        swapped = {"b": 2, "a": 1}  # the same keys in another order follow row 0's
+        write_csv([{"a": 1, "b": 2}, swapped], buf)
+        assert buf.getvalue() == "a,b\n1,2\n1,2\n"

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import re
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -268,7 +269,8 @@ def test_list_entries_follow_one_rule(entry, bad):
     value = {"str": "ab", "entry": a, "set": {a}, "dict": {a: 1}, "iterator": iter([a, b]),
              "empty": [], "repeated": [a, b, a]}[bad]
     rule = "distinct and non-empty" if bad in ("empty", "repeated") else f"a sequence of {of}"
-    message = f"{name} must be {rule}, got {value!r}"
+    repeat = "; entry 2 repeats entry 0" if bad == "repeated" else ""
+    message = f"{name} must be {rule}, got {reprlib.repr(value)}{repeat}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
     for good in ([a, b], (b,), np.array([a, b], dtype=object)):  # any sequence or 1-D array
