@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -148,11 +147,11 @@ def generate_signal(
     return w, z, x
 
 
-def _build_instance(spec: TrialSpec, _pages=None):
+def _build_instance(spec: TrialSpec):
     d = Dictionary(Basis(spec.basis_phi, spec.n), Basis(spec.basis_psi, spec.n))
     link = make_link(spec.link)
     w, z, x = generate_signal(spec.n, spec.s, child_seed(spec.seed, 0), d)
-    A = sample_operator(spec.ensemble, spec.m, spec.n, child_seed(spec.seed, 1), _pages)
+    A = sample_operator(spec.ensemble, spec.m, spec.n, child_seed(spec.seed, 1))
     y = observe(A, link, x, spec.tau, child_seed(spec.seed, 2))
     problem = DemixProblem(A=A, dictionary=d, link=link, y=y, s=spec.s)
     return problem, w, z, x
@@ -177,9 +176,6 @@ def _safe_cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 # (key, instance) of the last instance run_trial built, or None.
 _last_instance: tuple | None = None
-# Whether this interpreter was built without the GIL, whose reference counts
-# stay split between threads with the GIL on at run time; None until a refill.
-_FREE_THREADED: bool | None = None
 
 
 def _instance(spec: TrialSpec):
@@ -189,41 +185,17 @@ def _instance(spec: TrialSpec):
     The key is the spec with those fields reset, so a field added to
     TrialSpec later causes a rebuild, never a wrong reuse.  The reused
     arrays are read-only: a solver that writes into them raises instead of
-    corrupting the next trial's input.  A gaussian operator is drawn into
-    the memory of the gaussian matrix it evicts when nothing else holds it
-    and it has room.  A smaller matrix is then a view of the larger one's
-    memory, so the cache keeps the largest such buffer until a larger or a
-    non-gaussian build, or a held instance, makes it drop the buffer.
+    corrupting the next trial's input.  The evicted instance is dropped
+    before the build, so a gaussian draw can refill its matrix's memory
+    when nothing else holds it (see measurement).
     """
-    global _last_instance, _FREE_THREADED
+    global _last_instance
     key = replace(spec, algorithm=ALGORITHMS[0], solver=SolverConfig(), success_threshold=1.0)
-    last = _last_instance
-    if last is not None and last[0] == key:
-        return last[1]
-    pages = None
-    if last is not None and last[1][0].A.kind == "gaussian":
-        pages = last[1][0].A.dense().base  # the 1-D array that owns the matrix
-    _last_instance = last = None
-    if pages is not None and _FREE_THREADED is None:
-        import sysconfig
-
-        _FREE_THREADED = bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
-    # Whoever still holds the old problem, its operator, its matrix or a view
-    # of the matrix holds `pages` too.  What getrefcount adds for its own
-    # argument differs between interpreters (CPython 3.14 may borrow a local
-    # without a new reference), so `pages` is compared with `probe`, an array
-    # held by one local name only, counted the same way: equal counts mean
-    # nobody else can see these pages.  Free-threaded builds count references
-    # per thread, so they never reuse.  Pages that are not reused are freed
-    # before the draw: two matrices are never alive at once.
-    probe = np.empty(0)
-    if (pages is None or spec.ensemble != "gaussian" or pages.size < spec.m * spec.n
-            or _FREE_THREADED or sys.getrefcount(pages) > sys.getrefcount(probe)):
-        pages = None
-    del probe
-    instance = _build_instance(spec, pages)
-    problem, w, z, x = instance
-    for array in (w, z, x):  # the problem's y and operator are read-only already
+    if _last_instance is not None and _last_instance[0] == key:
+        return _last_instance[1]
+    _last_instance = None
+    instance = _build_instance(spec)
+    for array in instance[1:]:  # w, z, x; the problem's y and operator are read-only already
         array.setflags(write=False)
     _last_instance = (key, instance)
     return instance
@@ -344,6 +316,8 @@ def run_benchmark(specs, repeats: int = 5) -> list[dict]:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

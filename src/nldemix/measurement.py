@@ -10,6 +10,8 @@ y_i = g((Ax)_i) + e_i with optional Gaussian noise of standard deviation tau.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .links import LinkFunction, link_eval
@@ -26,6 +28,35 @@ def _check_ensemble(kind: str, m: int, n: int) -> None:
         raise ValueError(f"subfast requires m <= n, got m={m}, n={n}")
 
 
+_last_pages: np.ndarray | None = None  # read-only 1-D owner of the last gaussian matrix
+_FREE_THREADED: bool | None = None  # built without the GIL; None until first read
+
+
+def _take_pages(kind: str, size: int) -> np.ndarray | None:
+    """Empty the slot; return its owner if a `kind` draw may refill its
+    first `size` floats, else drop it before the draw allocates.
+
+    Only a gaussian draw refills, and only an owner with room that nobody
+    else holds: an operator on it, its matrix, a view of the matrix or a
+    problem built on it all hold the owner.  `pages` is compared with
+    `probe`, held by one local name only, because what getrefcount adds for
+    its own argument differs between interpreters (CPython 3.14 may borrow
+    a local without a new reference).  Free-threaded builds count references
+    per thread, so they never refill.
+    """
+    global _last_pages, _FREE_THREADED
+    pages, _last_pages = _last_pages, None
+    if pages is None or kind != "gaussian" or pages.size < size:
+        return None
+    if _FREE_THREADED is None:
+        import sysconfig
+
+        _FREE_THREADED = bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
+    probe = np.empty(0)
+    shared = _FREE_THREADED or sys.getrefcount(pages) > sys.getrefcount(probe)
+    return None if shared else pages
+
+
 class MeasurementOperator:
     """m x n measurement map; construct via :func:`sample_operator`.
 
@@ -33,11 +64,17 @@ class MeasurementOperator:
     subset ``row_indices`` and sign diagonal ``signs`` and applies fast
     transforms.  All three arrays are read-only.  ``apply`` and ``adjoint``
     act along the last axis, so a 2-D input is a batch of rows.
+
+    A gaussian matrix is a view of a 1-D owner that the next gaussian draw
+    refills with a fresh draw's bits when nothing else holds it
+    (`_take_pages`); a dropped one stays resident until the next draw.
     """
 
-    def __init__(self, kind: str, m: int, n: int, seed: int, _pages=None):
+    def __init__(self, kind: str, m: int, n: int, seed: int):
+        global _last_pages
         m, n, seed = _check_int("m", m, 1), _check_int("n", n, 1), _check_int("seed", seed, 0)
         _check_ensemble(kind, m, n)
+        pages = _take_pages(kind, m * n)
         self.kind = kind
         self.m = m
         self.n = n
@@ -47,14 +84,11 @@ class MeasurementOperator:
         self.row_indices: np.ndarray | None = None
         self.signs: np.ndarray | None = None
         if kind == "gaussian":
-            # `_pages`, if given, is the read-only 1-D owner of >= m*n floats
-            # that nothing else can see; the draw fills its first m*n entries
-            # with the same bits as a fresh draw.  The matrix is always a view
-            # of its owner, so the owner can be passed to a later draw.
-            pages = np.empty(m * n) if _pages is None else _pages
+            pages = np.empty(m * n) if pages is None else pages
             pages.setflags(write=True)
             self._matrix = rng.standard_normal((m, n), out=pages[: m * n].reshape(m, n))
             pages.setflags(write=False)
+            _last_pages = pages
         elif kind == "rademacher":
             self._matrix = rng.choice([-1.0, 1.0], size=(m, n))
         else:
@@ -94,9 +128,9 @@ class MeasurementOperator:
         return rows
 
 
-def sample_operator(kind: str, m: int, n: int, seed: int, _pages=None) -> MeasurementOperator:
+def sample_operator(kind: str, m: int, n: int, seed: int) -> MeasurementOperator:
     """Draw a measurement operator; deterministic in (kind, m, n, seed)."""
-    return MeasurementOperator(kind, m, n, seed, _pages)
+    return MeasurementOperator(kind, m, n, seed)
 
 
 def observe(

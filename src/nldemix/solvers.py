@@ -34,7 +34,6 @@ on the problem itself and die with it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -130,7 +129,6 @@ class TraceRecord:
     iteration: int
     loss: float | None
     step_norm: float
-    elapsed_s: float
     support_size: int
 
 
@@ -282,10 +280,9 @@ def _finish(problem: DemixProblem, t: np.ndarray, trace, iterations: int, conver
                        converged, None if iterates is None else tuple(iterates))
 
 
-def _zero_result(problem: DemixProblem, start: float, keep: bool) -> SolveResult:
-    rec = TraceRecord(0, None, 0.0, time.perf_counter() - start, 0)
+def _zero_result(problem: DemixProblem, keep: bool) -> SolveResult:
     its = (np.zeros(2 * problem.n),) if keep else None
-    return _finish(problem, np.zeros(2 * problem.n), (rec,), 0, True, its)
+    return _finish(problem, np.zeros(2 * problem.n), (TraceRecord(0, None, 0.0, 0),), 0, True, its)
 
 
 def _project(t: np.ndarray, problem: DemixProblem, mode: str) -> np.ndarray:
@@ -300,9 +297,8 @@ def oneshot(problem: DemixProblem) -> SolveResult:
     """Non-iterative estimator: per-block hard thresholding of the analysis
     coefficients of x_lin = (1/m) A^T y.  Works for any link, including sign.
     """
-    start = time.perf_counter()
     t = _project(dict_adjoint(problem.dictionary, _x_lin(problem)), problem, "perblocks")
-    rec = TraceRecord(0, None, 0.0, time.perf_counter() - start, int(np.count_nonzero(t)))
+    rec = TraceRecord(0, None, 0.0, int(np.count_nonzero(t)))
     return _finish(problem, t, (rec,), 0, True)
 
 
@@ -331,8 +327,8 @@ def _descent_start(problem: DemixProblem, config: SolverConfig) -> tuple:
     return shared[key]
 
 
-def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, start: float,
-                   t: np.ndarray, carry: np.ndarray, grad: np.ndarray, *, forward: Callable,
+def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, t: np.ndarray,
+                   carry: np.ndarray, grad: np.ndarray, *, forward: Callable,
                    objective: Callable, gradient: Callable, prox: Callable, step: float,
                    slack: float, done: Callable) -> SolveResult:
     """Backtracking proximal-gradient loop shared by dht, dst and nlcd_lasso.
@@ -374,10 +370,7 @@ def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, 
         t, carry, obj = cand, cand_carry, cand_obj
         if iterates is not None:
             iterates.append(t.copy())
-        trace.append(
-            TraceRecord(k, traced, delta, time.perf_counter() - start,
-                        int(np.count_nonzero(t)))
-        )
+        trace.append(TraceRecord(k, traced, delta, int(np.count_nonzero(t))))
         if converged:
             break
 
@@ -388,9 +381,8 @@ def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> Solv
     """dht (hard projection) and dst (soft thresholding) on F."""
     algorithm = "dst" if soft else "dht"
     _require(problem.link, algorithm, potential=True, derivative=True)
-    start = time.perf_counter()
     if problem.s == 0:
-        return _zero_result(problem, start, config.keep_iterates)
+        return _zero_result(problem, config.keep_iterates)
 
     t, u, step, grad = _descent_start(problem, config)
     beta = config.dst_beta
@@ -402,7 +394,7 @@ def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> Solv
         return (f + beta * float(np.abs(tv).sum()) if soft else f), f
 
     return _prox_gradient(
-        problem, config, algorithm, start, t, u, grad,
+        problem, config, algorithm, t, u, grad,
         forward=lambda tv: _forward(problem, tv),
         objective=objective,
         gradient=lambda uv: _gradient_at(problem, uv),
@@ -436,9 +428,8 @@ def nlcd_lasso(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> 
     (radius = config.lasso_radius, default 2 sqrt(s)).  Needs no link
     capabilities.  Estimates are dense: t is not thresholded.
     """
-    start = time.perf_counter()
     if problem.s == 0:
-        return _zero_result(problem, start, config.keep_iterates)
+        return _zero_result(problem, config.keep_iterates)
     radius = config.lasso_radius if config.lasso_radius is not None else 2.0 * np.sqrt(problem.s)
     x_lin = _x_lin(problem)
     d = problem.dictionary
@@ -453,7 +444,7 @@ def nlcd_lasso(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> 
     t = np.zeros(2 * problem.n)
     x = dict_apply(d, t)
     return _prox_gradient(
-        problem, config, "nlcd_lasso", start, t, x, gradient(x),
+        problem, config, "nlcd_lasso", t, x, gradient(x),
         forward=lambda tv: dict_apply(d, tv),
         objective=objective,
         gradient=gradient,

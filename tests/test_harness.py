@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nldemix import diagnostics, harness
+from nldemix import diagnostics, harness, measurement
 from nldemix.harness import (
     ALGORITHMS,
     PHASE_CSV_FIELDS,
@@ -224,15 +224,17 @@ class TestRunTrial:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Empties the instance cache and records the spec of every build."""
+    """Empties the instance cache and the pages a gaussian draw may refill,
+    and records the spec of every build."""
     specs = []
     build = harness._build_instance
 
-    def counting(spec, *rest):
+    def counting(spec):
         specs.append(spec)
-        return build(spec, *rest)
+        return build(spec)
 
     monkeypatch.setattr(harness, "_last_instance", None)
+    monkeypatch.setattr(measurement, "_last_pages", None)
     monkeypatch.setattr(harness, "_build_instance", counting)
     return specs
 
@@ -247,18 +249,20 @@ def _address(array: np.ndarray) -> int:
 
 def _watch_pages(monkeypatch) -> list[bool]:
     """Records, at each operator draw, whether the memory of the cached
-    matrix is still alive; the list holds no reference to it."""
+    matrix is still alive where the draw allocates: right after measurement
+    has taken the pages it may refill.  The list holds no reference to it."""
     matrix = _cached_matrix()
     pages = weakref.ref(matrix if matrix.base is None else matrix.base)
     del matrix
     alive = []
-    draw = harness.sample_operator
+    take = measurement._take_pages
 
     def checking(*args):
+        refill = take(*args)
         alive.append(pages() is not None)
-        return draw(*args)
+        return refill
 
-    monkeypatch.setattr(harness, "sample_operator", checking)
+    monkeypatch.setattr(measurement, "_take_pages", checking)
     return alive
 
 
@@ -337,15 +341,15 @@ class TestInstanceReuse:
     def test_build_flag_is_read_at_the_first_refill(self, builds, monkeypatch):
         import sysconfig
 
-        monkeypatch.setattr(harness, "_FREE_THREADED", None)
+        monkeypatch.setattr(measurement, "_FREE_THREADED", None)
         run_trial(small_spec(algorithm="oneshot", ensemble="rademacher"))
         run_trial(small_spec(algorithm="oneshot"))
-        assert harness._FREE_THREADED is None  # no gaussian matrix to refill yet
+        assert measurement._FREE_THREADED is None  # no gaussian matrix to refill yet
         run_trial(small_spec(algorithm="oneshot", seed=43))
-        assert harness._FREE_THREADED is bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
+        assert measurement._FREE_THREADED is bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
 
     def test_free_threaded_interpreter_never_refills(self, builds, monkeypatch):
-        monkeypatch.setattr(harness, "_FREE_THREADED", True)
+        monkeypatch.setattr(measurement, "_FREE_THREADED", True)
         run_trial(small_spec(algorithm="oneshot"))
         alive_at_draw = _watch_pages(monkeypatch)
         run_trial(small_spec(algorithm="oneshot", seed=43))
@@ -659,3 +663,9 @@ class TestCsv:
         swapped = {"b": 2, "a": 1}  # the same keys in another order follow row 0's
         write_csv([{"a": 1, "b": 2}, swapped], buf)
         assert buf.getvalue() == "a,b\n1,2\n1,2\n"
+
+    def test_numpy_scalars_are_written_as_python_values(self):
+        buf = io.StringIO()
+        write_csv([{"a": np.float64(0.5), "b": np.True_, "c": np.int64(3)},
+                   {"a": 0.5, "b": True, "c": 3}], buf)
+        assert buf.getvalue() == "a,b,c\n0.5,true,3\n0.5,true,3\n"

@@ -1,14 +1,19 @@
 """Measurement ensembles: adjoint pairing, dense oracle, noisy observation."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from nldemix import measurement
 from nldemix.links import make_link
 from nldemix.measurement import (
     MeasurementOperator,
     observe,
     sample_operator,
 )
+from nldemix.solvers import DemixProblem
+from nldemix.transforms import Basis, Dictionary
 
 
 def dct_matrix(n: int) -> np.ndarray:
@@ -68,6 +73,60 @@ class TestSampling:
         row = A.dense()[0]
         assert abs(row.mean()) < 0.02
         assert abs(row.var() - 1.0) < 0.02
+
+
+@pytest.fixture
+def empty_slot(monkeypatch):
+    """No gaussian pages left over from an earlier draw."""
+    monkeypatch.setattr(measurement, "_last_pages", None)
+
+
+_HOLDERS = {  # what a caller keeps of an operator, and how to read its matrix back
+    "operator": (lambda A: A, lambda held: held.dense()),
+    "matrix": (lambda A: A.dense(), lambda held: held),
+    "view": (lambda A: A.dense()[:10], lambda held: held),
+    "problem": (lambda A: DemixProblem(A=A, dictionary=Dictionary(Basis("identity", A.n),
+                                                                  Basis("dct", A.n)),
+                                       link=make_link("linsin"), y=np.zeros(A.m), s=1),
+                lambda held: held.A.dense()),
+}
+
+
+class TestGaussianRefill:
+    @pytest.mark.parametrize("m", [30, 40])
+    def test_dropped_operator_is_refilled_with_a_cold_draw(self, empty_slot, m):
+        A = sample_operator("gaussian", 40, 64, 1)
+        owner = weakref.ref(A.dense().base)
+        del A
+        warm = sample_operator("gaussian", m, 64, 2)
+        assert warm.dense().base is owner()
+        cold = sample_operator("gaussian", m, 64, 2)  # `warm` holds the owner
+        assert cold.dense().base is not owner()
+        np.testing.assert_array_equal(warm.dense().view(np.int64), cold.dense().view(np.int64))
+        for array in (warm.dense(), warm.dense().base):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("holder", list(_HOLDERS))
+    def test_held_matrix_is_never_refilled(self, empty_slot, holder):
+        hold, read = _HOLDERS[holder]
+        A = sample_operator("gaussian", 40, 64, 1)
+        owner = weakref.ref(A.dense().base)
+        held = hold(A)
+        values = read(held).copy()
+        del A
+        B = sample_operator("gaussian", 40, 64, 2)
+        assert owner() is not None and B.dense().base is not owner()
+        np.testing.assert_array_equal(read(held).view(np.int64), values.view(np.int64))
+
+    @pytest.mark.parametrize("kind", ["rademacher", "subfast"])
+    def test_other_draws_empty_the_slot(self, empty_slot, kind):
+        A = sample_operator("gaussian", 16, 64, 1)
+        owner = weakref.ref(A.dense().base)
+        del A
+        assert owner() is not None  # resident until the next draw
+        sample_operator(kind, 16, 64, 2)
+        assert owner() is None
 
 
 class TestApplyAdjoint:
