@@ -27,6 +27,7 @@ from .harness import (
     ALGORITHMS,
     TrialSpec,
     _build_instance,
+    child_seed,
     run_benchmark,
     run_phase_grid,
     run_trial,
@@ -202,7 +203,8 @@ def _cmd_coherence(merged: dict, parser):
     gamma = mutual_coherence(d)
     vartheta = ""
     if "ensemble" in merged or "m" in merged:  # the spec defaults the other
-        vartheta = cross_coherence(sample_operator(spec.ensemble, spec.m, spec.n, spec.seed), d)
+        A = sample_operator(spec.ensemble, spec.m, spec.n, child_seed(spec.seed, 1))  # as trial
+        vartheta = cross_coherence(A, d)
     return [{"basis_phi": spec.basis_phi, "basis_psi": spec.basis_psi,
              "n": spec.n, "s": spec.s, "gamma": gamma,
              "epsilon_bound": spec.s * gamma, "vartheta": vartheta}]

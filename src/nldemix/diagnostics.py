@@ -167,7 +167,7 @@ def estimate_rsc_rss(
     is instead of being recomputed.  Returns the min/max eigenvalues across
     probes.
     """
-    _require(problem.link, "estimate_rsc_rss", derivative=True)
+    _require(problem.link, "estimate_rsc_rss")
     two_n = 2 * problem.n
     if sparsity is None:
         sparsity = min(6 * problem.s, two_n)

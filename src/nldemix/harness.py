@@ -205,9 +205,9 @@ def run_trial(spec: TrialSpec) -> TrialRecord:
     """Generate an instance, solve it, and score the estimate.
 
     Consecutive trials whose specs differ only in algorithm, solver or
-    success threshold share one read-only instance.  Raises CapabilityError
-    when the algorithm needs link capabilities the chosen link lacks (e.g.
-    dht with the sign link).
+    success threshold share one read-only instance.  dht and dst need a
+    known link and raise CapabilityError on an unknown one (sign); oneshot
+    and nlcdlasso take either.  l2_err is reported for a known link only.
     """
     problem, w, z, x = _instance(spec)
     start = time.perf_counter()
@@ -216,12 +216,12 @@ def run_trial(spec: TrialSpec) -> TrialRecord:
     cos = _safe_cosine(x, result.x_hat)
     cos_w = _safe_cosine(w, result.w_hat)
     cos_z = _safe_cosine(z, result.z_hat)
-    if problem.link.has_derivative:
+    if problem.link.known:
         t_star = stack_constituents(w, z)
         denom = np.linalg.norm(t_star)
         l2_err = float(np.linalg.norm(result.t_hat - t_star) / denom) if denom > 0 else 0.0
     else:
-        # Unknown-g path: amplitude is unidentifiable, report only
+        # Unknown g: amplitude is unidentifiable, report only
         # scale-invariant metrics.
         l2_err = float("nan")
     return TrialRecord(

@@ -1,9 +1,8 @@
 """Scalar link functions g with derivative g' and antiderivative Theta.
 
-Each link carries capability flags: the sign link evaluates only, and
-requesting its derivative or potential raises :class:`CapabilityError`.
-That statically separates the one-shot path (unknown g, no derivative
-needed) from the descent path (known g).
+A link is known, with g' and Theta, or unknown, with g alone (sign); asking
+an unknown link for g' or Theta raises :class:`CapabilityError`.  oneshot
+and nlcd_lasso read only y and run on any link; dht and dst need a known g.
 
 Potentials are normalized so Theta(0) = 0, making loss values comparable
 across links.
@@ -22,12 +21,12 @@ _LN2 = float(np.log(2.0))
 
 
 class CapabilityError(Exception):
-    """A link was asked for a capability (derivative/potential) it lacks."""
+    """An unknown link was asked for its derivative or potential."""
 
 
 @dataclass(frozen=True)
 class LinkFunction:
-    """Scalar nonlinearity with optional derivative and antiderivative.
+    """Scalar nonlinearity g; known when both g' and Theta are set.
 
     eval_fn, deriv_fn, potential_fn operate elementwise on arrays.
     """
@@ -38,21 +37,15 @@ class LinkFunction:
     potential_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
-    def has_derivative(self) -> bool:
-        return self.deriv_fn is not None
-
-    @property
-    def has_potential(self) -> bool:
-        return self.potential_fn is not None
+    def known(self) -> bool:
+        return self.deriv_fn is not None and self.potential_fn is not None
 
 
-def _require(link: LinkFunction, who: str, *, potential: bool = False,
-             derivative: bool = False) -> None:
-    """CapabilityError unless `link` has each capability `who` asks for."""
-    missing = ("potential" if potential and not link.has_potential
-               else "derivative" if derivative and not link.has_derivative else None)
-    if missing:
-        raise CapabilityError(f"{who} requires a link with a {missing}; {link.name!r} has none")
+def _require(link: LinkFunction, who: str) -> None:
+    """CapabilityError unless `link` is known."""
+    if not link.known:
+        raise CapabilityError(
+            f"{who} requires a link with a derivative and a potential; {link.name!r} has none")
 
 
 def _linsin(u: np.ndarray) -> np.ndarray:
@@ -116,13 +109,13 @@ def link_eval(g: LinkFunction, u):
 
 
 def link_deriv(g: LinkFunction, u):
-    """g'(u); raises CapabilityError for links without a derivative."""
-    _require(g, "link_deriv", derivative=True)
+    """g'(u); raises CapabilityError for an unknown link."""
+    _require(g, "link_deriv")
     return g.deriv_fn(np.asarray(u, dtype=float))
 
 
 def link_potential(g: LinkFunction, u):
     """Theta(u) with Theta(0) = 0 and Theta' = g; raises CapabilityError
-    for links without a potential."""
-    _require(g, "link_potential", potential=True)
+    for an unknown link."""
+    _require(g, "link_potential")
     return g.potential_fn(np.asarray(u, dtype=float))

