@@ -27,16 +27,15 @@ from .harness import (
     ALGORITHMS,
     TrialSpec,
     _build_instance,
-    child_seed,
     run_benchmark,
     run_phase_grid,
     run_trial,
     write_csv,
 )
 from .links import CapabilityError, LINK_KINDS, make_link
-from .measurement import ENSEMBLE_KINDS, sample_operator
+from .measurement import ENSEMBLE_KINDS
 from .solvers import INIT_MODES, PROJECTION_MODES, SolverConfig
-from .transforms import _check_list, BASIS_KINDS, Basis, Dictionary, stack_constituents
+from .transforms import _check_list, BASIS_KINDS, Basis, Dictionary
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract reserves 2 for
@@ -203,8 +202,7 @@ def _cmd_coherence(merged: dict, parser):
     gamma = mutual_coherence(d)
     vartheta = ""
     if "ensemble" in merged or "m" in merged:  # the spec defaults the other
-        A = sample_operator(spec.ensemble, spec.m, spec.n, child_seed(spec.seed, 1))  # as trial
-        vartheta = cross_coherence(A, d)
+        vartheta = cross_coherence(_build_instance(spec)[0].A, d)  # trial's operator
     return [{"basis_phi": spec.basis_phi, "basis_psi": spec.basis_psi,
              "n": spec.n, "s": spec.s, "gamma": gamma,
              "epsilon_bound": spec.s * gamma, "vartheta": vartheta}]
@@ -212,8 +210,8 @@ def _cmd_coherence(merged: dict, parser):
 
 def _cmd_rscrss(merged: dict, parser):
     spec = _make_spec(merged)
-    problem, w, z, _ = _build_instance(spec)
-    est = estimate_rsc_rss(problem, t_ref=stack_constituents(w, z), seed=spec.seed,
+    problem, t_star, _ = _build_instance(spec)
+    est = estimate_rsc_rss(problem, t_ref=t_star, seed=spec.seed,
                            **_given(merged, "sparsity", "num_supports"))
     return [{"n": spec.n, "s": spec.s, "m": spec.m, "link": spec.link,
              "sparsity_level": est.sparsity_level, "supports_probed": est.supports_probed,

@@ -148,13 +148,14 @@ def generate_signal(
 
 
 def _build_instance(spec: TrialSpec):
+    """(problem, t_star, x): the planted t* = [w; z] and x = Phi w + Psi z.
+    The spec's seed splits into streams 0 (signal), 1 (operator), 2 (noise)."""
     d = Dictionary(Basis(spec.basis_phi, spec.n), Basis(spec.basis_psi, spec.n))
     link = make_link(spec.link)
     w, z, x = generate_signal(spec.n, spec.s, child_seed(spec.seed, 0), d)
     A = sample_operator(spec.ensemble, spec.m, spec.n, child_seed(spec.seed, 1))
     y = observe(A, link, x, spec.tau, child_seed(spec.seed, 2))
-    problem = DemixProblem(A=A, dictionary=d, link=link, y=y, s=spec.s)
-    return problem, w, z, x
+    return DemixProblem(A=A, dictionary=d, link=link, y=y, s=spec.s), stack_constituents(w, z), x
 
 
 def _solve(problem: DemixProblem, spec: TrialSpec) -> SolveResult:
@@ -195,7 +196,7 @@ def _instance(spec: TrialSpec):
         return _last_instance[1]
     _last_instance = None
     instance = _build_instance(spec)
-    for array in instance[1:]:  # w, z, x; the problem's y and operator are read-only already
+    for array in instance[1:]:  # t_star, x; the problem's y and operator are read-only already
         array.setflags(write=False)
     _last_instance = (key, instance)
     return instance
@@ -209,15 +210,14 @@ def run_trial(spec: TrialSpec) -> TrialRecord:
     known link and raise CapabilityError on an unknown one (sign); oneshot
     and nlcdlasso take either.  l2_err is reported for a known link only.
     """
-    problem, w, z, x = _instance(spec)
+    problem, t_star, x = _instance(spec)
     start = time.perf_counter()
     result = _solve(problem, spec)
     wall_ms = (time.perf_counter() - start) * 1e3
     cos = _safe_cosine(x, result.x_hat)
-    cos_w = _safe_cosine(w, result.w_hat)
-    cos_z = _safe_cosine(z, result.z_hat)
+    cos_w = _safe_cosine(t_star[:spec.n], result.w_hat)
+    cos_z = _safe_cosine(t_star[spec.n:], result.z_hat)
     if problem.link.known:
-        t_star = stack_constituents(w, z)
         denom = np.linalg.norm(t_star)
         l2_err = float(np.linalg.norm(result.t_hat - t_star) / denom) if denom > 0 else 0.0
     else:

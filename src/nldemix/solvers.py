@@ -354,10 +354,9 @@ def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, 
         if k > 1:
             grad = gradient(carry)
         if not np.all(np.isfinite(grad)) or not np.isfinite(obj):
-            raise RuntimeError(
-                f"{algorithm} aborted at iteration {k}: non-finite loss or gradient "
-                f"(loss={obj!r}); the step size is likely too large for this instance"
-            )
+            where = "the start" if k == 1 else f"iterate {k - 1}"
+            raise RuntimeError(f"{algorithm} aborted at iteration {k}: non-finite loss or "
+                               f"gradient at {where} (loss={obj!r})")
         h = step
         for _ in range(_MAX_HALVINGS):
             cand = prox(t - h * grad, h)

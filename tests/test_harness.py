@@ -322,10 +322,10 @@ class TestInstanceReuse:
     def test_cached_arrays_are_read_only(self, builds):
         run_trial(small_spec())
         run_trial(small_spec(algorithm="oneshot", seed=43))  # refills the evicted matrix
-        problem, w, z, x = harness._last_instance[1]
+        problem, t_star, x = harness._last_instance[1]
         refilled = problem.A.dense()
         fresh = sample_operator("gaussian", 4, 8, 0).dense()
-        for array in (problem.y, w, z, x, refilled, refilled.base, fresh):
+        for array in (problem.y, t_star, x, refilled, refilled.base, fresh):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 

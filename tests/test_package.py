@@ -207,6 +207,15 @@ def test_solve_results_are_built_in_one_function():
     assert builders == {"solvers._finish"}
 
 
+def test_seed_streams_are_derived_in_harness_only():
+    callers = set()
+    for path in Path(nldemix.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("child_seed"):
+                callers.add(path.stem)
+    assert callers == {"harness"}
+
+
 @pytest.mark.parametrize("pattern, checks", [
     (r"unknown .*expected one of", {"transforms._check_choice"}),
     (r"must be (>=|<=|in \[|at most)|exceeds", {"transforms._check_int"}),

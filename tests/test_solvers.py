@@ -9,7 +9,7 @@ import pytest
 from nldemix import diagnostics, solvers
 from nldemix.harness import TrialSpec, _build_instance
 from nldemix.links import CapabilityError, make_link
-from nldemix.measurement import observe, sample_operator
+from nldemix.measurement import sample_operator
 from nldemix.solvers import (
     DemixProblem,
     SolverConfig,
@@ -26,20 +26,7 @@ from nldemix.solvers import (
 )
 from nldemix.transforms import Basis, Dictionary, dict_adjoint, dict_apply
 
-
-def planted_instance(n, s, m, link_name="linsin", seed=0, phi="identity", psi="dct"):
-    """Noiseless problem with +/-1 coefficients on random disjoint supports."""
-    rng = np.random.default_rng(seed)
-    d = Dictionary(Basis(phi, n), Basis(psi, n))
-    w = np.zeros(n)
-    z = np.zeros(n)
-    w[rng.choice(n, size=s, replace=False)] = rng.choice([-1.0, 1.0], size=s)
-    z[rng.choice(n, size=s, replace=False)] = rng.choice([-1.0, 1.0], size=s)
-    t_star = np.concatenate([w, z])
-    A = sample_operator("gaussian", m, n, seed + 1)
-    link = make_link(link_name)
-    y = observe(A, link, dict_apply(d, t_star))
-    return DemixProblem(A=A, dictionary=d, link=link, y=y, s=s), t_star
+from planted import planted_instance
 
 
 def cosine(a, b):
@@ -561,6 +548,16 @@ class TestDht:
                                                r"M_hat=\S+ is not usable$"):
             solve(problem, SolverConfig(init=np.full(64, 1e3)))
         solve(problem, SolverConfig(init=np.full(64, 1e3), step_size=1.0, max_iters=3))
+
+    @pytest.mark.parametrize("step_size", ["auto", 1.0])
+    @pytest.mark.parametrize("solve", [dht, dst])
+    def test_non_finite_start_aborts_before_any_step(self, solve, step_size):
+        # linsin's loss overflows at this start; every accepted iterate is finite.
+        problem, _ = planted_instance(64, 3, 80, seed=57)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                RuntimeError, match=rf"^{solve.__name__} aborted at iteration 1: non-finite "
+                                    r"loss or gradient at the start \(loss=inf\)$"):
+            solve(problem, SolverConfig(init=np.full(128, 1e200), step_size=step_size))
 
     def test_truth_is_fixed_point(self):
         problem, t_star = planted_instance(128, 4, 200, seed=30)
