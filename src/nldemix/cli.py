@@ -8,17 +8,18 @@ Subcommands:
 * ``diag``   - diagnostics: ``coherence``, ``rscrss``, ``linkconst``.
 
 ``--config FILE`` supplies a JSON object keyed by the command's own flags
-(their dests, e.g. ``basis_phi`` for ``--phi``), with the solver settings
-in a nested "solver" object; explicit flags override the file.  CSV goes
-to ``--out`` when given, else stdout.
+(their dests, e.g. ``basis_phi`` for ``--phi``; lists as JSON lists), with
+the solver settings in a nested "solver" object; explicit flags override
+the file.  CSV goes to ``--out`` when given, else stdout.
 
-Exit codes: 0 success, 1 usage error, 2 runtime or capability error.
+Exit codes: 0 success; 1 usage error (a flag that does not parse, or a
+command line of the wrong shape); 2 a setting the library rejects, from a
+flag or the file, or a runtime or capability error.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from dataclasses import fields, replace
 
@@ -60,9 +61,13 @@ def _step_size(text: str):
         raise argparse.ArgumentTypeError(f"step size must be a number or 'auto', got {text!r}") from exc
 
 
+def _names(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in _names(text)]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
@@ -87,7 +92,7 @@ _FLAGS = {
     "dst_beta": ("--dst-beta", {"type": float}),
     "s_list": ("--s-list", {"type": _int_list}), "m_list": ("--m-list", {"type": _int_list}),
     "trials": ("--trials", {"type": int}), "workers": ("--workers", {"type": int}),
-    "algorithms": ("--algorithms", {"help": "comma-separated algorithm names"}),
+    "algorithms": ("--algorithms", {"type": _names, "help": "comma-separated algorithm names"}),
     "repeats": ("--repeats", {"type": int}),
     "sparsity": ("--sparsity", {"type": int}),
     "num_supports": ("--num-supports", {"type": int}),
@@ -162,9 +167,7 @@ def _emit(rows, out: str | None) -> None:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             write_csv(rows, handle)
     else:
-        buf = io.StringIO()
-        write_csv(rows, buf)
-        sys.stdout.write(buf.getvalue())
+        write_csv(rows, sys.stdout)
 
 
 # Each command maps (merged settings, parser) to the rows it writes: dicts or records.
@@ -184,15 +187,9 @@ def _cmd_phase(merged: dict, parser):
 def _cmd_bench(merged: dict, parser):
     if "algorithm" in merged and "algorithms" in merged:
         parser.error("bench takes --algorithm or --algorithms, not both")
-    names = merged.get("algorithms", merged.get("algorithm", "oneshot"))
-    if isinstance(names, str):
-        names = [p.strip() for p in names.split(",") if p.strip()]
     base = _make_spec(merged)
-    try:  # each spec checks its name; a bad list is a usage error, as a bad --algorithm is
-        specs = _check_list("algorithms", names, "names",
-                            lambda name: replace(base, algorithm=name))
-    except ValueError as exc:
-        parser.error(str(exc))
+    names = merged.get("algorithms", [merged.get("algorithm", "oneshot")])
+    specs = _check_list("algorithms", names, "names", lambda name: replace(base, algorithm=name))
     return run_benchmark(specs, **_given(merged, "repeats"))
 
 
@@ -258,7 +255,7 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:  # parser.error inside a handler
         return int(exc.code or 0)
-    except (CapabilityError, ValueError, RuntimeError, OSError) as exc:
+    except (CapabilityError, ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"nldemix: error: {exc}", file=sys.stderr)
         return 2
 

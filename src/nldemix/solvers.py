@@ -212,7 +212,9 @@ def project_l1_ball(v: np.ndarray, r: float) -> np.ndarray:
         return v.copy()
     u = np.sort(a)[::-1]
     css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > (css - r))[0][-1]
+    # k = 1 qualifies as r > 0, unless r is below the float spacing at max|v|.
+    qualifies = np.flatnonzero(u * np.arange(1, v.size + 1) > (css - r))
+    rho = qualifies[-1] if qualifies.size else 0
     lam = (css[rho] - r) / (rho + 1.0)
     return soft_threshold(v, lam)
 

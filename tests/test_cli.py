@@ -29,6 +29,49 @@ FAST_TRIAL = [
 PHASE_CONFIG = {"n": 64, "algorithm": "oneshot", "s_list": [2], "m_list": [60], "trials": 1}
 
 
+# Each list setting: its command, a config it overrides, and its flag.
+LIST_SETTINGS = {
+    "s_list": ("phase", PHASE_CONFIG, "--s-list"),
+    "m_list": ("phase", PHASE_CONFIG, "--m-list"),
+    "algorithms": ("bench", {"n": 64, "s": 2, "m": 60, "repeats": 1}, "--algorithms"),
+}
+DISTINCT = "must be distinct and non-empty, got"
+UNKNOWN_OMP = "unknown algorithm 'omp'; expected one of ('oneshot', 'dht', 'dst', 'nlcdlasso')"
+# id: (source, key, flag text or config value, message).
+LIST_RULE = {
+    "s_list-flag-repeat": ("flag", "s_list", "2,2",
+                           f"s_values {DISTINCT} [2, 2]; entry 1 repeats entry 0"),
+    "s_list-config-repeat": ("config", "s_list", [2, 2],
+                             f"s_values {DISTINCT} [2, 2]; entry 1 repeats entry 0"),
+    "m_list-flag-repeat": ("flag", "m_list", "60,80,60",
+                           f"m_values {DISTINCT} [60, 80, 60]; entry 2 repeats entry 0"),
+    "m_list-config-repeat": ("config", "m_list", [60, 80, 60],
+                             f"m_values {DISTINCT} [60, 80, 60]; entry 2 repeats entry 0"),
+    "algorithms-flag-repeat": ("flag", "algorithms", "dht,dht",
+                               f"algorithms {DISTINCT} ['dht', 'dht']; entry 1 repeats entry 0"),
+    "algorithms-flag-repeat-spaced": (
+        "flag", "algorithms", "oneshot, dht,oneshot",
+        f"algorithms {DISTINCT} ['oneshot', 'dht', 'oneshot']; entry 2 repeats entry 0"),
+    "algorithms-config-repeat": ("config", "algorithms", ["dht", "dht"],
+                                 f"algorithms {DISTINCT} ['dht', 'dht']; entry 1 repeats entry 0"),
+    "s_list-flag-comma": ("flag", "s_list", ",", f"s_values {DISTINCT} []"),
+    "s_list-config-empty": ("config", "s_list", [], f"s_values {DISTINCT} []"),
+    "m_list-flag-empty": ("flag", "m_list", "", f"m_values {DISTINCT} []"),
+    "m_list-config-empty": ("config", "m_list", [], f"m_values {DISTINCT} []"),
+    "algorithms-flag-comma": ("flag", "algorithms", ",", f"algorithms {DISTINCT} []"),
+    "algorithms-flag-empty": ("flag", "algorithms", "", f"algorithms {DISTINCT} []"),
+    "algorithms-config-empty": ("config", "algorithms", [], f"algorithms {DISTINCT} []"),
+    "s_list-config-str": ("config", "s_list", "2,3",
+                          "s_values must be a sequence of integers, got '2,3'"),
+    "m_list-config-str": ("config", "m_list", "60,80",
+                          "m_values must be a sequence of integers, got '60,80'"),
+    "algorithms-config-str": ("config", "algorithms", "dht,dst",
+                              "algorithms must be a sequence of names, got 'dht,dst'"),
+    "algorithms-flag-unknown": ("flag", "algorithms", "omp", UNKNOWN_OMP),
+    "algorithms-config-unknown": ("config", "algorithms", ["omp"], UNKNOWN_OMP),
+}
+
+
 def rows_from(text: str) -> list[dict]:
     reader = csv.DictReader(io.StringIO(text))
     return list(reader)
@@ -160,15 +203,10 @@ class TestBenchCommand:
             assert float(r["median_ms"]) > 0
             assert int(r["repeats"]) == 2
 
-    def test_unknown_algorithm_is_usage_error(self, capsys):
-        args = ["bench", "--n", "64", "--algorithms", "omp"]
-        assert main(args) == 1
-        assert "unknown algorithm" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flags, config", [
         (["--algorithm", "dht", "--algorithms", "oneshot"], {}),
         (["--algorithms", "oneshot"], {"algorithm": "dht"}),
-        ([], {"algorithm": "dht", "algorithms": "oneshot"}),
+        ([], {"algorithm": "dht", "algorithms": ["oneshot"]}),
     ], ids=["flags", "flag-and-config", "config"])
     def test_algorithm_and_algorithms_together_is_usage_error(self, tmp_path, capsys, flags,
                                                               config):
@@ -360,7 +398,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, keys", [
         (["phase"], {"n": 64, "algorithm": "oneshot",
                      "s_list": [2], "m_list": [120], "trials": 1, "workers": 1}),
-        (["bench"], {"n": 64, "s": 2, "m": 120, "algorithms": "oneshot", "repeats": 1}),
+        (["bench"], {"n": 64, "s": 2, "m": 120, "algorithms": ["oneshot"], "repeats": 1}),
         (["diag", "rscrss"], {"n": 64, "s": 2, "m": 120, "sparsity": 4, "num_supports": 2}),
         (["diag", "linkconst"], {"link": "sign", "trials": 1000}),
     ])
@@ -534,69 +572,53 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"nldemix: error: {message}\n"
 
-    @pytest.mark.parametrize("command, config, code, message", [
-        (["phase"], {**PHASE_CONFIG, "s_list": 2}, 2,
-         "s_values must be a sequence of integers, got 2"),
-        (["phase"], {**PHASE_CONFIG, "s_list": "2,3"}, 2,
-         "s_values must be a sequence of integers, got '2,3'"),
-        (["phase"], {**PHASE_CONFIG, "s_list": 0}, 2,
-         "s_values must be a sequence of integers, got 0"),
-        (["phase"], {**PHASE_CONFIG, "s_list": []}, 2,
-         "s_values must be distinct and non-empty, got []"),
-        (["phase", "--s-list", ","], PHASE_CONFIG, 2,
-         "s_values must be distinct and non-empty, got []"),
-        (["bench"], {"n": 64, "s": 2, "m": 60, "algorithms": 5}, 1,
+    @pytest.mark.parametrize("command, config, message", [
+        (["phase"], {**PHASE_CONFIG, "s_list": 2}, "s_values must be a sequence of integers, got 2"),
+        (["phase"], {**PHASE_CONFIG, "s_list": 0}, "s_values must be a sequence of integers, got 0"),
+        (["bench"], {"n": 64, "s": 2, "m": 60, "algorithms": 5},
          "algorithms must be a sequence of names, got 5"),
-        (["bench"], {"n": 64, "s": 2, "m": 60, "algorithms": {"dht": 1}}, 1,
+        (["bench"], {"n": 64, "s": 2, "m": 60, "algorithms": {"dht": 1}},
          "algorithms must be a sequence of names, got {'dht': 1}"),
-    ], ids=["phase-s_list-int", "phase-s_list-str", "phase-s_list-zero", "phase-s_list-empty",
-            "phase-s-list-flag-comma", "bench-algorithms-int", "bench-algorithms-object"])
+    ], ids=["phase-s_list-int", "phase-s_list-zero", "bench-algorithms-int",
+            "bench-algorithms-object"])
     def test_list_setting_of_wrong_type_fails_cleanly(self, tmp_path, capsys, command, config,
-                                                      code, message):
+                                                      message):
         # A list that is given but bad gets the list rule; only an absent
         # phase list is reported as missing.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        assert main([*command, "--config", str(cfg)]) == code
+        assert main([*command, "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1] == f"nldemix: error: {message}"
-        assert "Traceback" not in captured.err
+        assert captured.err == f"nldemix: error: {message}\n"
 
-    @pytest.mark.parametrize("config, flags", [
-        ({"algorithms": []}, []),
-        ({}, ["--algorithms", ""]),
-        ({}, ["--algorithms", ","]),
-    ], ids=["config-empty-list", "flag-empty", "flag-comma"])
-    def test_bench_without_algorithms_is_usage_error(self, tmp_path, capsys, config, flags):
+    @pytest.mark.parametrize("source, key, value, message", list(LIST_RULE.values()),
+                             ids=list(LIST_RULE))
+    def test_one_list_rule(self, tmp_path, capsys, monkeypatch, source, key, value, message):
+        # A list that parses and is then rejected exits 2, from a flag or the
+        # file alike, before any build: unchecked, each repeat redid a build
+        # or a solve and wrote a second row.
+        command, config, flag = LIST_SETTINGS[key]
+        flags = [flag, value] if source == "flag" else []
+        if source == "config":
+            config = {**config, key: value}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 64, "s": 2, "m": 60, "repeats": 1, **config}))
-        assert main(["bench", "--config", str(cfg), *flags]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
-            "nldemix: error: algorithms must be distinct and non-empty, got []")
-
-    @pytest.mark.parametrize("command, code, message", [
-        (["bench", "--n", "64", "--s", "2", "--m", "60", "--algorithms", "dht,dht"], 1,
-         "algorithms must be distinct and non-empty, got ['dht', 'dht']; "
-         "entry 1 repeats entry 0"),
-        (["bench", "--n", "64", "--s", "2", "--m", "60", "--algorithms", "oneshot, dht,oneshot"],
-         1, "algorithms must be distinct and non-empty, got ['oneshot', 'dht', 'oneshot']; "
-         "entry 2 repeats entry 0"),
-        (["phase", "--n", "64", "--algorithm", "oneshot", "--s-list", "2,2", "--m-list", "60"], 2,
-         "s_values must be distinct and non-empty, got [2, 2]; entry 1 repeats entry 0"),
-        (["phase", "--n", "64", "--algorithm", "oneshot", "--s-list", "2", "--m-list", "60,80,60"],
-         2, "m_values must be distinct and non-empty, got [60, 80, 60]; entry 2 repeats entry 0"),
-    ], ids=["bench-algorithms", "bench-algorithms-spaced", "phase-s-list", "phase-m-list"])
-    def test_repeated_list_entries_fail_before_any_work(self, capsys, monkeypatch, command, code,
-                                                        message):
-        # Unchecked, each repeat redid a build or a solve and wrote a second row.
+        cfg.write_text(json.dumps(config))
         monkeypatch.setattr(harness, "_build_instance", None)  # any build would raise TypeError
-        assert main(command) == code
+        assert main([command, "--config", str(cfg), *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1] == f"nldemix: error: {message}"
+        assert captured.err == f"nldemix: error: {message}\n"
+
+    def test_allocation_failure_exits_2(self, capsys, monkeypatch):
+        def run_trial(spec):
+            raise MemoryError("cannot allocate the operator")
+
+        monkeypatch.setattr(cli, "run_trial", run_trial)
+        assert main(["trial", *FAST_TRIAL]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "nldemix: error: cannot allocate the operator\n"
 
     def test_invalid_dimension_exits_2(self, capsys):
         # passes parsing, fails dataclass validation at runtime

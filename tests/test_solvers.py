@@ -290,6 +290,12 @@ class TestProjectL1Ball:
         with pytest.raises(ValueError):
             project_l1_ball(np.ones(3), 0.0)
 
+    @pytest.mark.parametrize("v, r", [([1e17, 0.0], 1.0), ([3.0, 1.0], 1e-300),
+                                      ([1e16, 1e16], 1.0)])
+    def test_radius_below_the_spacing_at_the_largest_entry(self, v, r):
+        # Rounding can hide every index that qualifies; the result must still be feasible.
+        assert np.abs(project_l1_ball(np.array(v), r)).sum() <= r
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vector_rejected(self, bad):
         # Unchecked, NaN leaves no index for the threshold and numpy raises IndexError.
