@@ -13,8 +13,8 @@ the solver settings in a nested "solver" object; explicit flags override
 the file.  CSV goes to ``--out`` when given, else stdout.
 
 Exit codes: 0 success; 1 usage error (a flag that does not parse, or a
-command line of the wrong shape); 2 a setting the library rejects, from a
-flag or the file, or a runtime or capability error.
+command line of the wrong shape), shown with the command's usage; 2 a
+setting the library rejects, or a runtime or capability error.
 """
 
 from __future__ import annotations
@@ -37,20 +37,6 @@ from .links import CapabilityError, LINK_KINDS, make_link
 from .measurement import ENSEMBLE_KINDS
 from .solvers import INIT_MODES, PROJECTION_MODES, SolverConfig
 from .transforms import _check_list, BASIS_KINDS, Basis, Dictionary
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract reserves 2 for
-    runtime failures, so remap to 1.  Flags are never abbreviated, so a
-    flag a command lacks (``diag linkconst --s``) cannot pass as a prefix of
-    one it has (``--seed``)."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
 
 def _step_size(text: str):
     if text == "auto":
@@ -99,19 +85,24 @@ _FLAGS = {
 }
 
 
-def build_parser() -> _Parser:
-    """Each command takes only the flags it reads: its dests in `_COMMANDS`."""
-    parser = _Parser(prog="nldemix", description="sparse demixing from nonlinear observations")
-    subs = {"": parser.add_subparsers(dest="command", required=True)}
-    for name, (help_text, dests, _) in _COMMANDS.items():
+def build_parser() -> argparse.ArgumentParser:
+    """Each command takes only the flags it reads: its dests in `_COMMANDS`.
+    Its subparser sets `command` to (itself, its dests, its handler) for
+    `main`.  Flags are never abbreviated: ``diag linkconst --s`` is not taken
+    for ``--seed``."""
+    parser = argparse.ArgumentParser(prog="nldemix", allow_abbrev=False,
+                                     description="sparse demixing from nonlinear observations")
+    subs = {"": parser.add_subparsers(required=True)}
+    for name, (help_text, dests, handler) in _COMMANDS.items():
         group, _, leaf = name.rpartition(" ")
         if group not in subs:  # "diag", made before its first subcommand
-            subs[group] = subs[""].add_parser(group, help="diagnostics").add_subparsers(
-                dest="diag_command", required=True)
-        p = subs[group].add_parser(leaf, help=help_text)
+            subs[group] = subs[""].add_parser(
+                group, help="diagnostics", allow_abbrev=False).add_subparsers(required=True)
+        p = subs[group].add_parser(leaf, help=help_text, allow_abbrev=False)
         for dest in dests.split():
             flag, kwargs = _FLAGS[dest]
             p.add_argument(flag, dest=dest, **kwargs)
+        p.set_defaults(command=(p, dests, handler))
     return parser
 
 
@@ -121,7 +112,7 @@ _SPEC_FIELDS = {f.name for f in fields(TrialSpec)} - {"solver"}
 _SOLVER_FIELDS = {f.name for f in fields(SolverConfig)}
 
 
-def _resolve(dests: str, args: argparse.Namespace, parser: _Parser) -> dict:
+def _resolve(dests: str, args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """defaults < config file < explicit flags, as one flat dict.
 
     A config key is valid only if it is one of the command's own flags
@@ -188,7 +179,7 @@ def _cmd_bench(merged: dict, parser):
     if "algorithm" in merged and "algorithms" in merged:
         parser.error("bench takes --algorithm or --algorithms, not both")
     base = _make_spec(merged)
-    names = merged.get("algorithms", [merged.get("algorithm", "oneshot")])
+    names = merged.get("algorithms", [base.algorithm])
     specs = _check_list("algorithms", names, "names", lambda name: replace(base, algorithm=name))
     return run_benchmark(specs, **_given(merged, "repeats"))
 
@@ -228,7 +219,7 @@ def _cmd_linkconst(merged: dict, parser):
 _SOLVE = ("config seed out n basis_phi basis_psi ensemble link tau algorithm "
           "step_size max_iters rel_tol init projection_mode lasso_radius dst_beta")
 # Each command: (help, the dests of the flags it takes, which are the settings
-# it reads, handler).  The parser, the config-key check and main read this.
+# it reads, handler).  build_parser hands each entry to its subparser.
 _COMMANDS = {
     "trial": ("run one recovery trial", _SOLVE + " s m success_threshold", _cmd_trial),
     "phase": ("success probabilities over an (s, m) grid",
@@ -243,18 +234,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        name = f"diag {args.diag_command}" if args.command == "diag" else args.command
-        _, dests, handler = _COMMANDS[name]
+        args, extra = build_parser().parse_known_args(argv)
+        parser, dests, handler = args.command
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         _emit(handler(_resolve(dests, args, parser), parser), args.out)
         return 0
-    except SystemExit as exc:  # parser.error inside a handler
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; the contract says 1
+        return 1 if exc.code == 2 else int(exc.code or 0)
     except (CapabilityError, ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"nldemix: error: {exc}", file=sys.stderr)
         return 2

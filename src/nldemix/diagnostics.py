@@ -170,6 +170,8 @@ def estimate_rsc_rss(
     _require(problem.link, "estimate_rsc_rss")
     two_n = 2 * problem.n
     if sparsity is None:
+        if problem.s == 0:
+            raise ValueError("s=0 makes the default sparsity min(6s, 2n) 0; pass sparsity >= 1")
         sparsity = min(6 * problem.s, two_n)
     sparsity = _check_int("sparsity", sparsity, 1, two_n)
     num_supports, seed = _check_int("num_supports", num_supports, 0), _check_int("seed", seed, 0)

@@ -102,14 +102,21 @@ class TrialRecord:
             float(self.l2_err), self.iterations, float(self.wall_time_ms), self.success)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseGrid:
-    """Per-cell success counts over T trials on an (s, m) grid."""
+    """Per-cell success counts over T trials on an (s, m) grid.  It holds an
+    array, so == and hash are identity; compare `successes` to compare grids."""
 
     s_values: tuple[int, ...]
     m_values: tuple[int, ...]
     trials: int
     successes: np.ndarray  # shape (len(s_values), len(m_values)), int
+
+    def __post_init__(self) -> None:
+        # A read-only copy: editing the caller's array cannot change the grid.
+        successes = np.array(self.successes)
+        successes.setflags(write=False)
+        object.__setattr__(self, "successes", successes)
 
     @property
     def prob(self) -> np.ndarray:

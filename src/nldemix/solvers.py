@@ -52,9 +52,9 @@ INIT_MODES = ("oneshot", "zero")
 _MAX_HALVINGS = 30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemixProblem:
-    """Observation bundle (A, Gamma, g, y, s)."""
+    """Observation bundle (A, Gamma, g, y, s); == and hash are identity."""
 
     A: MeasurementOperator
     dictionary: Dictionary
@@ -63,7 +63,7 @@ class DemixProblem:
     s: int
     # Read-only state its solves share: "x_lin" and one descent start per
     # (init, step_size) key.  A dataclasses.replace copy starts empty.
-    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _shared: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # A read-only copy: editing the caller's array cannot change the problem.
@@ -132,13 +132,13 @@ class TraceRecord:
     support_size: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """The read-only estimate t_hat = [w_hat; z_hat] plus per-iteration trace.
 
-    w_hat and z_hat are views of t_hat's halves, and x_hat equals
-    dict_apply(t_hat) exactly.  iterates is populated only when
-    SolverConfig.keep_iterates is set.
+    w_hat and z_hat are views of t_hat's halves, and the read-only x_hat
+    equals dict_apply(t_hat) exactly.  iterates is populated only when
+    SolverConfig.keep_iterates is set.  == and hash are identity.
     """
 
     t_hat: np.ndarray
@@ -282,8 +282,8 @@ def _x_lin(problem: DemixProblem) -> np.ndarray:
 def _finish(problem: DemixProblem, t: np.ndarray, trace, converged: bool,
             iterates=None) -> SolveResult:
     """The result of a solve whose estimate is t, frozen in place."""
-    return SolveResult(_frozen(t), dict_apply(problem.dictionary, t), tuple(trace), converged,
-                       None if iterates is None else tuple(iterates))
+    return SolveResult(_frozen(t), _frozen(dict_apply(problem.dictionary, t)), tuple(trace),
+                       converged, None if iterates is None else tuple(iterates))
 
 
 def _zero_result(problem: DemixProblem, keep: bool) -> SolveResult:

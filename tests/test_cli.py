@@ -171,7 +171,7 @@ class TestPhaseCommand:
     def test_missing_lists_is_usage_error(self, capsys, lists):
         assert main(["phase", "--n", "64", *lists]) == 1
         assert capsys.readouterr().err.splitlines()[-1] == (
-            "nldemix: error: phase requires --s-list and --m-list "
+            "nldemix phase: error: phase requires --s-list and --m-list "
             "(or config keys s_list/m_list)")
 
     @pytest.mark.parametrize("flag", ["--s-list", "--m-list"])
@@ -216,7 +216,14 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
-            "nldemix: error: bench takes --algorithm or --algorithms, not both")
+            "nldemix bench: error: bench takes --algorithm or --algorithms, not both")
+
+    def test_default_algorithm_is_the_spec_default(self, capsys):
+        # Neither --algorithm nor --algorithms: bench times the algorithm
+        # every other command defaults to.
+        assert main(["bench", "--n", "64", "--s", "2", "--m", "60", "--repeats", "1"]) == 0
+        rows = rows_from(capsys.readouterr().out)
+        assert [r["algorithm"] for r in rows] == [TrialSpec().algorithm] == ["dht"]
 
 
 class TestDiagCommand:
@@ -279,6 +286,16 @@ class TestDiagCommand:
         assert int(row["supports_probed"]) == 3
         assert int(row["sparsity_level"]) == 18
 
+    def test_rscrss_at_s_zero_names_s(self, capsys):
+        assert main(["diag", "rscrss", "--n", "64", "--s", "0", "--m", "80"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("nldemix: error: s=0 makes the default sparsity "
+                                "min(6s, 2n) 0; pass sparsity >= 1\n")
+        assert main(["diag", "rscrss", "--n", "64", "--s", "0", "--m", "80",
+                     "--sparsity", "4"]) == 0
+        assert rows_from(capsys.readouterr().out)[0]["sparsity_level"] == "4"
+
     def test_linkconst_sign(self, capsys):
         args = ["diag", "linkconst", "--link", "sign", "--trials", "50000",
                 "--seed", "0"]
@@ -315,8 +332,7 @@ class TestFlags:
     @pytest.mark.parametrize("command", list(COMMAND_DESTS))
     def test_each_command_takes_only_the_flags_it_reads(self, command):
         args = cli.build_parser().parse_args(command.split())
-        assert sorted(set(vars(args)) - {"command", "diag_command"}) == sorted(
-            COMMAND_DESTS[command])
+        assert sorted(set(vars(args)) - {"command"}) == sorted(COMMAND_DESTS[command])
 
     @pytest.mark.parametrize("command", list(COMMAND_DESTS))
     def test_link_radius_is_gone(self, tmp_path, capsys, command):
@@ -474,12 +490,52 @@ class TestConfigFile:
         assert main(["trial", "--config", str(tmp_path / "absent.json")]) == 1
 
 
+# id: (argv, config file content or None).
+COMMAND_USAGE_ERRORS = {
+    "bench-algorithm-and-algorithms": (["bench", "--algorithm", "dht", "--algorithms", "dst"],
+                                       None),
+    "phase-missing-s-list": (["phase", "--n", "64", "--m-list", "40"], None),
+    "trial-unknown-config-key": (["trial"], {"n": 64, "bogus": 1}),
+    "bench-unknown-flag": (["bench", "--n", "64", "--bogus", "1"], None),
+    "trial-abbreviated-flag": (["trial", *FAST_TRIAL, "--thr", "0.5"], None),
+    "diag-rscrss-unknown-flag": (["diag", "rscrss", "--n", "64", "--tau", "1"], None),
+    "trial-config-not-an-object": (["trial"], [1, 2]),
+}
+
+
 class TestExitCodes:
     def test_usage_error_bad_choice(self):
         assert main(["trial", "--algorithm", "omp"]) == 1
 
     def test_usage_error_no_subcommand(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv, config", list(COMMAND_USAGE_ERRORS.values()),
+                             ids=list(COMMAND_USAGE_ERRORS))
+    def test_usage_error_prints_the_commands_usage(self, tmp_path, capsys, argv, config):
+        # From argparse, the config check or a handler alike.
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
+        command = " ".join(argv[:2] if argv[0] == "diag" else argv[:1])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith(f"usage: nldemix {command} [-h]")
+        assert lines[-1].startswith(f"nldemix {command}: error: ")
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["no-command", "unknown-command"])
+    def test_usage_error_before_a_command_prints_the_root_usage(self, capsys, argv):
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == "usage: nldemix [-h] {trial,phase,bench,diag} ..."
+        assert lines[-1].startswith("nldemix: error: ")
+
+    def test_help_exits_0(self, capsys):
+        assert main(["bench", "-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: nldemix bench [-h]")
 
     def test_capability_error_exits_2(self, capsys):
         args = ["trial", "--n", "64", "--s", "2", "--m", "80",

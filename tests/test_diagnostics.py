@@ -1,5 +1,6 @@
 """Diagnostics: similarity, coherence, link constants, curvature estimates."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -303,6 +304,15 @@ class TestRscRssEstimate:
         assert est == estimate_rsc_rss(problem, t_star, sparsity=4, num_supports=2)
         assert type(est.sparsity_level) is int
 
+    def test_default_sparsity_at_s_zero_names_s(self):
+        # The default sparsity is min(6s, 2n); at s=0 the error names s, not
+        # a sparsity nobody gave.
+        problem, t_star = planted_instance(16, 0, 20, seed=68)
+        message = "s=0 makes the default sparsity min(6s, 2n) 0; pass sparsity >= 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_rsc_rss(problem, t_ref=t_star)
+        assert estimate_rsc_rss(problem, t_ref=t_star, sparsity=2).sparsity_level == 2
+
     def test_sign_link_rejected(self):
         problem, _ = planted_instance(16, 2, 20, link_name="sign", seed=67)
         with pytest.raises(CapabilityError):
@@ -310,8 +320,9 @@ class TestRscRssEstimate:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="the sampled smoothness/convexity ratio stays above 2/sqrt(3) "
-        "for this family at this sample size; kept as a record of the gap",
+        reason="at n=1024 the dictionary's own restricted Gram ratio at probe "
+        "sparsity 6s = 30 is already 1.60-1.63, above 2/sqrt(3), so no m meets "
+        "the target; kept as a record of the gap",
     )
     def test_conditioning_ratio_meets_contraction_target(self):
         n, s = 1024, 5

@@ -445,6 +445,20 @@ class TestRunPhaseGrid:
         g1 = run_phase_grid([2], [80, 160], trials=4, base=base)
         g2 = run_phase_grid([2], [80, 160], trials=4, base=base)
         np.testing.assert_array_equal(g1.successes, g2.successes)
+        # A grid holds an array: == and hash are identity, and neither raises.
+        assert g1 == g1 and g1 != g2
+        assert hash(g1) == hash(g1) and len({g1, g2}) == 2
+
+    def test_successes_are_a_read_only_copy(self):
+        counts = np.array([[3, 4]])
+        grid = PhaseGrid(s_values=(1,), m_values=(8, 16), trials=4, successes=counts)
+        counts[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            grid.successes[0, 0] = 99
+        np.testing.assert_array_equal(grid.prob, [[0.75, 1.0]])
+        grids = run_phase_grid([2], [80], trials=1, base=small_spec(algorithm="oneshot"),
+                               algorithms=("oneshot", "dht"))
+        assert not any(g.successes.flags.writeable for g in grids.values())
 
     def test_cells_keyed_by_values_not_position(self):
         # dropping rows or columns must not change the surviving cells

@@ -859,6 +859,21 @@ def test_result_is_the_stacked_estimate(algorithm, s):
         assert np.shares_memory(half, block)
         assert_bits_equal(half, block)
     assert_bits_equal(res.x_hat, dict_apply(problem.dictionary, res.t_hat))
+    with pytest.raises(ValueError, match="read-only"):
+        res.x_hat[0] = 1.0
+
+
+def test_records_holding_arrays_compare_and_hash_by_identity():
+    # Field-wise == would compare arrays, which raises; a generated hash
+    # would hash them, which raises too.
+    problem, _ = planted_instance(32, 2, 40, seed=52)
+    copy = DemixProblem(A=problem.A, dictionary=problem.dictionary, link=problem.link,
+                        y=problem.y, s=problem.s)
+    first, second = oneshot(problem), oneshot(problem)
+    assert problem == problem and problem != copy
+    assert first == first and first != second
+    assert hash(problem) == hash(problem) and hash(first) == hash(first)
+    assert len({problem, copy, first, second}) == 4
 
 
 class TestDst:
