@@ -30,8 +30,8 @@ from .solvers import (
     oneshot,
 )
 from .transforms import (
-    _check_choice, _check_instance, _check_int, _check_list, _check_real, _check_vector, Basis,
-    Dictionary, dict_apply, stack_constituents,
+    _check_choice, _check_instance, _check_int, _check_list, _check_real, _check_vector, _frozen,
+    Basis, Dictionary, dict_apply, stack_constituents,
 )
 
 ALGORITHMS = ("oneshot", "dht", "dst", "nlcdlasso")
@@ -114,9 +114,7 @@ class PhaseGrid:
 
     def __post_init__(self) -> None:
         # A read-only copy: editing the caller's array cannot change the grid.
-        successes = np.array(self.successes)
-        successes.setflags(write=False)
-        object.__setattr__(self, "successes", successes)
+        object.__setattr__(self, "successes", _frozen(np.array(self.successes)))
 
     @property
     def prob(self) -> np.ndarray:
@@ -155,14 +153,16 @@ def generate_signal(
 
 
 def _build_instance(spec: TrialSpec):
-    """(problem, t_star, x): the planted t* = [w; z] and x = Phi w + Psi z.
-    The spec's seed splits into streams 0 (signal), 1 (operator), 2 (noise)."""
+    """(problem, t_star, x): the planted t* = [w; z] and x = Phi w + Psi z,
+    read-only like the problem's arrays.  The spec's seed splits into
+    streams 0 (signal), 1 (operator), 2 (noise)."""
     d = Dictionary(Basis(spec.basis_phi, spec.n), Basis(spec.basis_psi, spec.n))
     link = make_link(spec.link)
     w, z, x = generate_signal(spec.n, spec.s, child_seed(spec.seed, 0), d)
     A = sample_operator(spec.ensemble, spec.m, spec.n, child_seed(spec.seed, 1))
     y = observe(A, link, x, spec.tau, child_seed(spec.seed, 2))
-    return DemixProblem(A=A, dictionary=d, link=link, y=y, s=spec.s), stack_constituents(w, z), x
+    return (DemixProblem(A=A, dictionary=d, link=link, y=y, s=spec.s),
+            _frozen(stack_constituents(w, z)), _frozen(x))
 
 
 def _solve(problem: DemixProblem, spec: TrialSpec) -> SolveResult:
@@ -191,7 +191,7 @@ def _instance(spec: TrialSpec):
     algorithm, solver or success threshold differ.
 
     The key is the spec with those fields reset, so a field added to
-    TrialSpec later causes a rebuild, never a wrong reuse.  The reused
+    TrialSpec later causes a rebuild, never a wrong reuse.  An instance's
     arrays are read-only: a solver that writes into them raises instead of
     corrupting the next trial's input.  The evicted instance is dropped
     before the build, so a gaussian draw can refill its matrix's memory
@@ -199,14 +199,10 @@ def _instance(spec: TrialSpec):
     """
     global _last_instance
     key = replace(spec, algorithm=ALGORITHMS[0], solver=SolverConfig(), success_threshold=1.0)
-    if _last_instance is not None and _last_instance[0] == key:
-        return _last_instance[1]
-    _last_instance = None
-    instance = _build_instance(spec)
-    for array in instance[1:]:  # t_star, x; the problem's y and operator are read-only already
-        array.setflags(write=False)
-    _last_instance = (key, instance)
-    return instance
+    if _last_instance is None or _last_instance[0] != key:
+        _last_instance = None  # dropped before the build, so the draw may refill it
+        _last_instance = (key, _build_instance(spec))
+    return _last_instance[1]
 
 
 def run_trial(spec: TrialSpec) -> TrialRecord:
@@ -274,7 +270,8 @@ def run_phase_grid(
     if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # No more workers than cells: a fork pool starts them all at the first submit.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
             outcomes = list(pool.map(_successes, cells, itertools.repeat(names)))
     else:
         outcomes = list(map(_successes, cells, itertools.repeat(names)))

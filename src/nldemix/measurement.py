@@ -17,6 +17,7 @@ import numpy as np
 from .links import LinkFunction, link_eval
 from .transforms import (
     _check_choice, _check_int, _check_last_axis, _check_real, _check_vector, _dct2, _dct3,
+    _frozen,
 )
 
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "subfast")
@@ -86,17 +87,14 @@ class MeasurementOperator:
         if kind == "gaussian":
             pages = np.empty(m * n) if pages is None else pages
             pages.setflags(write=True)
-            self._matrix = rng.standard_normal((m, n), out=pages[: m * n].reshape(m, n))
-            pages.setflags(write=False)
-            _last_pages = pages
+            self._matrix = _frozen(
+                rng.standard_normal((m, n), out=pages[: m * n].reshape(m, n)))
+            _last_pages = _frozen(pages)
         elif kind == "rademacher":
-            self._matrix = rng.choice([-1.0, 1.0], size=(m, n))
+            self._matrix = _frozen(rng.choice([-1.0, 1.0], size=(m, n)))
         else:
-            self.row_indices = np.sort(rng.choice(n, size=m, replace=False))
-            self.signs = rng.choice([-1.0, 1.0], size=n)
-        for array in (self._matrix, self.row_indices, self.signs):
-            if array is not None:
-                array.setflags(write=False)
+            self.row_indices = _frozen(np.sort(rng.choice(n, size=m, replace=False)))
+            self.signs = _frozen(rng.choice([-1.0, 1.0], size=n))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = _check_last_axis(x, self.n, "x")
@@ -141,10 +139,12 @@ def observe(
     seed: int = 0,
 ) -> np.ndarray:
     """Nonlinear observations y = g(Ax) + e, deterministic given seed; e is
-    Gaussian with standard deviation tau, and absent when tau = 0."""
+    Gaussian with standard deviation tau, and absent when tau = 0.  x and y
+    must be finite: a noise draw that overflows is a ValueError too."""
     _check_real("tau", tau, positive=False)
     seed = _check_int("seed", seed, 0)
-    y = link_eval(link, A.apply(_check_vector(x, A.n, "x")))
+    y = link_eval(link, A.apply(_check_vector(x, A.n, "x", finite=True)))
     if tau > 0:
-        y = y + tau * np.random.default_rng(seed).standard_normal(A.m)
-    return y
+        with np.errstate(over="ignore"):  # an overflow is caught as a non-finite y
+            y = y + tau * np.random.default_rng(seed).standard_normal(A.m)
+    return _check_vector(y, A.m, "y", finite=True)

@@ -43,7 +43,8 @@ from . import diagnostics
 from .links import _require, LinkFunction, link_deriv, link_eval, link_potential
 from .measurement import MeasurementOperator
 from .transforms import (
-    _check_choice, _check_int, _check_real, _check_vector, Dictionary, dict_adjoint, dict_apply,
+    _check_choice, _check_int, _check_real, _check_vector, _frozen, Dictionary, dict_adjoint,
+    dict_apply,
 )
 
 PROJECTION_MODES = ("stacked2s", "perblocks")
@@ -67,9 +68,8 @@ class DemixProblem:
 
     def __post_init__(self) -> None:
         # A read-only copy: editing the caller's array cannot change the problem.
-        y = _check_vector(self.y, self.A.m, "y", finite=True).copy()
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
+        y = _check_vector(self.y, self.A.m, "y", finite=True)
+        object.__setattr__(self, "y", _frozen(y.copy()))
         if self.A.n != self.dictionary.n:
             raise ValueError(
                 f"operator columns ({self.A.n}) and dictionary dimension "
@@ -266,11 +266,6 @@ def loss_hessian_matvec(problem: DemixProblem, t: np.ndarray, v: np.ndarray) -> 
 # algorithms
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _x_lin(problem: DemixProblem) -> np.ndarray:
     """The linear estimator (1/m) A^T y."""
     shared = problem._shared
@@ -333,6 +328,7 @@ def _descent_start(problem: DemixProblem, config: SolverConfig) -> tuple:
     return shared[key]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite candidate is rejected below
 def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, t: np.ndarray,
                    carry: np.ndarray, grad: np.ndarray, *, forward: Callable,
                    objective: Callable, gradient: Callable, prox: Callable, step: float,
@@ -344,7 +340,8 @@ def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, 
     the start, and the accepted candidate's carry feeds the next gradient.
     Each iteration tries prox(t - h grad, h) for h = step, step/2, ... and
     accepts the first candidate whose monitored objective rises by at most
-    slack; when none does, the solve keeps t and stops unconverged.
+    slack; when none does, the solve keeps t and stops unconverged.  A
+    non-finite start or accepted iterate raises RuntimeError.
     done(delta, t_new, obj_old, obj_new) tests convergence after an accepted
     step of length delta.
     """

@@ -107,6 +107,12 @@ def _check_last_axis(v: np.ndarray, n: int, what: str) -> np.ndarray:
     return v
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, set read-only in place: the one way an array is made read-only."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Basis:
     """Orthonormal basis of R^n selected by kind.
@@ -187,9 +193,7 @@ def _dct_twiddle(n: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(n // 2 + 1)
     tw = np.sqrt(2.0 / n) * np.exp(-0.5j * np.pi * k / n)
     tw[0] = np.sqrt(1.0 / n)
-    inv = 1.0 / tw
-    tw.flags.writeable = inv.flags.writeable = False
-    return tw, inv
+    return _frozen(tw), _frozen(1.0 / tw)
 
 
 def _dct2(x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""The planted instance the solver and diagnostics tests share."""
+"""What several test modules share: the planted instance of the solver and
+diagnostics tests, and the DCT oracle of the transform and measurement tests."""
 
 import numpy as np
 
@@ -6,6 +7,15 @@ from nldemix.links import make_link
 from nldemix.measurement import observe, sample_operator
 from nldemix.solvers import DemixProblem
 from nldemix.transforms import Basis, Dictionary, dict_apply
+
+
+def dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II analysis matrix built from the cosine formula."""
+    k = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    C = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * j + 1) * k / (2 * n))
+    C[0] /= np.sqrt(2.0)
+    return C
 
 
 def planted_instance(n, s, m, link_name="linsin", seed=0, phi="identity", psi="dct",

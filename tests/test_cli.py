@@ -615,8 +615,11 @@ class TestExitCodes:
         (["trial"], {"n": 64, "s": 2, "m": 80, "link": ["linsin"]},
          "unknown link ['linsin']; expected one of "
          "('sign', 'linsin', 'logistic', 'shifted-logistic')"),
+        # The noise overflows: observe rejects the y it would return, without a warning.
+        (["trial", "--n", "64", "--s", "2", "--m", "40", "--tau", "1e308"], None,
+         "y must be finite; it holds NaN or infinite entries"),
     ], ids=["bench-repeats", "phase-workers", "trial-seed-flag", "linkconst-seed-flag",
-            "trial-seed-config", "trial-link-list"])
+            "trial-seed-config", "trial-link-list", "trial-tau-overflow"])
     def test_rejected_setting_exits_2_with_one_line(self, tmp_path, capsys, command, config,
                                                     message):
         if config is not None:

@@ -329,6 +329,12 @@ class TestInstanceReuse:
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
+    def test_built_arrays_are_read_only_outside_the_cache(self):
+        # The diag commands read an instance from _build_instance directly.
+        problem, t_star, x = harness._build_instance(small_spec())
+        for array in (problem.y, problem.A.dense(), t_star, x):
+            assert not array.flags.writeable
+
     def test_old_instance_freed_before_next_draw(self, builds, monkeypatch):
         run_trial(small_spec(algorithm="oneshot"))
         old = weakref.ref(harness._last_instance[1][0].A)
@@ -474,6 +480,33 @@ class TestRunPhaseGrid:
         serial = run_phase_grid([2], [60], trials=2, base=base, workers=1)
         parallel = run_phase_grid([2], [60], trials=2, base=base, workers=2)
         np.testing.assert_array_equal(serial.successes, parallel.successes)
+
+    def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
+        # A serial stand-in for the pool, looked up at call time: it records
+        # the size asked for and starts no process.
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        base = small_spec(algorithm="oneshot", n=64, m=60)
+        pooled = run_phase_grid([2], [60], trials=2, base=base, workers=5000)
+        assert sizes == [2]
+        serial = run_phase_grid([2], [60], trials=2, base=base)
+        np.testing.assert_array_equal(pooled.successes, serial.successes)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_algorithms_match_separate_grids(self, workers):

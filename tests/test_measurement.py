@@ -15,13 +15,7 @@ from nldemix.measurement import (
 from nldemix.solvers import DemixProblem
 from nldemix.transforms import Basis, Dictionary
 
-
-def dct_matrix(n: int) -> np.ndarray:
-    k = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    C = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * j + 1) * k / (2 * n))
-    C[0] /= np.sqrt(2.0)
-    return C
+from planted import dct_matrix
 
 
 class TestSampling:

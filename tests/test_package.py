@@ -77,7 +77,7 @@ VECTOR_ENTRIES = {
                                           y=v, s=2), "y", M),
 }
 FINITE_ENTRIES = ("loss", "loss_gradient", "loss_hessian_matvec-t", "loss_hessian_matvec-v",
-                  "estimate_rsc_rss-t_ref", "estimate_rsc_rss-u_ref")
+                  "observe", "estimate_rsc_rss-t_ref", "estimate_rsc_rss-u_ref")
 
 
 @pytest.mark.parametrize("entry", sorted(VECTOR_ENTRIES))
@@ -205,6 +205,25 @@ def test_solve_results_are_built_in_one_function():
                     for node in ast.walk(fn)):
                 builders.add(f"{path.stem}.{fn.name}")
     assert builders == {"solvers._finish"}
+
+
+def _freezes(node) -> bool:
+    """Whether `node` sets an array read-only: a setflags call with write
+    False, or an assignment to a .writeable attribute."""
+    if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("setflags"):
+        write = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "write")]
+        return any(isinstance(v, ast.Constant) and v.value is False for v in write)
+    return isinstance(node, ast.Assign) and any(
+        ast.unparse(target).endswith(".writeable") for target in node.targets)
+
+
+def test_arrays_are_made_read_only_in_one_function():
+    freezers = set()
+    for path in Path(nldemix.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(map(_freezes, ast.walk(fn))):
+                freezers.add(f"{path.stem}.{fn.name}")
+    assert freezers == {"transforms._frozen"}
 
 
 def test_seed_streams_are_derived_in_harness_only():

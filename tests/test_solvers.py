@@ -637,6 +637,17 @@ class TestDht:
         # here the very first step fails, so the initializer is returned
         np.testing.assert_array_equal(res.t_hat, init)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("solve", [dht, dst])
+    def test_overflowing_candidates_are_rejected_without_a_warning(self, solve):
+        # Every halving of this step overflows linsin's potential while the
+        # candidate is scored: each is rejected, and the start is kept.
+        problem, _ = planted_instance(64, 2, 40)
+        res = solve(problem, SolverConfig(step_size=1e300))
+        assert res.iterations_run == 0
+        assert res.converged is False
+        np.testing.assert_array_equal(res.t_hat, oneshot(problem).t_hat)
+
     def test_zero_init_also_recovers(self):
         problem, t_star = planted_instance(128, 3, 150, seed=37)
         res = dht(problem, SolverConfig(init="zero", max_iters=400, rel_tol=1e-9))

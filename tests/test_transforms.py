@@ -16,14 +16,7 @@ from nldemix.transforms import (
 )
 from nldemix.transforms import _dct2, _dct3
 
-
-def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II analysis matrix built from the cosine formula."""
-    k = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    C = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * j + 1) * k / (2 * n))
-    C[0] /= np.sqrt(2.0)
-    return C
+from planted import dct_matrix
 
 
 def haar_analysis_matrix(n: int) -> np.ndarray:
