@@ -35,6 +35,9 @@ from .transforms import (
 if TYPE_CHECKING:  # solvers imports this module at load time
     from .solvers import DemixProblem
 
+__all__ = ["RscRssEstimate", "cosine_similarity", "mutual_coherence", "cross_coherence",
+           "link_constants", "estimate_rsc_rss"]
+
 
 @dataclass(frozen=True)
 class RscRssEstimate:

@@ -34,6 +34,9 @@ from .transforms import (
     Basis, Dictionary, dict_apply, stack_constituents,
 )
 
+__all__ = ["TrialSpec", "TrialRecord", "PhaseGrid", "generate_signal", "run_trial",
+           "run_phase_grid", "run_benchmark"]
+
 ALGORITHMS = ("oneshot", "dht", "dst", "nlcdlasso")
 
 TRIAL_CSV_FIELDS = (
@@ -245,6 +248,27 @@ def _successes(cell: TrialSpec, names) -> list[bool]:
     return [run_trial(replace(cell, algorithm=name)).success for name in names]
 
 
+def _share_cpus(workers: int) -> None:
+    """Pool initializer: cap each OpenBLAS loaded in this worker at its share
+    of the CPUs, max(1, cpus // workers) threads.  A no-op where none is found."""
+    import ctypes
+    import os
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+    except FileNotFoundError:  # no /proc: not Linux
+        return
+    for lib in map(ctypes.CDLL, sorted(libs)):
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(max(1, len(os.sched_getaffinity(0)) // workers))
+                break
+
+
 def run_phase_grid(
     s_values,
     m_values,
@@ -258,6 +282,8 @@ def run_phase_grid(
     With `algorithms`, every instance is built once and solved by each of
     them in turn, and the result is ``{algorithm: PhaseGrid}``; each grid
     equals a separate call with ``base.algorithm`` set to that algorithm.
+    With `workers` > 1 the cells run in a pool of spawned processes, so a
+    script that calls this needs an ``if __name__ == "__main__":`` guard.
     """
     s_values = _check_list("s_values", s_values, "integers", lambda s: _check_int("s", s, 0))
     m_values = _check_list("m_values", m_values, "integers", lambda m: _check_int("m", m, 1))
@@ -269,10 +295,16 @@ def run_phase_grid(
              for s in s_values for m in m_values for k in range(trials)]
     if workers > 1:
         import concurrent.futures
+        import multiprocessing
 
-        # No more workers than cells: a fork pool starts them all at the first submit.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-            outcomes = list(pool.map(_successes, cells, itertools.repeat(names)))
+        # No more workers than cells, each with its share of the CPUs and
+        # about four contiguous chunks of cells.
+        workers = min(workers, len(cells))
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
+                initializer=_share_cpus, initargs=(workers,)) as pool:
+            outcomes = list(pool.map(_successes, cells, itertools.repeat(names),
+                                     chunksize=-(-len(cells) // (4 * workers))))
     else:
         outcomes = list(map(_successes, cells, itertools.repeat(names)))
     # Cells run s, then m, then trial: sum each (s, m)'s trials per algorithm.

@@ -17,6 +17,9 @@ import numpy as np
 
 from .transforms import _check_choice
 
+__all__ = ["LinkFunction", "CapabilityError", "make_link", "link_eval", "link_deriv",
+           "link_potential"]
+
 _LN2 = float(np.log(2.0))
 
 

@@ -20,6 +20,8 @@ from .transforms import (
     _frozen,
 )
 
+__all__ = ["MeasurementOperator", "sample_operator", "observe"]
+
 ENSEMBLE_KINDS = ("gaussian", "rademacher", "subfast")
 
 

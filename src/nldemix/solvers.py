@@ -47,6 +47,10 @@ from .transforms import (
     dict_apply,
 )
 
+__all__ = ["DemixProblem", "SolverConfig", "SolveResult", "TraceRecord", "hard_threshold",
+           "soft_threshold", "project_l1_ball", "oneshot", "loss", "loss_gradient",
+           "loss_hessian_matvec", "dht", "dst", "nlcd_lasso"]
+
 PROJECTION_MODES = ("stacked2s", "perblocks")
 INIT_MODES = ("oneshot", "zero")
 

@@ -19,6 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
+__all__ = ["Basis", "Dictionary", "basis_apply", "basis_adjoint", "basis_matrix", "dict_apply",
+           "dict_adjoint", "stack_constituents"]
+
 _SQRT2 = np.sqrt(2.0)
 
 

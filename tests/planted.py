@@ -1,5 +1,9 @@
 """What several test modules share: the planted instance of the solver and
-diagnostics tests, and the DCT oracle of the transform and measurement tests."""
+diagnostics tests, the DCT oracle of the transform and measurement tests, and
+the OpenBLAS thread count a phase-grid worker reports."""
+
+import ctypes
+import os
 
 import numpy as np
 
@@ -32,3 +36,22 @@ def planted_instance(n, s, m, link_name="linsin", seed=0, phi="identity", psi="d
     link = make_link(link_name)
     y = observe(A, link, dict_apply(d, t_star))
     return DemixProblem(A=A, dictionary=d, link=link, y=y, s=s), t_star
+
+
+def openblas_threads() -> dict[str, int]:
+    """Thread count reported by each OpenBLAS library loaded in this process,
+    read as perfbench/bench.py reads it.  Module-level, so a spawned worker can
+    run it."""
+    out = {}
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                out[os.path.basename(path)] = int(fn())
+                break
+    return out

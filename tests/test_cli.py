@@ -741,13 +741,13 @@ def _checkout_env() -> dict:
 class TestEntryPoint:
     def test_cli_import_loads_no_scipy(self):
         # Nor the modules only some commands use: json (--config),
-        # concurrent.futures (phase --workers > 1) and sysconfig (the first
-        # operator refill).
+        # concurrent.futures and multiprocessing (phase --workers > 1) and
+        # sysconfig (the first operator refill).
         code = (
             "import sys; before = set(sys.modules); import nldemix.cli; "
             "new = set(sys.modules) - before; "
-            "print(sorted(m for m in ('scipy', 'json', 'concurrent.futures', 'sysconfig') "
-            "if any(k == m or k.startswith(m + '.') for k in new)))"
+            "print(sorted(m for m in ('scipy', 'json', 'concurrent.futures', 'multiprocessing', "
+            "'sysconfig') if any(k == m or k.startswith(m + '.') for k in new)))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,

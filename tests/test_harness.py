@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 import re
 import weakref
 from dataclasses import replace
@@ -27,6 +28,7 @@ from nldemix.links import CapabilityError
 from nldemix.measurement import sample_operator
 from nldemix.solvers import SolverConfig
 from nldemix.transforms import Basis, Dictionary, basis_apply
+from planted import openblas_threads
 
 
 class TestChildSeed:
@@ -489,7 +491,7 @@ class TestRunPhaseGrid:
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -498,13 +500,35 @@ class TestRunPhaseGrid:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, *iterables):
+            def map(self, fn, *iterables, chunksize):
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         base = small_spec(algorithm="oneshot", n=64, m=60)
         pooled = run_phase_grid([2], [60], trials=2, base=base, workers=5000)
         assert sizes == [2]
+        serial = run_phase_grid([2], [60], trials=2, base=base)
+        np.testing.assert_array_equal(pooled.successes, serial.successes)
+
+    def test_pool_workers_get_their_share_of_the_cpus(self, monkeypatch):
+        # run_phase_grid's own pool, probed once before it maps the cells: its
+        # worker's OpenBLAS runs max(1, cpus // workers) threads.
+        import concurrent.futures
+
+        if not openblas_threads():
+            pytest.skip("numpy is not linked against OpenBLAS")
+        seen = []
+
+        class ProbedPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                seen.append(self.submit(openblas_threads).result(timeout=120))
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ProbedPool)
+        base = small_spec(algorithm="oneshot", n=64, m=60)
+        pooled = run_phase_grid([2], [60], trials=2, base=base, workers=2)
+        share = max(1, len(os.sched_getaffinity(0)) // 2)
+        assert len(seen) == 1 and seen[0] and set(seen[0].values()) == {share}
         serial = run_phase_grid([2], [60], trials=2, base=base)
         np.testing.assert_array_equal(pooled.successes, serial.successes)
 

@@ -19,6 +19,38 @@ def test_every_exported_name_resolves():
     assert len(set(nldemix.__all__)) == len(nldemix.__all__)
 
 
+LIBRARY_MODULES = (nldemix.transforms, nldemix.measurement, nldemix.links, nldemix.solvers,
+                   nldemix.diagnostics, nldemix.harness)
+
+
+def test_each_exported_name_is_declared_once_by_its_module():
+    # The package re-exports the six modules' __all__ lists and writes no name itself.
+    assert nldemix.__all__ == [name for module in LIBRARY_MODULES
+                               for name in module.__all__] + ["__version__"]
+    assert set(nldemix.__all__) == {
+        "Basis", "Dictionary", "basis_apply", "basis_adjoint", "basis_matrix",
+        "dict_apply", "dict_adjoint", "stack_constituents",
+        "MeasurementOperator", "sample_operator", "observe",
+        "LinkFunction", "CapabilityError", "make_link", "link_eval", "link_deriv",
+        "link_potential",
+        "DemixProblem", "SolverConfig", "SolveResult", "TraceRecord",
+        "hard_threshold", "soft_threshold", "project_l1_ball", "oneshot",
+        "loss", "loss_gradient", "loss_hessian_matvec", "dht", "dst", "nlcd_lasso",
+        "RscRssEstimate", "cosine_similarity", "mutual_coherence", "cross_coherence",
+        "link_constants", "estimate_rsc_rss",
+        "TrialSpec", "TrialRecord", "PhaseGrid", "generate_signal", "run_trial",
+        "run_phase_grid", "run_benchmark",
+        "__version__",
+    }
+    for module in LIBRARY_MODULES:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert getattr(nldemix, name) is obj
+            assert obj.__module__ == module.__name__, name
+    init = Path(nldemix.__file__).read_text(encoding="utf-8")
+    assert not any(f'"{name}"' in init for name in nldemix.__all__ if name != "__version__")
+
+
 def test_deleted_aliases_and_bundles_stay_gone():
     # derivative_bounds read two link fields that are gone too; the others only
     # bundled names that remain: mutual_coherence and cross_coherence, write_csv.
