@@ -256,7 +256,9 @@ def _share_cpus(workers: int) -> None:
 
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+            # The path is a line's sixth field, spaces and all.
+            libs = {line.rstrip("\n").split(maxsplit=5)[5] for line in fh
+                    if "openblas" in line.lower() and ".so" in line}
     except FileNotFoundError:  # no /proc: not Linux
         return
     for lib in map(ctypes.CDLL, sorted(libs)):
@@ -290,16 +292,16 @@ def run_phase_grid(
     names = _check_list("algorithms", (base.algorithm,) if algorithms is None else algorithms,
                         "names", lambda name: _check_choice("algorithm", name, ALGORITHMS))
     trials = _check_int("trials", trials, 1)
-    _check_int("workers", workers, 1)
     cells = [replace(base, s=s, m=m, seed=child_seed(base.seed, s, m, k))
              for s in s_values for m in m_values for k in range(trials)]
+    # No more workers than cells, so a one-cell grid runs serially.
+    workers = min(_check_int("workers", workers, 1), len(cells))
     if workers > 1:
         import concurrent.futures
         import multiprocessing
 
-        # No more workers than cells, each with its share of the CPUs and
-        # about four contiguous chunks of cells.
-        workers = min(workers, len(cells))
+        # Each worker gets its share of the CPUs and about four contiguous
+        # chunks of cells.
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
                 initializer=_share_cpus, initargs=(workers,)) as pool:

@@ -333,23 +333,24 @@ def _descent_start(problem: DemixProblem, config: SolverConfig) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite candidate is rejected below
-def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, t: np.ndarray,
-                   carry: np.ndarray, grad: np.ndarray, *, forward: Callable,
-                   objective: Callable, gradient: Callable, prox: Callable, step: float,
-                   slack: float, done: Callable) -> SolveResult:
-    """Backtracking proximal-gradient loop shared by dht, dst and nlcd_lasso.
+def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, start: tuple, *,
+                   forward: Callable, loss: Callable, gradient: Callable, prox: Callable,
+                   slack: float, done: Callable, penalty: Callable | None = None) -> SolveResult:
+    """Backtracking proximal-gradient loop on loss(forward(t)) + penalty(t),
+    shared by dht, dst and nlcd_lasso.
 
-    carry = forward(t) is the product that objective(t, carry) -> (monitored,
-    traced) and gradient(carry) read; grad = gradient(carry) is passed in for
-    the start, and the accepted candidate's carry feeds the next gradient.
-    Each iteration tries prox(t - h grad, h) for h = step, step/2, ... and
-    accepts the first candidate whose monitored objective rises by at most
-    slack; when none does, the solve keeps t and stops unconverged.  A
-    non-finite start or accepted iterate raises RuntimeError.
-    done(delta, t_new, obj_old, obj_new) tests convergence after an accepted
-    step of length delta.
+    start = (t, carry, step, grad) holds carry = forward(t), the product
+    that loss(carry) and gradient(carry) read, and grad = gradient(carry);
+    the accepted candidate's carry feeds the next gradient.  Each iteration
+    tries prox(t - h grad, h) for h = step, step/2, ... and accepts the first
+    candidate whose objective rises by at most slack; when none does, the
+    solve keeps t and stops unconverged.  The trace reports loss(carry),
+    without the penalty.  A non-finite start or accepted iterate raises
+    RuntimeError.  done(delta, t_new, obj_old, obj_new) tests convergence
+    after an accepted step of length delta.
     """
-    obj, _ = objective(t, carry)
+    t, carry, step, grad = start
+    obj = loss(carry) if penalty is None else loss(carry) + penalty(t)
     trace: list[TraceRecord] = []
     iterates: list[np.ndarray] | None = [t.copy()] if config.keep_iterates else None
     converged = False
@@ -364,7 +365,8 @@ def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, 
         for _ in range(_MAX_HALVINGS):
             cand = prox(t - h * grad, h)
             cand_carry = forward(cand)
-            cand_obj, traced = objective(cand, cand_carry)
+            f = loss(cand_carry)
+            cand_obj = f if penalty is None else f + penalty(cand)
             if np.isfinite(cand_obj) and cand_obj <= obj + slack:
                 break
             h *= 0.5
@@ -375,55 +377,48 @@ def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, 
         t, carry, obj = cand, cand_carry, cand_obj
         if iterates is not None:
             iterates.append(t.copy())
-        trace.append(TraceRecord(k, traced, delta, int(np.count_nonzero(t))))
+        trace.append(TraceRecord(k, f, delta, int(np.count_nonzero(t))))
         if converged:
             break
 
     return _finish(problem, t, trace, converged, iterates)
 
 
-def _descend(problem: DemixProblem, config: SolverConfig, *, soft: bool) -> SolveResult:
-    """dht (hard projection) and dst (soft thresholding) on F."""
-    algorithm = "dst" if soft else "dht"
+def _descend(problem: DemixProblem, config: SolverConfig, algorithm: str, prox: Callable,
+             penalty: Callable | None = None) -> SolveResult:
+    """Proximal gradient on F from the shared descent start."""
     _require(problem.link, algorithm)
     if problem.s == 0:
         return _zero_result(problem, config.keep_iterates)
-
-    t, u, step, grad = _descent_start(problem, config)
-    beta = config.dst_beta
-
-    def objective(tv: np.ndarray, uv: np.ndarray) -> tuple[float, float]:
-        # dst monitors F + beta ||t||_1, the composite its iteration is a
-        # proximal step on; the trace reports the plain loss F.
-        f = _loss_at(problem, uv)
-        return (f + beta * float(np.abs(tv).sum()) if soft else f), f
-
     return _prox_gradient(
-        problem, config, algorithm, t, u, grad,
-        forward=lambda tv: _forward(problem, tv),
-        objective=objective,
-        gradient=lambda uv: _gradient_at(problem, uv),
-        prox=((lambda v, h: soft_threshold(v, beta * h)) if soft
-              else (lambda v, h: _project(v, problem, config.projection_mode))),
-        step=step,
+        problem, config, algorithm, _descent_start(problem, config),
+        forward=lambda t: _forward(problem, t),
+        loss=lambda u: _loss_at(problem, u),
+        gradient=lambda u: _gradient_at(problem, u),
+        prox=prox,
+        penalty=penalty,
         slack=1e-12,
-        done=lambda delta, tv, old, new: (
-            delta <= config.rel_tol * max(1.0, float(np.linalg.norm(tv)))),
+        done=lambda delta, t, old, new: (
+            delta <= config.rel_tol * max(1.0, float(np.linalg.norm(t)))),
     )
 
 
 def dht(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> SolveResult:
     """Gradient descent on F with hard-threshold projection each step."""
-    return _descend(problem, config, soft=False)
+    return _descend(problem, config, "dht",
+                    lambda v, h: _project(v, problem, config.projection_mode))
 
 
 def dst(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> SolveResult:
-    """Iterative soft thresholding: t <- S_{beta * step}(t - step * grad F).
+    """Iterative soft thresholding: t <- S_{beta * step}(t - step * grad F),
+    the proximal step on F(t) + beta ||t||_1.
 
     The result is generally not exactly 2s-sparse; the trace reports the
     actual support size per iteration.
     """
-    return _descend(problem, config, soft=True)
+    beta = config.dst_beta
+    return _descend(problem, config, "dst", lambda v, h: soft_threshold(v, beta * h),
+                    lambda t: beta * float(np.abs(t).sum()))
 
 
 def nlcd_lasso(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> SolveResult:
@@ -440,22 +435,17 @@ def nlcd_lasso(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> 
     x_lin = _x_lin(problem)
     d = problem.dictionary
 
-    def objective(tv: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-        f = float(np.linalg.norm(x_lin - x))
-        return f, f
-
     def gradient(x: np.ndarray) -> np.ndarray:
         return dict_adjoint(d, x - x_lin)
 
     t = np.zeros(2 * problem.n)
     x = dict_apply(d, t)
     return _prox_gradient(
-        problem, config, "nlcd_lasso", t, x, gradient(x),
+        problem, config, "nlcd_lasso", (t, x, 0.5, gradient(x)),  # step 1/L, L = ||Gamma||^2 = 2
         forward=lambda tv: dict_apply(d, tv),
-        objective=objective,
+        loss=lambda xv: float(np.linalg.norm(x_lin - xv)),
         gradient=gradient,
         prox=lambda v, h: project_l1_ball(v, radius),
-        step=0.5,  # 1/L for L = ||Gamma||^2 = 2
         slack=1e-15,
         done=lambda delta, tv, old, new: abs(old - new) <= config.rel_tol * max(1.0, old),
     )

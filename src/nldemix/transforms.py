@@ -29,13 +29,12 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _check_int(name: str, value, minimum: int | None = None,
-               maximum: int | None = None) -> int:
+def _check_int(name: str, value, minimum: int, maximum: int | None = None) -> int:
     """`value` as a Python int, or ValueError unless it is a Python or numpy
     integer (not a bool) of at least `minimum` and at most `maximum`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
         raise ValueError(f"{name} must be <= {maximum}, got {value}")

@@ -44,7 +44,8 @@ def openblas_threads() -> dict[str, int]:
     run it."""
     out = {}
     with open("/proc/self/maps", encoding="utf-8") as fh:
-        libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+        libs = {line.rstrip("\n").split(maxsplit=5)[5] for line in fh
+                if "openblas" in line.lower() and ".so" in line}
     for path in sorted(libs):
         lib = ctypes.CDLL(path)
         for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",

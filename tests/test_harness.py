@@ -254,6 +254,33 @@ def test_oneshot_beats_nlcd_lasso_at_its_best_radius(s, m):
         f"{dict(zip(HEADLINE_RADII, lasso_means.round(4)))} by radius multiple")
 
 
+# The paper's sample-complexity claim where dht's transitions are: the first m
+# at which at least half the trials succeed (m50) grows like s ln(n/s).  The
+# band was fixed from base seeds 11-20 on this grid (3.21-5.13 across
+# s = 2, 4, 8), before the test's own seed was run.
+COMPLEXITY_S = (2, 4, 8)
+COMPLEXITY_M = (40, 48, 57, 68, 81, 97, 116, 139, 166, 199)  # about 1.2x apart
+COMPLEXITY_BAND = (3.0, 5.5)
+
+
+def test_sample_complexity_grows_like_s_log_n_over_s():
+    n = 1024
+    base = TrialSpec(n=n, link="linsin", solver=SolverConfig(max_iters=150, rel_tol=1e-6),
+                     seed=1)
+    grids = run_phase_grid(COMPLEXITY_S, COMPLEXITY_M, trials=8, base=base, workers=2,
+                           algorithms=("dht", "oneshot"))
+    m50 = {}
+    for name, grid in grids.items():
+        reached = [np.flatnonzero(2 * row >= grid.trials) for row in grid.successes]
+        m50[name] = [COMPLEXITY_M[ok[0]] if ok.size else None for ok in reached]
+    ratios = [None if m is None else m / (s * math.log(n / s))
+              for s, m in zip(COMPLEXITY_S, m50["dht"])]
+    lo, hi = COMPLEXITY_BAND
+    assert all(r is not None and lo <= r <= hi for r in ratios), (m50, ratios)
+    both = [(d, o) for d, o in zip(m50["dht"], m50["oneshot"]) if o is not None]
+    assert both and all(o > d for d, o in both), m50
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """Empties the instance cache and the pages a gaussian draw may refill,
@@ -483,16 +510,19 @@ class TestRunPhaseGrid:
         parallel = run_phase_grid([2], [60], trials=2, base=base, workers=2)
         np.testing.assert_array_equal(serial.successes, parallel.successes)
 
-    def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
+    # A one-cell grid gets no pool at all: it runs serially.
+    @pytest.mark.parametrize("trials, workers, sizes", [(2, 5000, [2]), (1, 4, [])],
+                             ids=["capped", "one-cell"])
+    def test_pool_has_no_more_workers_than_cells(self, monkeypatch, trials, workers, sizes):
         # A serial stand-in for the pool, looked up at call time: it records
         # the size asked for and starts no process.
         import concurrent.futures
 
-        sizes = []
+        asked = []
 
         class SerialPool:
             def __init__(self, max_workers, mp_context, initializer, initargs):
-                sizes.append(max_workers)
+                asked.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -505,10 +535,31 @@ class TestRunPhaseGrid:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         base = small_spec(algorithm="oneshot", n=64, m=60)
-        pooled = run_phase_grid([2], [60], trials=2, base=base, workers=5000)
-        assert sizes == [2]
-        serial = run_phase_grid([2], [60], trials=2, base=base)
+        pooled = run_phase_grid([2], [60], trials=trials, base=base, workers=workers)
+        assert asked == sizes
+        serial = run_phase_grid([2], [60], trials=trials, base=base)
         np.testing.assert_array_equal(pooled.successes, serial.successes)
+
+    def test_worker_loads_openblas_paths_with_spaces(self, monkeypatch):
+        # Stand-ins for the maps file and for ctypes.CDLL: no library is
+        # loaded, and this process's BLAS is not touched.
+        import ctypes
+
+        path = "/home/me/py envs/numpy.libs/libscipy_openblas64_-32a4b2a6.so"
+        maps = (f"7f3a1c000000-7f3a1c200000 r-xp 00000000 fd:01 4211  {path}\n"
+                "7f3a1d000000-7f3a1d001000 r--p 00000000 fd:01 4212  /usr/lib/libm.so.6\n")
+        monkeypatch.setattr(harness, "open", lambda *a, **k: io.StringIO(maps), raising=False)
+        loaded, threads = [], []
+
+        class Library:
+            def __init__(self, name):
+                loaded.append(name)
+                self.scipy_openblas_set_num_threads64_ = lambda k: threads.append(k)
+
+        monkeypatch.setattr(ctypes, "CDLL", Library)
+        harness._share_cpus(2)
+        assert loaded == [path]
+        assert threads == [max(1, len(os.sched_getaffinity(0)) // 2)]
 
     def test_pool_workers_get_their_share_of_the_cpus(self, monkeypatch):
         # run_phase_grid's own pool, probed once before it maps the cells: its
