@@ -31,7 +31,7 @@ from .solvers import (
 )
 from .transforms import (
     _check_choice, _check_instance, _check_int, _check_list, _check_real, _check_vector, _frozen,
-    Basis, Dictionary, dict_apply, stack_constituents,
+    Basis, Dictionary, dict_apply,
 )
 
 __all__ = ["TrialSpec", "TrialRecord", "PhaseGrid", "generate_signal", "run_trial",
@@ -151,7 +151,7 @@ def generate_signal(
     if s > 0:
         w[rng.choice(n, size=s, replace=False)] = rng.choice([-1.0, 1.0], size=s)
         z[rng.choice(n, size=s, replace=False)] = rng.choice([-1.0, 1.0], size=s)
-    x = dict_apply(dictionary, stack_constituents(w, z))
+    x = dict_apply(dictionary, np.concatenate([w, z]))
     return w, z, x
 
 
@@ -165,7 +165,7 @@ def _build_instance(spec: TrialSpec):
     A = sample_operator(spec.ensemble, spec.m, spec.n, child_seed(spec.seed, 1))
     y = observe(A, link, x, spec.tau, child_seed(spec.seed, 2))
     return (DemixProblem(A=A, dictionary=d, link=link, y=y, s=spec.s),
-            _frozen(stack_constituents(w, z)), _frozen(x))
+            _frozen(np.concatenate([w, z])), _frozen(x))
 
 
 def _solve(problem: DemixProblem, spec: TrialSpec) -> SolveResult:

@@ -335,9 +335,9 @@ def _descent_start(problem: DemixProblem, config: SolverConfig) -> tuple:
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite candidate is rejected below
 def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, start: tuple, *,
                    forward: Callable, loss: Callable, gradient: Callable, prox: Callable,
-                   slack: float, done: Callable, penalty: Callable | None = None) -> SolveResult:
+                   penalty: Callable, slack: float, done: Callable) -> SolveResult:
     """Backtracking proximal-gradient loop on loss(forward(t)) + penalty(t),
-    shared by dht, dst and nlcd_lasso.
+    shared by dht, dst and nlcd_lasso (whose penalty is zero, as is dht's).
 
     start = (t, carry, step, grad) holds carry = forward(t), the product
     that loss(carry) and gradient(carry) read, and grad = gradient(carry);
@@ -350,7 +350,7 @@ def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, 
     after an accepted step of length delta.
     """
     t, carry, step, grad = start
-    obj = loss(carry) if penalty is None else loss(carry) + penalty(t)
+    obj = loss(carry) + penalty(t)
     trace: list[TraceRecord] = []
     iterates: list[np.ndarray] | None = [t.copy()] if config.keep_iterates else None
     converged = False
@@ -366,7 +366,7 @@ def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, 
             cand = prox(t - h * grad, h)
             cand_carry = forward(cand)
             f = loss(cand_carry)
-            cand_obj = f if penalty is None else f + penalty(cand)
+            cand_obj = f + penalty(cand)
             if np.isfinite(cand_obj) and cand_obj <= obj + slack:
                 break
             h *= 0.5
@@ -385,7 +385,7 @@ def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, 
 
 
 def _descend(problem: DemixProblem, config: SolverConfig, algorithm: str, prox: Callable,
-             penalty: Callable | None = None) -> SolveResult:
+             penalty: Callable) -> SolveResult:
     """Proximal gradient on F from the shared descent start."""
     _require(problem.link, algorithm)
     if problem.s == 0:
@@ -406,7 +406,7 @@ def _descend(problem: DemixProblem, config: SolverConfig, algorithm: str, prox: 
 def dht(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> SolveResult:
     """Gradient descent on F with hard-threshold projection each step."""
     return _descend(problem, config, "dht",
-                    lambda v, h: _project(v, problem, config.projection_mode))
+                    lambda v, h: _project(v, problem, config.projection_mode), lambda t: 0.0)
 
 
 def dst(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> SolveResult:
@@ -446,6 +446,7 @@ def nlcd_lasso(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> 
         loss=lambda xv: float(np.linalg.norm(x_lin - xv)),
         gradient=gradient,
         prox=lambda v, h: project_l1_ball(v, radius),
+        penalty=lambda tv: 0.0,
         slack=1e-15,
         done=lambda delta, tv, old, new: abs(old - new) <= config.rel_tol * max(1.0, old),
     )

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["Basis", "Dictionary", "basis_apply", "basis_adjoint", "basis_matrix", "dict_apply",
-           "dict_adjoint", "stack_constituents"]
+           "dict_adjoint"]
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -258,12 +258,6 @@ def basis_matrix(b: Basis) -> np.ndarray:
     Intended for small-n testing and diagnostics; O(n^2) memory.
     """
     return basis_apply(b, np.eye(b.n)).T
-
-
-def stack_constituents(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Stack (w, z) into t = [w; z]."""
-    w = _check_vector(w, np.size(w), "w")
-    return np.concatenate([w, _check_vector(z, w.size, "z")])
 
 
 def dict_apply(d: Dictionary, t: np.ndarray) -> np.ndarray:

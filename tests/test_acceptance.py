@@ -32,7 +32,6 @@ from nldemix.transforms import (
     basis_matrix,
     dict_apply,
     dict_adjoint,
-    stack_constituents,
 )
 
 GRID_S = (2, 3, 4, 5, 7, 10, 14, 20)
@@ -49,7 +48,7 @@ def planted(n, s, m, link_name="linsin", seed=0, tau=0.0):
     link = make_link(link_name)
     y = observe(A, link, x, tau, child_seed(seed, 2))
     problem = DemixProblem(A=A, dictionary=d, link=link, y=y, s=s)
-    return problem, stack_constituents(w, z)
+    return problem, np.concatenate([w, z])
 
 
 def test_criterion_01_gradient_matches_finite_differences():

@@ -1,11 +1,15 @@
 """Experiment harness: seeding discipline, trials, grids, CSV round trips."""
 
 import io
+import json
 import math
 import os
 import re
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +98,22 @@ class TestGenerateSignal:
         for bad in (2.5, True, np.nan):
             with pytest.raises(ValueError, match="s must be an integer"):
                 generate_signal(16, bad, seed=0, dictionary=d)
+
+
+class TestBuildInstance:
+    @pytest.mark.parametrize("bases", [("identity", "dct"), ("haar", "dct"), ("dct", "haar")],
+                             ids="-".join)
+    def test_planted_truth_is_the_stacked_signal(self, bases):
+        # t* = [w; z] of the signal drawn from stream 0, and x = Gamma t*.
+        spec = TrialSpec(n=32, s=3, m=20, basis_phi=bases[0], basis_psi=bases[1], seed=11)
+        _, t_star, x = harness._build_instance(spec)
+        d = Dictionary(Basis(bases[0], 32), Basis(bases[1], 32))
+        w, z, x_drawn = generate_signal(32, 3, child_seed(11, 0), d)
+        assert t_star.shape == (64,)
+        np.testing.assert_array_equal(t_star[:32], w)
+        np.testing.assert_array_equal(t_star[32:], z)
+        np.testing.assert_array_equal(x, x_drawn)
+        np.testing.assert_array_equal(x, harness.dict_apply(d, t_star))
 
 
 class TestTrialSpecValidation:
@@ -650,6 +670,52 @@ class TestRunPhaseGrid:
         for a in ALGORITHMS:
             run_phase_grid((3,), (160,), 1, replace(base, algorithm=a))
         assert len(builds) == 1
+
+
+# Run in a child interpreter per BLAS thread count: dht, dst and nlcd_lasso
+# with the auto step's GEMM, and a four-algorithm phase grid, at sizes where
+# OpenBLAS threads its GEMV (m * n >= 9216).  It prints a digest of every
+# estimate, trace and success count, and the thread count OpenBLAS reports.
+THREAD_CHILD = """
+import hashlib, json
+from nldemix.harness import ALGORITHMS, TrialSpec, _build_instance, run_phase_grid
+from nldemix.solvers import SolverConfig, dht, dst, nlcd_lasso
+from planted import openblas_threads
+
+config = SolverConfig(max_iters=150, rel_tol=1e-6)
+digest = hashlib.sha256()
+for n, s, m in ((512, 5, 256), (1024, 8, 400)):
+    problem = _build_instance(TrialSpec(n=n, s=s, m=m, solver=config, seed=7))[0]
+    for solve in (dht, dst, nlcd_lasso):
+        result = solve(problem, config)
+        digest.update(result.t_hat.tobytes())
+        digest.update(repr(result.trace).encode())
+grids = run_phase_grid((3, 6), (150, 300), 2, TrialSpec(n=512, solver=config, seed=7),
+                       algorithms=ALGORITHMS)
+for grid in grids.values():
+    digest.update(grid.successes.tobytes())
+print(json.dumps([digest.hexdigest(), openblas_threads()]))
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    # The benchmark's one-thread fingerprints, the golden CSVs recorded at the
+    # default thread count and the pool workers' thread cap all rely on this.
+    tests = Path(__file__).resolve().parent
+    digests, threads = {}, {}
+    for k in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": k, "OMP_NUM_THREADS": k,
+               "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        proc = subprocess.run([sys.executable, "-c", THREAD_CHILD], capture_output=True,
+                              text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests[k], threads[k] = json.loads(proc.stdout)
+    if not threads["1"]:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    if min(threads["2"].values()) < 2:
+        pytest.skip(f"OpenBLAS runs {threads['2']} threads when asked for 2")
+    assert set(threads["1"].values()) == {1}
+    assert digests["1"] == digests["2"]
 
 
 class TestRunBenchmark:

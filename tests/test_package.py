@@ -29,7 +29,7 @@ def test_each_exported_name_is_declared_once_by_its_module():
                                for name in module.__all__] + ["__version__"]
     assert set(nldemix.__all__) == {
         "Basis", "Dictionary", "basis_apply", "basis_adjoint", "basis_matrix",
-        "dict_apply", "dict_adjoint", "stack_constituents",
+        "dict_apply", "dict_adjoint",
         "MeasurementOperator", "sample_operator", "observe",
         "LinkFunction", "CapabilityError", "make_link", "link_eval", "link_deriv",
         "link_potential",
@@ -54,9 +54,10 @@ def test_each_exported_name_is_declared_once_by_its_module():
 def test_deleted_aliases_and_bundles_stay_gone():
     # derivative_bounds read two link fields that are gone too; the others only
     # bundled names that remain: mutual_coherence and cross_coherence, write_csv.
-    # split_constituents copied the halves of t, which t[:n] and t[n:] give as views.
+    # split_constituents copied the halves of t, which t[:n] and t[n:] give as views;
+    # stack_constituents checked the halves np.concatenate([w, z]) joins.
     for name in ("derivative_bounds", "coherence_report", "CoherenceReport", "export_csv",
-                 "split_constituents"):
+                 "split_constituents", "stack_constituents"):
         assert name not in nldemix.__all__
         assert not hasattr(nldemix, name)
 
@@ -141,9 +142,6 @@ SIZED_BY_INPUT_ENTRIES = {
     "cosine_similarity-x": (
         lambda v: nldemix.cosine_similarity(v, np.ones(np.size(v))), "x", None),
     "cosine_similarity-x_hat": (lambda v: nldemix.cosine_similarity(np.ones(3), v), "x_hat", 3),
-    "stack_constituents-w": (
-        lambda v: nldemix.stack_constituents(v, np.ones(np.size(v))), "w", None),
-    "stack_constituents-z": (lambda v: nldemix.stack_constituents(np.ones(3), v), "z", 3),
 }
 
 

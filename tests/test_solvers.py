@@ -661,6 +661,32 @@ class TestDht:
         )
 
 
+class TestDescentPenalty:
+    """dht, dst and nlcd_lasso each hand the one proximal-gradient loop a
+    penalty: beta ||t||_1 for dst, zero for the other two."""
+
+    @pytest.mark.parametrize("solve", [dht, dst, nlcd_lasso])
+    def test_each_descent_passes_its_penalty(self, solve, monkeypatch):
+        problem, _ = planted_instance(64, 3, 90, seed=58)
+        config = SolverConfig(max_iters=30, dst_beta=0.3)
+        plain = solve(problem, config)
+        penalties = []
+        loop = solvers._prox_gradient
+
+        def recording(*args, **kwargs):
+            penalties.append(kwargs["penalty"])
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_prox_gradient", recording)
+        res = solve(problem, config)
+        assert len(penalties) == 1
+        t = np.random.default_rng(5).standard_normal(2 * problem.n)
+        want = 0.3 * float(np.abs(t).sum()) if solve is dst else 0.0
+        assert penalties[0](t) == want
+        assert_bits_equal(res.t_hat, plain.t_hat)
+        assert res.trace == plain.trace
+
+
 class TestDescentWork:
     @pytest.mark.parametrize("link_name", ["linsin", "logistic"])
     @pytest.mark.parametrize("algorithm", ["dht", "dst"])

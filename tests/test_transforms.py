@@ -12,7 +12,6 @@ from nldemix.transforms import (
     basis_matrix,
     dict_adjoint,
     dict_apply,
-    stack_constituents,
 )
 from nldemix.transforms import _dct2, _dct3
 
@@ -262,10 +261,3 @@ class TestDictionary:
         d = Dictionary(Basis("identity", n), Basis("dct", n))
         G = np.hstack([basis_matrix(d.phi), basis_matrix(d.psi)])
         np.testing.assert_allclose(np.diag(G.T @ G), np.ones(2 * n), atol=1e-12)
-
-
-class TestConstituents:
-    def test_split_and_stack_round_trip(self):
-        rng = np.random.default_rng(2)
-        t = rng.standard_normal(20)
-        np.testing.assert_array_equal(stack_constituents(t[:10], t[10:]), t)
