@@ -88,8 +88,8 @@ _FLAGS = {
 def build_parser() -> argparse.ArgumentParser:
     """Each command takes only the flags it reads: its dests in `_COMMANDS`.
     Its subparser sets `command` to (itself, its dests, its handler) for
-    `main`.  Flags are never abbreviated: ``diag linkconst --s`` is not taken
-    for ``--seed``."""
+    `main`.  Flags are never abbreviated: ``phase --trial`` is not taken
+    for ``--trials``."""
     parser = argparse.ArgumentParser(prog="nldemix", allow_abbrev=False,
                                      description="sparse demixing from nonlinear observations")
     subs = {"": parser.add_subparsers(required=True)}
@@ -208,11 +208,9 @@ def _cmd_rscrss(merged: dict, parser):
 
 
 def _cmd_linkconst(merged: dict, parser):
-    spec = _make_spec(merged)
-    trials = merged.get("trials", 100000)
-    mu, sigma2, eta2 = link_constants(make_link(spec.link), trials=trials, seed=spec.seed)
-    return [{"link": spec.link, "trials": trials,
-             "seed": spec.seed, "mu": mu, "sigma2": sigma2, "eta2": eta2}]
+    link = _make_spec(merged).link
+    mu, sigma2, eta2 = link_constants(make_link(link))
+    return [{"link": link, "mu": mu, "sigma2": sigma2, "eta2": eta2}]
 
 
 # The flags that trial, phase and bench all take.
@@ -229,7 +227,7 @@ _COMMANDS = {
                        "config seed out n s m basis_phi basis_psi ensemble", _cmd_coherence),
     "diag rscrss": ("restricted curvature interval", "config seed out n s m basis_phi "
                     "basis_psi ensemble link sparsity num_supports", _cmd_rscrss),
-    "diag linkconst": ("link constants", "config seed out link trials", _cmd_linkconst),
+    "diag linkconst": ("link constants", "config out link", _cmd_linkconst),
 }
 
 

@@ -11,7 +11,9 @@ and a TrialSpec fully determines its TrialRecord.
 from __future__ import annotations
 
 import csv
+import ctypes
 import itertools
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -248,12 +250,8 @@ def _successes(cell: TrialSpec, names) -> list[bool]:
     return [run_trial(replace(cell, algorithm=name)).success for name in names]
 
 
-def _share_cpus(workers: int) -> None:
-    """Pool initializer: cap each OpenBLAS loaded in this worker at its share
-    of the CPUs, max(1, cpus // workers) threads.  A no-op where none is found."""
-    import ctypes
-    import os
-
+def _openblas(verb: str):
+    """(path, openblas_<verb>_num_threads) of each OpenBLAS loaded here; none without /proc."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             # The path is a line's sixth field, spaces and all.
@@ -261,14 +259,20 @@ def _share_cpus(workers: int) -> None:
                     if "openblas" in line.lower() and ".so" in line}
     except FileNotFoundError:  # no /proc: not Linux
         return
-    for lib in map(ctypes.CDLL, sorted(libs)):
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                     "openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(max(1, len(os.sched_getaffinity(0)) // workers))
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for name in (f"scipy_openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads64_",
+                     f"openblas_{verb}_num_threads"):
+            if hasattr(lib, name):
+                yield path, getattr(lib, name)
                 break
+
+
+def _share_cpus(workers: int) -> None:
+    """Pool initializer: cap each OpenBLAS in this worker at max(1, cpus // workers) threads."""
+    for _, setter in _openblas("set"):
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(max(1, len(os.sched_getaffinity(0)) // workers))
 
 
 def run_phase_grid(

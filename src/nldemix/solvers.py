@@ -34,13 +34,14 @@ on the problem itself and die with it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import diagnostics
-from .links import _require, LinkFunction, link_deriv, link_eval, link_potential
+from .links import _require, LinkFunction, link_deriv, link_eval, link_potential, make_link
 from .measurement import MeasurementOperator
 from .transforms import (
     _check_choice, _check_int, _check_real, _check_vector, _frozen, Dictionary, dict_adjoint,
@@ -97,7 +98,10 @@ class SolverConfig:
         (may split unevenly across the halves); "perblocks" keeps s per half.
     lasso_radius: l1 budget for nlcd_lasso; None means 2 sqrt(s).
     dst_beta: soft-threshold tuning parameter beta; the per-step threshold
-        is beta times the step actually taken.
+        is beta times the step actually taken.  None means 0.5 in the link's
+        units, 0.5 mu(g) / mu(linsin) with mu = E[g(Z) Z] from
+        diagnostics.link_constants: exactly 0.5 on linsin, 0.0396 on both
+        logistic links.
     """
 
     step_size: float | str = "auto"
@@ -106,7 +110,7 @@ class SolverConfig:
     init: str | tuple[float, ...] = "oneshot"
     projection_mode: str = "stacked2s"
     lasso_radius: float | None = None
-    dst_beta: float = 0.5
+    dst_beta: float | None = None
     keep_iterates: bool = False
 
     def __post_init__(self) -> None:
@@ -123,7 +127,8 @@ class SolverConfig:
         _check_choice("projection mode", self.projection_mode, PROJECTION_MODES)
         if self.lasso_radius is not None:
             _check_real("lasso_radius", self.lasso_radius, positive=True)
-        _check_real("dst_beta", self.dst_beta, positive=False)
+        if self.dst_beta is not None:
+            _check_real("dst_beta", self.dst_beta, positive=False)
 
 
 @dataclass(frozen=True)
@@ -409,6 +414,14 @@ def dht(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> SolveRe
                     lambda v, h: _project(v, problem, config.projection_mode), lambda t: 0.0)
 
 
+@functools.cache
+def _default_dst_beta(link: LinkFunction) -> float:
+    """0.5 mu(link) / mu(linsin): F's gradient scales with mu, so this is the
+    penalty linsin gets at 0.5, in the link's own units."""
+    return 0.5 * (diagnostics.link_constants(link)[0]
+                  / diagnostics.link_constants(make_link("linsin"))[0])
+
+
 def dst(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> SolveResult:
     """Iterative soft thresholding: t <- S_{beta * step}(t - step * grad F),
     the proximal step on F(t) + beta ||t||_1.
@@ -416,7 +429,7 @@ def dst(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> SolveRe
     The result is generally not exactly 2s-sparse; the trace reports the
     actual support size per iteration.
     """
-    beta = config.dst_beta
+    beta = config.dst_beta if config.dst_beta is not None else _default_dst_beta(problem.link)
     return _descend(problem, config, "dst", lambda v, h: soft_threshold(v, beta * h),
                     lambda t: beta * float(np.abs(t).sum()))
 

@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 
+from nldemix.harness import _openblas
 from nldemix.links import make_link
 from nldemix.measurement import observe, sample_operator
 from nldemix.solvers import DemixProblem
@@ -40,19 +41,10 @@ def planted_instance(n, s, m, link_name="linsin", seed=0, phi="identity", psi="d
 
 def openblas_threads() -> dict[str, int]:
     """Thread count reported by each OpenBLAS library loaded in this process,
-    read as perfbench/bench.py reads it.  Module-level, so a spawned worker can
-    run it."""
+    found as a phase-grid worker finds it.  Module-level, so a spawned worker
+    can run it."""
     out = {}
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        libs = {line.rstrip("\n").split(maxsplit=5)[5] for line in fh
-                if "openblas" in line.lower() and ".so" in line}
-    for path in sorted(libs):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                out[os.path.basename(path)] = int(fn())
-                break
+    for path, get in _openblas("get"):
+        get.argtypes, get.restype = [], ctypes.c_int
+        out[os.path.basename(path)] = get()
     return out

@@ -297,11 +297,9 @@ class TestDiagCommand:
         assert rows_from(capsys.readouterr().out)[0]["sparsity_level"] == "4"
 
     def test_linkconst_sign(self, capsys):
-        args = ["diag", "linkconst", "--link", "sign", "--trials", "50000",
-                "--seed", "0"]
-        assert main(args) == 0
+        assert main(["diag", "linkconst", "--link", "sign"]) == 0
         row = rows_from(capsys.readouterr().out)[0]
-        assert float(row["mu"]) == pytest.approx(np.sqrt(2 / np.pi), abs=0.02)
+        assert float(row["mu"]) == pytest.approx(np.sqrt(2 / np.pi), abs=1e-12)
         assert float(row["eta2"]) == 1.0
 
 
@@ -309,15 +307,15 @@ _RUN = ["config", "seed", "out"]
 _BASES = ["n", "basis_phi", "basis_psi", "ensemble"]
 _SOLVE = _RUN + _BASES + ["link", "tau", "algorithm", "step_size", "max_iters", "rel_tol",
                           "init", "projection_mode", "lasso_radius", "dst_beta"]
-COMMAND_DESTS = {  # every flag of each command, by dest: 20 + 22 + 21 + 9 + 12 + 5 = 89
+COMMAND_DESTS = {  # every flag of each command, by dest: 20 + 22 + 21 + 9 + 12 + 3 = 87
     "trial": _SOLVE + ["s", "m", "success_threshold"],
     "phase": _SOLVE + ["success_threshold", "s_list", "m_list", "trials", "workers"],
     "bench": _SOLVE + ["s", "m", "algorithms", "repeats"],
     "diag coherence": _RUN + _BASES + ["s", "m"],
     "diag rscrss": _RUN + _BASES + ["s", "m", "link", "sparsity", "num_supports"],
-    "diag linkconst": _RUN + ["link", "trials"],
+    "diag linkconst": ["config", "out", "link"],
 }
-# The settings each command used to take but never read, by flag and dest.
+# The settings each command used to take and does not read, by flag and dest.
 IGNORED = [
     ("phase", "--s", "s", "3"),
     ("phase", "--m", "m", "80"),
@@ -325,6 +323,8 @@ IGNORED = [
     ("diag coherence", "--link", "link", "sign"),
     ("diag coherence", "--tau", "tau", "3"),
     ("diag rscrss", "--tau", "tau", "0.5"),
+    ("diag linkconst", "--seed", "seed", "0"),
+    ("diag linkconst", "--trials", "trials", "1000"),
 ]
 
 
@@ -416,7 +416,9 @@ class TestConfigFile:
                      "s_list": [2], "m_list": [120], "trials": 1, "workers": 1}),
         (["bench"], {"n": 64, "s": 2, "m": 120, "algorithms": ["oneshot"], "repeats": 1}),
         (["diag", "rscrss"], {"n": 64, "s": 2, "m": 120, "sparsity": 4, "num_supports": 2}),
-        (["diag", "linkconst"], {"link": "sign", "trials": 1000}),
+        (["diag", "linkconst"], {"link": "sign"}),
+        (["trial"], {"n": 64, "s": 2, "m": 40, "algorithm": "nlcdlasso",
+                     "solver": {"lasso_radius": None, "dst_beta": None}}),
     ])
     def test_keys_the_command_uses_are_accepted(self, tmp_path, capsys, command, keys):
         cfg = tmp_path / "cfg.json"
@@ -572,7 +574,6 @@ class TestExitCodes:
         (["bench"], "repeats", {"n": 64, "s": 2, "m": 60, "algorithm": "oneshot", "repeats": 2.5}),
         (["diag", "rscrss"], "sparsity", {"n": 64, "s": 2, "m": 60, "sparsity": 2.5}),
         (["diag", "rscrss"], "num_supports", {"n": 64, "s": 2, "m": 60, "num_supports": 2.5}),
-        (["diag", "linkconst"], "trials", {"trials": 2.5}),
     ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
     def test_non_integer_config_value_exits_2(self, tmp_path, capsys, command, setting, config):
         cfg = tmp_path / "cfg.json"
@@ -610,7 +611,6 @@ class TestExitCodes:
           "--trials", "1", "--workers", "0"], None, "workers must be >= 1, got 0"),
         (["trial", "--n", "64", "--s", "2", "--m", "80", "--seed", "-1"], None,
          "seed must be >= 0, got -1"),
-        (["diag", "linkconst", "--seed", "-1"], None, "seed must be >= 0, got -1"),
         (["trial"], {"n": 64, "s": 2, "m": 80, "seed": -1}, "seed must be >= 0, got -1"),
         (["trial"], {"n": 64, "s": 2, "m": 80, "link": ["linsin"]},
          "unknown link ['linsin']; expected one of "
@@ -618,7 +618,7 @@ class TestExitCodes:
         # The noise overflows: observe rejects the y it would return, without a warning.
         (["trial", "--n", "64", "--s", "2", "--m", "40", "--tau", "1e308"], None,
          "y must be finite; it holds NaN or infinite entries"),
-    ], ids=["bench-repeats", "phase-workers", "trial-seed-flag", "linkconst-seed-flag",
+    ], ids=["bench-repeats", "phase-workers", "trial-seed-flag",
             "trial-seed-config", "trial-link-list", "trial-tau-overflow"])
     def test_rejected_setting_exits_2_with_one_line(self, tmp_path, capsys, command, config,
                                                     message):
@@ -692,7 +692,7 @@ GOLDEN_HEADERS = {
     "bench": "algorithm,n,s,m,link,repeats,median_ms,iters",
     "diag coherence": "basis_phi,basis_psi,n,s,gamma,epsilon_bound,vartheta",
     "diag rscrss": "n,s,m,link,sparsity_level,supports_probed,m_hat,M_hat,ratio",
-    "diag linkconst": "link,trials,seed,mu,sigma2,eta2",
+    "diag linkconst": "link,mu,sigma2,eta2",
 }
 GOLDEN_ARGS = {
     "trial": FAST_TRIAL,
@@ -701,7 +701,7 @@ GOLDEN_ARGS = {
     "bench": ["--n", "64", "--s", "2", "--m", "60", "--algorithm", "oneshot", "--repeats", "1"],
     "diag coherence": ["--n", "64", "--s", "2"],
     "diag rscrss": ["--n", "64", "--s", "2", "--m", "80"],
-    "diag linkconst": ["--link", "sign", "--trials", "1000"],
+    "diag linkconst": ["--link", "sign"],
 }
 # A grid whose cells include 0, some and all of their trials.
 GOLDEN_PHASE_ARGS = ["phase", "--n", "256", "--s-list", "2,4,8", "--m-list", "40,80,160",
@@ -741,13 +741,15 @@ def _checkout_env() -> dict:
 class TestEntryPoint:
     def test_cli_import_loads_no_scipy(self):
         # Nor the modules only some commands use: json (--config),
-        # concurrent.futures and multiprocessing (phase --workers > 1) and
-        # sysconfig (the first operator refill).
+        # concurrent.futures and multiprocessing (phase --workers > 1),
+        # sysconfig (the first operator refill) and numpy.polynomial (the
+        # quadrature nodes of link_constants).
         code = (
             "import sys; before = set(sys.modules); import nldemix.cli; "
             "new = set(sys.modules) - before; "
             "print(sorted(m for m in ('scipy', 'json', 'concurrent.futures', 'multiprocessing', "
-            "'sysconfig') if any(k == m or k.startswith(m + '.') for k in new)))"
+            "'sysconfig', 'numpy.polynomial') "
+            "if any(k == m or k.startswith(m + '.') for k in new)))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,

@@ -15,7 +15,7 @@ from nldemix.diagnostics import (
     link_constants,
     mutual_coherence,
 )
-from nldemix.links import CapabilityError, link_deriv, link_eval, make_link
+from nldemix.links import CapabilityError, LINK_KINDS, link_deriv, link_eval, make_link
 from nldemix.measurement import sample_operator
 from nldemix.transforms import Basis, Dictionary, basis_matrix, dict_apply
 
@@ -123,18 +123,18 @@ def gauss_expect(f):
 
 class TestLinkConstants:
     def test_sign_closed_forms(self):
-        mu, sigma2, eta2 = link_constants(make_link("sign"), trials=200000, seed=0)
-        assert mu == pytest.approx(np.sqrt(2.0 / np.pi), abs=0.01)
-        assert sigma2 == pytest.approx(1.0 - 2.0 / np.pi, abs=0.01)
+        mu, sigma2, eta2 = link_constants(make_link("sign"))
+        assert mu == pytest.approx(np.sqrt(2.0 / np.pi), abs=1e-12)
+        assert sigma2 == pytest.approx(1.0 - 2.0 / np.pi, abs=1e-12)
         assert eta2 == 1.0  # y^2 is identically 1
 
     def test_linsin_closed_forms(self):
         # Stein: E[Z sin Z] = E[cos Z] = exp(-1/2)
-        mu, _, eta2 = link_constants(make_link("linsin"), trials=500000, seed=1)
+        mu, _, eta2 = link_constants(make_link("linsin"))
         r = np.exp(-0.5)
-        assert mu == pytest.approx(2.0 + r, abs=0.03)
+        assert mu == pytest.approx(2.0 + r, abs=1e-12)
         eta2_ref = 4.0 + 4.0 * r + 0.5 * (1.0 - np.exp(-2.0))
-        assert eta2 == pytest.approx(eta2_ref, abs=0.1)
+        assert eta2 == pytest.approx(eta2_ref, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["linsin", "logistic", "shifted-logistic"])
     def test_matches_quadrature(self, name):
@@ -143,24 +143,16 @@ class TestLinkConstants:
         mu_ref = gauss_expect(lambda z: g(z) * z)
         eta2_ref = gauss_expect(lambda z: g(z) ** 2)
         sigma2_ref = gauss_expect(lambda z: (g(z) * z) ** 2) - mu_ref**2
-        mu, sigma2, eta2 = link_constants(link, trials=500000, seed=2)
-        assert mu == pytest.approx(mu_ref, abs=0.03)
-        assert eta2 == pytest.approx(eta2_ref, abs=0.1)
-        assert sigma2 == pytest.approx(sigma2_ref, abs=0.25)
+        mu, sigma2, eta2 = link_constants(link)
+        assert mu == pytest.approx(mu_ref, abs=1e-10)
+        assert eta2 == pytest.approx(eta2_ref, abs=1e-10)
+        assert sigma2 == pytest.approx(sigma2_ref, abs=1e-10)
 
-    def test_deterministic_in_seed(self):
-        link = make_link("logistic")
-        assert link_constants(link, 1000, seed=7) == link_constants(link, 1000, seed=7)
-        assert link_constants(link, 1000, seed=7) != link_constants(link, 1000, seed=8)
-
-    def test_bad_trials_rejected(self):
-        with pytest.raises(ValueError):
-            link_constants(make_link("sign"), trials=0, seed=0)
-        for bad in (True, 2.5, np.nan, "10"):
-            with pytest.raises(ValueError, match="trials must be an integer"):
-                link_constants(make_link("sign"), trials=bad, seed=0)
-        assert link_constants(make_link("sign"), np.int64(100), 0) == link_constants(
-            make_link("sign"), 100, 0)
+    @pytest.mark.parametrize("name", LINK_KINDS)
+    def test_same_floats_on_every_call(self, name):
+        first = link_constants(make_link(name))
+        assert all(type(c) is float for c in first)
+        assert link_constants(make_link(name)) == first
 
 
 def restricted_hessian(problem, t_ref, idx):

@@ -180,14 +180,12 @@ def test_per_iteration_entries_do_not_check_finiteness():
      "seed must be >= 0, got -1"),
     (lambda: nldemix.observe(_problem().A, nldemix.make_link("linsin"), np.zeros(N), seed=-1),
      "seed must be >= 0, got -1"),
-    (lambda: nldemix.link_constants(nldemix.make_link("sign"), 10, -1),
-     "seed must be >= 0, got -1"),
     (lambda: nldemix.estimate_rsc_rss(_problem(), seed=-1), "seed must be >= 0, got -1"),
     (lambda: nldemix.generate_signal(0, 0, 0, _problem().dictionary), "n must be >= 1, got 0"),
     (lambda: nldemix.estimate_rsc_rss(_problem(), sparsity=0), "sparsity must be >= 1, got 0"),
 ], ids=["Basis-n", "operator-m", "operator-n", "TrialSpec-n", "TrialSpec-m", "TrialSpec-s",
         "TrialSpec-seed", "operator-seed", "generate_signal-seed", "observe-seed",
-        "link_constants-seed", "estimate_rsc_rss-seed", "generate_signal-n",
+        "estimate_rsc_rss-seed", "generate_signal-n",
         "estimate_rsc_rss-sparsity"])
 def test_sizes_below_minimum_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nldemix import diagnostics, solvers
-from nldemix.harness import TrialSpec, _build_instance
+from nldemix.harness import TrialSpec, _build_instance, run_trial
 from nldemix.links import CapabilityError, make_link
 from nldemix.measurement import sample_operator
 from nldemix.solvers import (
@@ -54,7 +54,7 @@ def reference_descent(problem, config, soft, init=None):
         t = np.array(init, dtype=float)
     else:
         t = np.zeros(2 * problem.n) if config.init == "zero" else oneshot(problem).t_hat
-    beta = config.dst_beta
+    beta = config.dst_beta if config.dst_beta is not None else solvers._default_dst_beta(problem.link)
     n, s = problem.n, problem.s
 
     def project(v):
@@ -946,6 +946,27 @@ class TestDst:
         problem, _ = planted_instance(64, 3, 100, link_name="sign", seed=44)
         with pytest.raises(CapabilityError):
             dst(problem)
+
+    def test_default_beta_is_half_in_linsin_units(self):
+        # On linsin the default is 0.5 exactly, so linsin solves keep their bits.
+        mu = {name: diagnostics.link_constants(make_link(name))[0]
+              for name in ("linsin", "logistic", "shifted-logistic")}
+        assert solvers._default_dst_beta(make_link("linsin")) == 0.5
+        for name in ("logistic", "shifted-logistic"):
+            assert solvers._default_dst_beta(make_link(name)) == 0.5 * (mu[name] / mu["linsin"])
+        problem, _ = planted_instance(128, 4, 150, seed=42)
+        default = dst(problem, SolverConfig(max_iters=80))
+        explicit = dst(problem, SolverConfig(max_iters=80, dst_beta=0.5))
+        assert_bits_equal(default.t_hat, explicit.t_hat)
+        assert default.trace == explicit.trace
+
+    @pytest.mark.parametrize("link_name", ["logistic", "shifted-logistic"])
+    def test_default_beta_recovers_on_the_logistic_links(self, link_name):
+        # An absolute default of 0.5 zeroed every estimate here.  The bound
+        # sits below the smallest cosine on seeds 100-139 (0.984 on both links).
+        for seed in range(10, 14):
+            spec = TrialSpec(n=256, s=3, m=200, algorithm="dst", link=link_name, seed=seed)
+            assert run_trial(spec).cosine >= 0.98
 
 
 class TestNlcdLasso:
