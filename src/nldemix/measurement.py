@@ -10,7 +10,7 @@ y_i = g((Ax)_i) + e_i with optional Gaussian noise of standard deviation tau.
 
 from __future__ import annotations
 
-import sys
+import weakref
 
 import numpy as np
 
@@ -31,33 +31,22 @@ def _check_ensemble(kind: str, m: int, n: int) -> None:
         raise ValueError(f"subfast requires m <= n, got m={m}, n={n}")
 
 
-_last_pages: np.ndarray | None = None  # read-only 1-D owner of the last gaussian matrix
-_FREE_THREADED: bool | None = None  # built without the GIL; None until first read
+_spare: list[np.ndarray] = []  # at most one buffer whose gaussian matrix has died
 
 
-def _take_pages(kind: str, size: int) -> np.ndarray | None:
-    """Empty the slot; return its owner if a `kind` draw may refill its
-    first `size` floats, else drop it before the draw allocates.
+def _release(buf: np.ndarray) -> None:
+    """Keep `buf`, whose matrix and every view of it have died, for the next draw."""
+    _spare[:] = [buf]
 
-    Only a gaussian draw refills, and only an owner with room that nobody
-    else holds: an operator on it, its matrix, a view of the matrix or a
-    problem built on it all hold the owner.  `pages` is compared with
-    `probe`, held by one local name only, because what getrefcount adds for
-    its own argument differs between interpreters (CPython 3.14 may borrow
-    a local without a new reference).  Free-threaded builds count references
-    per thread, so they never refill.
-    """
-    global _last_pages, _FREE_THREADED
-    pages, _last_pages = _last_pages, None
-    if pages is None or kind != "gaussian" or pages.size < size:
+
+def _take_spare(kind: str, size: int) -> np.ndarray | None:
+    """Empty the spare with one atomic `pop`; return it if a `kind` draw may
+    refill its first `size` floats, else drop it before the draw allocates."""
+    try:
+        buf = _spare.pop()
+    except IndexError:
         return None
-    if _FREE_THREADED is None:
-        import sysconfig
-
-        _FREE_THREADED = bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
-    probe = np.empty(0)
-    shared = _FREE_THREADED or sys.getrefcount(pages) > sys.getrefcount(probe)
-    return None if shared else pages
+    return buf if kind == "gaussian" and buf.size >= size else None
 
 
 class MeasurementOperator:
@@ -68,16 +57,15 @@ class MeasurementOperator:
     transforms.  All three arrays are read-only.  ``apply`` and ``adjoint``
     act along the last axis, so a 2-D input is a batch of rows.
 
-    A gaussian matrix is a view of a 1-D owner that the next gaussian draw
-    refills with a fresh draw's bits when nothing else holds it
-    (`_take_pages`); a dropped one stays resident until the next draw.
+    A gaussian matrix is a view of a 1-D array over a private buffer, which
+    becomes the spare once that array and all its views have died: the next
+    gaussian draw refills it (`_take_spare`), and until then it stays resident.
     """
 
     def __init__(self, kind: str, m: int, n: int, seed: int):
-        global _last_pages
         m, n, seed = _check_int("m", m, 1), _check_int("n", n, 1), _check_int("seed", seed, 0)
         _check_ensemble(kind, m, n)
-        pages = _take_pages(kind, m * n)
+        buf = _take_spare(kind, m * n)
         self.kind = kind
         self.m = m
         self.n = n
@@ -87,11 +75,11 @@ class MeasurementOperator:
         self.row_indices: np.ndarray | None = None
         self.signs: np.ndarray | None = None
         if kind == "gaussian":
-            pages = np.empty(m * n) if pages is None else pages
-            pages.setflags(write=True)
-            self._matrix = _frozen(
-                rng.standard_normal((m, n), out=pages[: m * n].reshape(m, n)))
-            _last_pages = _frozen(pages)
+            buf = np.empty(m * n) if buf is None else buf
+            rng.standard_normal((m, n), out=buf[: m * n].reshape(m, n))
+            pages = _frozen(np.frombuffer(buf.data))  # every view's base chain stops here
+            weakref.finalize(pages, _release, buf).atexit = False
+            self._matrix = pages[: m * n].reshape(m, n)
         elif kind == "rademacher":
             self._matrix = _frozen(rng.choice([-1.0, 1.0], size=(m, n)))
         else:

@@ -741,9 +741,9 @@ def _checkout_env() -> dict:
 class TestEntryPoint:
     def test_cli_import_loads_no_scipy(self):
         # Nor the modules only some commands use: json (--config),
-        # concurrent.futures and multiprocessing (phase --workers > 1),
-        # sysconfig (the first operator refill) and numpy.polynomial (the
-        # quadrature nodes of link_constants).
+        # concurrent.futures and multiprocessing (phase --workers > 1) and
+        # numpy.polynomial (the quadrature nodes of link_constants).  Nor
+        # sysconfig, which no path in nldemix imports.
         code = (
             "import sys; before = set(sys.modules); import nldemix.cli; "
             "new = set(sys.modules) - before; "

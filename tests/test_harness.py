@@ -303,8 +303,8 @@ def test_sample_complexity_grows_like_s_log_n_over_s():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Empties the instance cache and the pages a gaussian draw may refill,
-    and records the spec of every build."""
+    """Empties the instance cache and the spare buffer a gaussian draw may
+    refill, and records the spec of every build."""
     specs = []
     build = harness._build_instance
 
@@ -313,7 +313,7 @@ def builds(monkeypatch):
         return build(spec)
 
     monkeypatch.setattr(harness, "_last_instance", None)
-    monkeypatch.setattr(measurement, "_last_pages", None)
+    measurement._spare.clear()  # after the evicted instance has released its buffer
     monkeypatch.setattr(harness, "_build_instance", counting)
     return specs
 
@@ -326,22 +326,26 @@ def _address(array: np.ndarray) -> int:
     return array.__array_interface__["data"][0]
 
 
+def _memory(matrix: np.ndarray) -> np.ndarray:
+    """The array that owns a matrix's memory: a gaussian one's private buffer."""
+    return matrix if matrix.base is None else matrix.base.base.obj
+
+
 def _watch_pages(monkeypatch) -> list[bool]:
     """Records, at each operator draw, whether the memory of the cached
     matrix is still alive where the draw allocates: right after measurement
-    has taken the pages it may refill.  The list holds no reference to it."""
-    matrix = _cached_matrix()
-    pages = weakref.ref(matrix if matrix.base is None else matrix.base)
-    del matrix
+    has taken the spare it may refill, or dropped it.  The list holds no
+    reference to it."""
+    memory = weakref.ref(_memory(_cached_matrix()))
     alive = []
-    take = measurement._take_pages
+    take = measurement._take_spare
 
     def checking(*args):
         refill = take(*args)
-        alive.append(pages() is not None)
+        alive.append(memory() is not None)
         return refill
 
-    monkeypatch.setattr(measurement, "_take_pages", checking)
+    monkeypatch.setattr(measurement, "_take_spare", checking)
     return alive
 
 
@@ -350,6 +354,9 @@ _HOLDERS = {  # what a caller keeps of an instance, and how to read its matrix b
     "operator": (lambda problem: problem.A, lambda held: held.dense()),
     "matrix": (lambda problem: problem.A.dense(), lambda held: held),
     "view": (lambda problem: problem.A.dense()[:10], lambda held: held),
+    "view of a view": (lambda problem: problem.A.dense()[:10][:, :5], lambda held: held),
+    "memoryview": (lambda problem: memoryview(problem.A.dense()), lambda held: np.asarray(held)),
+    "pages": (lambda problem: problem.A.dense().base, lambda held: held),
 }
 
 
@@ -401,13 +408,33 @@ class TestInstanceReuse:
     @pytest.mark.parametrize("m", [80, 160])
     def test_evicted_matrix_is_refilled_with_a_cold_draw(self, builds, m):
         run_trial(small_spec(algorithm="oneshot"))
-        owner = weakref.ref(_cached_matrix().base)  # holds no reference to it
+        owner = weakref.ref(_memory(_cached_matrix()))  # holds no reference to it
         spec = small_spec(algorithm="oneshot", m=m, seed=43)
         run_trial(spec)
         warm = harness._last_instance[1]
-        # the evicted owner itself, not a fresh array at the same address
-        assert warm[0].A.dense().base is owner()
+        # the evicted buffer itself, not a fresh array at the same address
+        assert _memory(warm[0].A.dense()) is owner()
         cold = harness._build_instance(spec)
+        for a, b in zip((warm[0].A.dense(), warm[0].y, *warm[1:]),
+                        (cold[0].A.dense(), cold[0].y, *cold[1:])):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_evicted_grid_matrix_is_refilled_by_the_next_cell(self, builds, monkeypatch):
+        # Two trials of one m=1600 cell at the benchmark grid's n: the
+        # second cell's draw refills the buffer the first cell's eviction left.
+        owners = []
+        build = harness._build_instance
+
+        def recording(spec):
+            instance = build(spec)
+            owners.append(weakref.ref(_memory(instance[0].A.dense())))
+            return instance
+
+        monkeypatch.setattr(harness, "_build_instance", recording)
+        run_phase_grid((2,), (1600,), 2, TrialSpec(n=4096, algorithm="oneshot", seed=3))
+        assert len(builds) == 2 and owners[0]() is not None and owners[1]() is owners[0]()
+        warm = harness._last_instance[1]
+        cold = build(builds[1])
         for a, b in zip((warm[0].A.dense(), warm[0].y, *warm[1:]),
                         (cold[0].A.dense(), cold[0].y, *cold[1:])):
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
@@ -422,23 +449,6 @@ class TestInstanceReuse:
         run_trial(small_spec(algorithm="oneshot", seed=43))
         assert _address(_cached_matrix()) != address
         np.testing.assert_array_equal(read(held), values)
-
-    def test_build_flag_is_read_at_the_first_refill(self, builds, monkeypatch):
-        import sysconfig
-
-        monkeypatch.setattr(measurement, "_FREE_THREADED", None)
-        run_trial(small_spec(algorithm="oneshot", ensemble="rademacher"))
-        run_trial(small_spec(algorithm="oneshot"))
-        assert measurement._FREE_THREADED is None  # no gaussian matrix to refill yet
-        run_trial(small_spec(algorithm="oneshot", seed=43))
-        assert measurement._FREE_THREADED is bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
-
-    def test_free_threaded_interpreter_never_refills(self, builds, monkeypatch):
-        monkeypatch.setattr(measurement, "_FREE_THREADED", True)
-        run_trial(small_spec(algorithm="oneshot"))
-        alive_at_draw = _watch_pages(monkeypatch)
-        run_trial(small_spec(algorithm="oneshot", seed=43))
-        assert alive_at_draw == [False]
 
     def test_larger_operator_frees_the_old_pages_before_its_draw(self, builds, monkeypatch):
         run_trial(small_spec(algorithm="oneshot", m=80))

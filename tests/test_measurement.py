@@ -1,5 +1,9 @@
 """Measurement ensembles: adjoint pairing, dense oracle, noisy observation."""
 
+import concurrent.futures
+import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -70,15 +74,23 @@ class TestSampling:
 
 
 @pytest.fixture
-def empty_slot(monkeypatch):
-    """No gaussian pages left over from an earlier draw."""
-    monkeypatch.setattr(measurement, "_last_pages", None)
+def empty_slot():
+    """No spare gaussian buffer left over from an earlier draw."""
+    measurement._spare.clear()
+
+
+def _buffer(A: MeasurementOperator) -> np.ndarray:
+    """The private buffer behind a gaussian operator's matrix."""
+    return A.dense().base.base.obj
 
 
 _HOLDERS = {  # what a caller keeps of an operator, and how to read its matrix back
     "operator": (lambda A: A, lambda held: held.dense()),
     "matrix": (lambda A: A.dense(), lambda held: held),
     "view": (lambda A: A.dense()[:10], lambda held: held),
+    "view of a view": (lambda A: A.dense()[:10][:, :5], lambda held: held),
+    "memoryview": (lambda A: memoryview(A.dense()), lambda held: np.asarray(held)),
+    "pages": (lambda A: A.dense().base, lambda held: held),
     "problem": (lambda A: DemixProblem(A=A, dictionary=Dictionary(Basis("identity", A.n),
                                                                   Basis("dct", A.n)),
                                        link=make_link("linsin"), y=np.zeros(A.m), s=1),
@@ -90,12 +102,12 @@ class TestGaussianRefill:
     @pytest.mark.parametrize("m", [30, 40])
     def test_dropped_operator_is_refilled_with_a_cold_draw(self, empty_slot, m):
         A = sample_operator("gaussian", 40, 64, 1)
-        owner = weakref.ref(A.dense().base)
+        owner = weakref.ref(_buffer(A))
         del A
         warm = sample_operator("gaussian", m, 64, 2)
-        assert warm.dense().base is owner()
-        cold = sample_operator("gaussian", m, 64, 2)  # `warm` holds the owner
-        assert cold.dense().base is not owner()
+        assert _buffer(warm) is owner()
+        cold = sample_operator("gaussian", m, 64, 2)  # `warm` holds the buffer
+        assert _buffer(cold) is not owner()
         np.testing.assert_array_equal(warm.dense().view(np.int64), cold.dense().view(np.int64))
         for array in (warm.dense(), warm.dense().base):
             with pytest.raises(ValueError):
@@ -105,22 +117,84 @@ class TestGaussianRefill:
     def test_held_matrix_is_never_refilled(self, empty_slot, holder):
         hold, read = _HOLDERS[holder]
         A = sample_operator("gaussian", 40, 64, 1)
-        owner = weakref.ref(A.dense().base)
+        owner = weakref.ref(_buffer(A))
         held = hold(A)
         values = read(held).copy()
         del A
         B = sample_operator("gaussian", 40, 64, 2)
-        assert owner() is not None and B.dense().base is not owner()
+        assert owner() is not None and _buffer(B) is not owner()
         np.testing.assert_array_equal(read(held).view(np.int64), values.view(np.int64))
+
+    def test_operator_in_a_cycle_is_refilled_once_collected(self, empty_slot):
+        gc.disable()
+        try:
+            A = sample_operator("gaussian", 40, 64, 1)
+            A.cycle = A
+            owner, values = weakref.ref(_buffer(A)), A.dense().copy()
+            held = weakref.ref(A)
+            del A
+            B = sample_operator("gaussian", 40, 64, 2)
+            assert held() is not None and _buffer(B) is not owner()
+            np.testing.assert_array_equal(held().dense().view(np.int64), values.view(np.int64))
+            del B
+            gc.collect()
+            assert held() is None
+            C = sample_operator("gaussian", 40, 64, 3)
+            assert _buffer(C) is owner()
+        finally:
+            gc.enable()
+
+    def test_one_spare_at_most(self, empty_slot):
+        A = sample_operator("gaussian", 16, 64, 1)
+        B = sample_operator("gaussian", 16, 64, 2)
+        owners = [weakref.ref(_buffer(A)), weakref.ref(_buffer(B))]
+        del A, B
+        assert [owner() is not None for owner in owners] == [False, True]
 
     @pytest.mark.parametrize("kind", ["rademacher", "subfast"])
     def test_other_draws_empty_the_slot(self, empty_slot, kind):
         A = sample_operator("gaussian", 16, 64, 1)
-        owner = weakref.ref(A.dense().base)
+        owner = weakref.ref(_buffer(A))
         del A
         assert owner() is not None  # resident until the next draw
         sample_operator(kind, 16, 64, 2)
         assert owner() is None
+
+    def test_threads_never_share_a_live_matrix(self, empty_slot):
+        # Each of 4 threads draws pairs of operators of two sizes, so draws
+        # both refill and drop the spare while other threads release theirs.
+        draws = [(m, seed) for m in (24, 32) for seed in range(8)]
+        cold = {(m, seed): sample_operator("gaussian", m, 64, seed).dense().copy()
+                for m, seed in draws}
+        live, lock = {}, threading.Lock()
+
+        def rounds(thread: int) -> int:
+            checked = 0
+            for r in range(200):
+                pair = [sample_operator("gaussian", m, 64, seed)
+                        for m, seed in (draws[(thread + r) % 16], draws[(3 * thread + 5 * r) % 16])]
+                matrices = [A.dense() for A in pair]
+                with lock:
+                    for M in matrices:
+                        assert not any(np.shares_memory(M, other) for other in live.values())
+                        live[id(M)] = M
+                for A, M in zip(pair, matrices):
+                    np.testing.assert_array_equal(
+                        M.view(np.int64), cold[A.m, A.seed].view(np.int64))
+                    checked += 1
+                with lock:
+                    for M in matrices:
+                        del live[id(M)]
+            return checked
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(rounds, thread) for thread in range(4)]
+                assert [f.result(timeout=120) for f in futures] == [400] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestApplyAdjoint:
