@@ -1,11 +1,11 @@
-"""Command-line interface: subcommands, config merging, exit codes, CSV out."""
+"""Command-line interface: subcommands, flags from a file, exit codes, CSV out."""
 
 import csv
 import io
-import json
 import os
 import subprocess
 import sys
+import types
 from dataclasses import fields
 from pathlib import Path
 
@@ -26,55 +26,54 @@ FAST_TRIAL = [
 ]
 
 
-PHASE_CONFIG = {"n": 64, "algorithm": "oneshot", "s_list": [2], "m_list": [60], "trials": 1}
+PHASE_FLAGS = ["--n", "64", "--algorithm", "oneshot", "--s-list", "2", "--m-list", "60",
+               "--trials", "1"]
 
 
-# Each list setting: its command, a config it overrides, and its flag.
+# Each list setting: its command, the flags it is given after, and its flag.
 LIST_SETTINGS = {
-    "s_list": ("phase", PHASE_CONFIG, "--s-list"),
-    "m_list": ("phase", PHASE_CONFIG, "--m-list"),
-    "algorithms": ("bench", {"n": 64, "s": 2, "m": 60, "repeats": 1}, "--algorithms"),
+    "s_list": ("phase", PHASE_FLAGS, "--s-list"),
+    "m_list": ("phase", PHASE_FLAGS, "--m-list"),
+    "algorithms": ("bench", ["--n", "64", "--s", "2", "--m", "60", "--repeats", "1"],
+                   "--algorithms"),
 }
 DISTINCT = "must be distinct and non-empty, got"
 UNKNOWN_OMP = "unknown algorithm 'omp'; expected one of ('oneshot', 'dht', 'dst', 'nlcdlasso')"
-# id: (source, key, flag text or config value, message).
+# id: (key, flag text, message).
 LIST_RULE = {
-    "s_list-flag-repeat": ("flag", "s_list", "2,2",
-                           f"s_values {DISTINCT} [2, 2]; entry 1 repeats entry 0"),
-    "s_list-config-repeat": ("config", "s_list", [2, 2],
-                             f"s_values {DISTINCT} [2, 2]; entry 1 repeats entry 0"),
-    "m_list-flag-repeat": ("flag", "m_list", "60,80,60",
+    "s_list-flag-repeat": ("s_list", "2,2", f"s_values {DISTINCT} [2, 2]; entry 1 repeats entry 0"),
+    "m_list-flag-repeat": ("m_list", "60,80,60",
                            f"m_values {DISTINCT} [60, 80, 60]; entry 2 repeats entry 0"),
-    "m_list-config-repeat": ("config", "m_list", [60, 80, 60],
-                             f"m_values {DISTINCT} [60, 80, 60]; entry 2 repeats entry 0"),
-    "algorithms-flag-repeat": ("flag", "algorithms", "dht,dht",
+    "algorithms-flag-repeat": ("algorithms", "dht,dht",
                                f"algorithms {DISTINCT} ['dht', 'dht']; entry 1 repeats entry 0"),
     "algorithms-flag-repeat-spaced": (
-        "flag", "algorithms", "oneshot, dht,oneshot",
+        "algorithms", "oneshot, dht,oneshot",
         f"algorithms {DISTINCT} ['oneshot', 'dht', 'oneshot']; entry 2 repeats entry 0"),
-    "algorithms-config-repeat": ("config", "algorithms", ["dht", "dht"],
-                                 f"algorithms {DISTINCT} ['dht', 'dht']; entry 1 repeats entry 0"),
-    "s_list-flag-comma": ("flag", "s_list", ",", f"s_values {DISTINCT} []"),
-    "s_list-config-empty": ("config", "s_list", [], f"s_values {DISTINCT} []"),
-    "m_list-flag-empty": ("flag", "m_list", "", f"m_values {DISTINCT} []"),
-    "m_list-config-empty": ("config", "m_list", [], f"m_values {DISTINCT} []"),
-    "algorithms-flag-comma": ("flag", "algorithms", ",", f"algorithms {DISTINCT} []"),
-    "algorithms-flag-empty": ("flag", "algorithms", "", f"algorithms {DISTINCT} []"),
-    "algorithms-config-empty": ("config", "algorithms", [], f"algorithms {DISTINCT} []"),
-    "s_list-config-str": ("config", "s_list", "2,3",
-                          "s_values must be a sequence of integers, got '2,3'"),
-    "m_list-config-str": ("config", "m_list", "60,80",
-                          "m_values must be a sequence of integers, got '60,80'"),
-    "algorithms-config-str": ("config", "algorithms", "dht,dst",
-                              "algorithms must be a sequence of names, got 'dht,dst'"),
-    "algorithms-flag-unknown": ("flag", "algorithms", "omp", UNKNOWN_OMP),
-    "algorithms-config-unknown": ("config", "algorithms", ["omp"], UNKNOWN_OMP),
+    "s_list-flag-comma": ("s_list", ",", f"s_values {DISTINCT} []"),
+    "m_list-flag-empty": ("m_list", "", f"m_values {DISTINCT} []"),
+    "algorithms-flag-comma": ("algorithms", ",", f"algorithms {DISTINCT} []"),
+    "algorithms-flag-empty": ("algorithms", "", f"algorithms {DISTINCT} []"),
+    "algorithms-flag-unknown": ("algorithms", "omp", UNKNOWN_OMP),
 }
 
 
 def rows_from(text: str) -> list[dict]:
     reader = csv.DictReader(io.StringIO(text))
     return list(reader)
+
+
+@pytest.fixture(params=["typed", "file"])
+def given(request, tmp_path):
+    """Maps a command line to itself, typed, or to its command and an @file
+    holding its flags, one per line: a file's flags pass the same checks."""
+    def as_given(argv: list[str]) -> list[str]:
+        if request.param == "typed":
+            return argv
+        words = 2 if argv[0] == "diag" else 1
+        path = tmp_path / "flags.txt"
+        path.write_text("".join(f"{arg}\n" for arg in argv[words:]))
+        return [*argv[:words], f"@{path}"]
+    return as_given
 
 
 class TestTrialCommand:
@@ -125,8 +124,8 @@ class TestTrialCommand:
         assert {**auto, "time_ms": ""} == {**default, "time_ms": ""}
 
     @pytest.mark.parametrize("text", ["fast", "", "AUTO"])
-    def test_step_size_that_is_not_a_number_is_usage_error(self, capsys, text):
-        assert main(["trial", *FAST_TRIAL, "--step-size", text]) == 1
+    def test_step_size_that_is_not_a_number_is_usage_error(self, capsys, given, text):
+        assert main(given(["trial", *FAST_TRIAL, "--step-size", text])) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1].endswith(
@@ -168,17 +167,17 @@ class TestPhaseCommand:
 
     @pytest.mark.parametrize("lists", [[], ["--s-list", "2"], ["--m-list", "60"]],
                              ids=["neither", "no-m-list", "no-s-list"])
-    def test_missing_lists_is_usage_error(self, capsys, lists):
-        assert main(["phase", "--n", "64", *lists]) == 1
+    def test_missing_lists_is_usage_error(self, capsys, given, lists):
+        assert main(given(["phase", "--n", "64", *lists])) == 1
         assert capsys.readouterr().err.splitlines()[-1] == (
-            "nldemix phase: error: phase requires --s-list and --m-list "
-            "(or config keys s_list/m_list)")
+            "nldemix phase: error: phase requires --s-list and --m-list")
 
     @pytest.mark.parametrize("flag", ["--s-list", "--m-list"])
     @pytest.mark.parametrize("text", ["2,x", "2.5", "2;3"])
-    def test_malformed_list_is_usage_error(self, capsys, flag, text):
+    def test_malformed_list_is_usage_error(self, capsys, given, flag, text):
         lists = {"--s-list": "2", "--m-list": "60", flag: text}
-        assert main(["phase", "--n", "64", *(part for item in lists.items() for part in item)]) == 1
+        argv = ["phase", "--n", "64", *(part for item in lists.items() for part in item)]
+        assert main(given(argv)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1].endswith(
@@ -203,16 +202,16 @@ class TestBenchCommand:
             assert float(r["median_ms"]) > 0
             assert int(r["repeats"]) == 2
 
-    @pytest.mark.parametrize("flags, config", [
-        (["--algorithm", "dht", "--algorithms", "oneshot"], {}),
-        (["--algorithms", "oneshot"], {"algorithm": "dht"}),
-        ([], {"algorithm": "dht", "algorithms": ["oneshot"]}),
-    ], ids=["flags", "flag-and-config", "config"])
-    def test_algorithm_and_algorithms_together_is_usage_error(self, tmp_path, capsys, flags,
-                                                              config):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 64, "s": 2, "m": 60, "repeats": 1, **config}))
-        assert main(["bench", "--config", str(cfg), *flags]) == 1
+    @pytest.mark.parametrize("flags", [
+        ["--algorithm", "dht", "--algorithms", "oneshot"],
+        ["@{file}", "--algorithms", "oneshot"],
+    ], ids=["flags", "file-and-flag"])
+    def test_algorithm_and_algorithms_together_is_usage_error(self, tmp_path, capsys, flags):
+        path = tmp_path / "flags.txt"
+        path.write_text("--algorithm=dht\n")
+        argv = ["bench", "--n", "64", "--s", "2", "--m", "60", "--repeats", "1",
+                *(flag.format(file=path) for flag in flags)]
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
@@ -259,18 +258,12 @@ class TestDiagCommand:
         A = sample_operator(kind, m, 64, harness.child_seed(TrialSpec().seed, 1))
         assert float(row["vartheta"]) == cross_coherence(A, d)
 
-    @pytest.mark.parametrize("flags, config, message", [
-        (["--ensemble", "subfast"], None, "subfast requires m <= n, got m=500, n=64"),
-        (["--ensemble", "subfast", "--m", "65"], None, "subfast requires m <= n, got m=65, n=64"),
-        ([], {"ensemble": "bogus"}, "unknown ensemble kind 'bogus'; expected one of "
-                                    "('gaussian', 'rademacher', 'subfast')"),
-    ], ids=["subfast-default-m", "subfast-m", "config-unknown"])
-    def test_coherence_checks_the_ensemble(self, tmp_path, capsys, flags, config, message):
-        if config is not None:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(config))
-            flags = [*flags, "--config", str(cfg)]
-        assert main(["diag", "coherence", "--n", "64", *flags]) == 2
+    @pytest.mark.parametrize("flags, message", [
+        (["--ensemble", "subfast"], "subfast requires m <= n, got m=500, n=64"),
+        (["--ensemble", "subfast", "--m", "65"], "subfast requires m <= n, got m=65, n=64"),
+    ], ids=["subfast-default-m", "subfast-m"])
+    def test_coherence_checks_the_ensemble(self, capsys, given, flags, message):
+        assert main(given(["diag", "coherence", "--n", "64", *flags])) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"nldemix: error: {message}\n"
@@ -303,28 +296,28 @@ class TestDiagCommand:
         assert float(row["eta2"]) == 1.0
 
 
-_RUN = ["config", "seed", "out"]
+_RUN = ["seed", "out"]
 _BASES = ["n", "basis_phi", "basis_psi", "ensemble"]
 _SOLVE = _RUN + _BASES + ["link", "tau", "algorithm", "step_size", "max_iters", "rel_tol",
                           "init", "projection_mode", "lasso_radius", "dst_beta"]
-COMMAND_DESTS = {  # every flag of each command, by dest: 20 + 22 + 21 + 9 + 12 + 3 = 87
+COMMAND_DESTS = {  # every flag of each command, by dest: 19 + 21 + 20 + 8 + 11 + 2 = 81
     "trial": _SOLVE + ["s", "m", "success_threshold"],
     "phase": _SOLVE + ["success_threshold", "s_list", "m_list", "trials", "workers"],
     "bench": _SOLVE + ["s", "m", "algorithms", "repeats"],
     "diag coherence": _RUN + _BASES + ["s", "m"],
     "diag rscrss": _RUN + _BASES + ["s", "m", "link", "sparsity", "num_supports"],
-    "diag linkconst": ["config", "out", "link"],
+    "diag linkconst": ["out", "link"],
 }
-# The settings each command used to take and does not read, by flag and dest.
+# The settings each command used to take and does not read, by flag.
 IGNORED = [
-    ("phase", "--s", "s", "3"),
-    ("phase", "--m", "m", "80"),
-    ("bench", "--threshold", "success_threshold", "0.5"),
-    ("diag coherence", "--link", "link", "sign"),
-    ("diag coherence", "--tau", "tau", "3"),
-    ("diag rscrss", "--tau", "tau", "0.5"),
-    ("diag linkconst", "--seed", "seed", "0"),
-    ("diag linkconst", "--trials", "trials", "1000"),
+    ("phase", "--s", "3"),
+    ("phase", "--m", "80"),
+    ("bench", "--threshold", "0.5"),
+    ("diag coherence", "--link", "sign"),
+    ("diag coherence", "--tau", "3"),
+    ("diag rscrss", "--tau", "0.5"),
+    ("diag linkconst", "--seed", "0"),
+    ("diag linkconst", "--trials", "1000"),
 ]
 
 
@@ -335,117 +328,45 @@ class TestFlags:
         assert sorted(set(vars(args)) - {"command"}) == sorted(COMMAND_DESTS[command])
 
     @pytest.mark.parametrize("command", list(COMMAND_DESTS))
-    def test_link_radius_is_gone(self, tmp_path, capsys, command):
-        assert main([*command.split(), "--link-radius", "20"]) == 1
+    def test_link_radius_is_gone(self, capsys, given, command):
+        assert main(given([*command.split(), "--link-radius", "20"])) == 1
         assert "unrecognized arguments: --link-radius 20" in capsys.readouterr().err
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"link_radius": 20.0}))
-        assert main([*command.split(), "--config", str(cfg)]) == 1
-        assert "unknown config keys: ['link_radius']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(COMMAND_DESTS))
+    def test_config_is_gone(self, capsys, given, command):
+        # Settings come from a file as @FILE, read as flags.
+        assert main(given([*command.split(), "--config", "x.json"])) == 1
+        assert "unrecognized arguments: --config x.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["diag", "linkconst", "--s", "5000"],
         ["diag", "linkconst", "--n", "64"],
         ["diag", "coherence", "--step-size", "0"],
         ["diag", "rscrss", "--algorithm", "dht"],
-        *([*command.split(), flag, value] for command, flag, _, value in IGNORED),
+        *([*command.split(), flag, value] for command, flag, value in IGNORED),
     ])
-    def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv):
+    def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, given, argv):
         # Never a prefix of another flag either: --s is not --seed, nor --s-list.
         flags = argv[2:] if argv[0] == "diag" else argv[1:]
-        assert main(argv) == 1
+        assert main(given(argv)) == 1
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, key, value", [
-        (command, key, value) for command, _, key, value in IGNORED])
-    def test_keys_a_command_does_not_read_are_unknown(self, tmp_path, capsys, command, key,
-                                                      value):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
-        assert main([*command.split(), "--config", str(cfg)]) == 1
-        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
-
-
-class TestConfigFile:
-    def test_config_supplies_fields(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"n": 128, "s": 2, "m": 120, "algorithm": "oneshot", "seed": 5}
-        ))
-        assert main(["trial", "--config", str(cfg)]) == 0
-        row = rows_from(capsys.readouterr().out)[0]
-        assert (int(row["n"]), int(row["s"]), int(row["m"])) == (128, 2, 120)
-        assert int(row["seed"]) == 5
-
-    def test_flags_override_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 64, "s": 2, "m": 80, "algorithm": "oneshot"}))
-        assert main(["trial", "--config", str(cfg), "--n", "128", "--m", "160"]) == 0
-        row = rows_from(capsys.readouterr().out)[0]
-        assert (int(row["n"]), int(row["s"]), int(row["m"])) == (128, 2, 160)
-
-    def test_nested_solver_object(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "n": 128, "s": 3, "m": 160, "algorithm": "dht",
-            "solver": {"max_iters": 3},
-        }))
-        assert main(["trial", "--config", str(cfg)]) == 0
-        row = rows_from(capsys.readouterr().out)[0]
-        assert int(row["iters"]) <= 3
-
-    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 64, "sparsity_target": 3}))
-        assert main(["trial", "--config", str(cfg)]) == 1
-        assert "unknown config keys" in capsys.readouterr().err
-
-    def test_keys_the_command_ignores_are_usage_errors(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "n": 128, "s": 3, "m": 160, "algorithm": "oneshot",
-            "workers": 4, "trials": 9, "s_list": [1],
-        }))
-        assert main(["trial", "--config", str(cfg)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "['s_list', 'trials', 'workers']" in captured.err
-
-    @pytest.mark.parametrize("command, keys", [
-        (["phase"], {"n": 64, "algorithm": "oneshot",
-                     "s_list": [2], "m_list": [120], "trials": 1, "workers": 1}),
-        (["bench"], {"n": 64, "s": 2, "m": 120, "algorithms": ["oneshot"], "repeats": 1}),
-        (["diag", "rscrss"], {"n": 64, "s": 2, "m": 120, "sparsity": 4, "num_supports": 2}),
-        (["diag", "linkconst"], {"link": "sign"}),
-        (["trial"], {"n": 64, "s": 2, "m": 40, "algorithm": "nlcdlasso",
-                     "solver": {"lasso_radius": None, "dst_beta": None}}),
-    ])
-    def test_keys_the_command_uses_are_accepted(self, tmp_path, capsys, command, keys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(keys))
-        assert main([*command, "--config", str(cfg)]) == 0
-        for key in ("workers", "repeats", "num_supports", "trials", "n", "algorithm"):
-            if key not in keys:
-                cfg.write_text(json.dumps({**keys, key: 1}))
-                assert main([*command, "--config", str(cfg)]) == 1
-        capsys.readouterr()
-
-    def test_every_spec_and_solver_field_reaches_the_spec(self, tmp_path, capsys, monkeypatch):
+    def test_every_spec_and_solver_field_reaches_the_spec(self, capsys, monkeypatch, given):
         # Each value differs from its default, so reaching the spec is visible;
-        # a field added later without a value here fails with its name.
-        spec_values = dict(
+        # a field added later without a value here or a trial flag fails with its name.
+        values = dict(
             n=64, s=2, m=48, basis_phi="haar", basis_psi="identity", ensemble="rademacher",
             link="logistic", tau=0.25, algorithm="dst", seed=11, success_threshold=0.5,
-        )
-        solver_values = dict(
             step_size=0.125, max_iters=3, rel_tol=1e-3, init="zero",
             projection_mode="perblocks", lasso_radius=2.5, dst_beta=0.75,
         )
-        cfg = {f.name: spec_values[f.name] for f in fields(TrialSpec) if f.name != "solver"}
-        cfg["solver"] = {f.name: solver_values[f.name] for f in fields(SolverConfig)
-                         if f.name != "keep_iterates"}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        spec_names = [f.name for f in fields(TrialSpec) if f.name != "solver"]
+        solver_names = [f.name for f in fields(SolverConfig) if f.name != "keep_iterates"]
+        trial_dests = cli._COMMANDS["trial"][1].split()
+        argv = ["trial"]
+        for name in spec_names + solver_names:
+            assert name in trial_dests, name
+            argv += [cli._FLAGS[name][0], str(values[name])]
         seen = []
 
         def capture(spec):
@@ -453,55 +374,65 @@ class TestConfigFile:
             return harness.run_trial(spec)
 
         monkeypatch.setattr(cli, "run_trial", capture)
-        assert main(["trial", "--config", str(path)]) == 0
+        assert main(given(argv)) == 0
         capsys.readouterr()
         (spec,) = seen
-        solver = cfg.pop("solver")
-        for name, value in cfg.items():
-            assert getattr(spec, name) == value != getattr(TrialSpec(), name), name
-        for name, value in solver.items():
-            assert getattr(spec.solver, name) == value != getattr(SolverConfig(), name), name
+        for name in spec_names:
+            assert getattr(spec, name) == values[name] != getattr(TrialSpec(), name), name
+        for name in solver_names:
+            assert getattr(spec.solver, name) == values[name] != getattr(SolverConfig(), name), name
 
-    def test_solver_keys_belong_in_the_solver_object(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 64, "max_iters": 3, "solver": {"seed": 1}}))
-        assert main(["trial", "--config", str(cfg)]) == 1
-        assert "unknown config keys: ['max_iters', 'seed']" in capsys.readouterr().err
 
-    def test_malformed_json_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        assert main(["trial", "--config", str(cfg)]) == 1
+class TestFlagsFromFile:
+    @pytest.mark.parametrize("lines", [
+        FAST_TRIAL,
+        [f"{flag}={value}" for flag, value in zip(FAST_TRIAL[::2], FAST_TRIAL[1::2])],
+    ], ids=["flag-and-value-lines", "flag-equals-value"])
+    def test_file_gives_the_bytes_of_the_flags_typed_out(self, tmp_path, monkeypatch, lines):
+        # A fixed clock, so time_ms is the same bytes too.
+        monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        path = tmp_path / "flags.txt"
+        path.write_text("\n".join(lines) + "\n")
+        typed, read = tmp_path / "typed.csv", tmp_path / "read.csv"
+        assert main(["trial", *FAST_TRIAL, "--out", str(typed)]) == 0
+        assert main(["trial", f"@{path}", "--out", str(read)]) == 0
+        assert read.read_bytes() == typed.read_bytes()
 
-    @pytest.mark.parametrize("config, message", [
-        ([1, 2], "config {path!r} must be a JSON object"),
-        ("n=64", "config {path!r} must be a JSON object"),
-        ({"n": 64, "solver": [1]}, "config key 'solver' must be an object"),
-        ({"n": 64, "solver": "dht"}, "config key 'solver' must be an object"),
-    ], ids=["list", "string", "solver-list", "solver-string"])
-    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys, config,
-                                                         message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        assert main(["trial", "--config", str(cfg)]) == 1
+    def test_a_later_flag_overrides_the_file(self, tmp_path, capsys):
+        path = tmp_path / "flags.txt"
+        path.write_text("\n".join(FAST_TRIAL) + "\n")
+        assert main(["trial", f"@{path}", "--n", "256"]) == 0
+        row = rows_from(capsys.readouterr().out)[0]
+        assert (row["n"], row["s"], row["m"], row["seed"]) == ("256", "3", "160", "42")
+
+    def test_unreadable_file_is_a_usage_error_before_the_command(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # Files are read before the command is chosen: the root usage.
+        monkeypatch.chdir(tmp_path)
+        assert main(["trial", "@missing.txt"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1].endswith(message.format(path=str(cfg)))
+        lines = captured.err.splitlines()
+        assert lines[0] == "usage: nldemix [-h] {trial,phase,bench,diag} ..."
+        assert lines[-1].startswith("nldemix: error: ")
+        assert "missing.txt" in lines[-1]
 
-    def test_missing_config_file_is_usage_error(self, tmp_path):
-        assert main(["trial", "--config", str(tmp_path / "absent.json")]) == 1
+    def test_an_argument_is_a_file_only_when_it_starts_with_at(self, tmp_path, capsys,
+                                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["trial", *FAST_TRIAL, "--out=@x.csv"]) == 0
+        assert rows_from((tmp_path / "@x.csv").read_text())[0]["n"] == "128"
+        assert main(["trial", *FAST_TRIAL, "--out", "@x.csv"]) == 1  # reads x.csv as flags
+        assert capsys.readouterr().err.splitlines()[-1].startswith("nldemix: error: ")
 
 
-# id: (argv, config file content or None).
+# id: argv.
 COMMAND_USAGE_ERRORS = {
-    "bench-algorithm-and-algorithms": (["bench", "--algorithm", "dht", "--algorithms", "dst"],
-                                       None),
-    "phase-missing-s-list": (["phase", "--n", "64", "--m-list", "40"], None),
-    "trial-unknown-config-key": (["trial"], {"n": 64, "bogus": 1}),
-    "bench-unknown-flag": (["bench", "--n", "64", "--bogus", "1"], None),
-    "trial-abbreviated-flag": (["trial", *FAST_TRIAL, "--thr", "0.5"], None),
-    "diag-rscrss-unknown-flag": (["diag", "rscrss", "--n", "64", "--tau", "1"], None),
-    "trial-config-not-an-object": (["trial"], [1, 2]),
+    "bench-algorithm-and-algorithms": ["bench", "--algorithm", "dht", "--algorithms", "dst"],
+    "phase-missing-s-list": ["phase", "--n", "64", "--m-list", "40"],
+    "bench-unknown-flag": ["bench", "--n", "64", "--bogus", "1"],
+    "trial-abbreviated-flag": ["trial", *FAST_TRIAL, "--thr", "0.5"],
+    "diag-rscrss-unknown-flag": ["diag", "rscrss", "--n", "64", "--tau", "1"],
 }
 
 
@@ -512,16 +443,12 @@ class TestExitCodes:
     def test_usage_error_no_subcommand(self):
         assert main([]) == 1
 
-    @pytest.mark.parametrize("argv, config", list(COMMAND_USAGE_ERRORS.values()),
+    @pytest.mark.parametrize("argv", list(COMMAND_USAGE_ERRORS.values()),
                              ids=list(COMMAND_USAGE_ERRORS))
-    def test_usage_error_prints_the_commands_usage(self, tmp_path, capsys, argv, config):
-        # From argparse, the config check or a handler alike.
-        if config is not None:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(config))
-            argv = [*argv, "--config", str(cfg)]
+    def test_usage_error_prints_the_commands_usage(self, capsys, given, argv):
+        # From argparse or a handler alike.
         command = " ".join(argv[:2] if argv[0] == "diag" else argv[:1])
-        assert main(argv) == 1
+        assert main(given(argv)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
@@ -557,114 +484,62 @@ class TestExitCodes:
         ("dst_beta", ["--algorithm", "dst", "--dst-beta", "nan"]),
         ("lasso_radius", ["--algorithm", "nlcdlasso", "--lasso-radius", "nan"]),
     ])
-    def test_non_finite_setting_exits_2(self, capsys, setting, flags):
-        assert main(["trial", "--n", "64", "--s", "2", "--m", "80", *flags]) == 2
+    def test_non_finite_setting_exits_2(self, capsys, given, setting, flags):
+        assert main(given(["trial", "--n", "64", "--s", "2", "--m", "80", *flags])) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"nldemix: error: {setting} must be finite")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("command, setting, config", [
-        (["trial"], "max_iters", {"n": 64, "s": 2, "m": 80, "solver": {"max_iters": 2.5}}),
-        (["trial"], "n", {"n": float("nan"), "s": 2, "m": 80}),
-        (["trial"], "seed", {"n": 64, "s": 2, "m": 80, "seed": "abc"}),
-        (["phase"], "trials", {**PHASE_CONFIG, "trials": 2.5}),
-        (["phase"], "workers", {**PHASE_CONFIG, "workers": 2.5}),
-        (["phase"], "s", {**PHASE_CONFIG, "s_list": [2.5]}),
-        (["bench"], "repeats", {"n": 64, "s": 2, "m": 60, "algorithm": "oneshot", "repeats": 2.5}),
-        (["diag", "rscrss"], "sparsity", {"n": 64, "s": 2, "m": 60, "sparsity": 2.5}),
-        (["diag", "rscrss"], "num_supports", {"n": 64, "s": 2, "m": 60, "num_supports": 2.5}),
-    ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
-    def test_non_integer_config_value_exits_2(self, tmp_path, capsys, command, setting, config):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        assert main([*command, "--config", str(cfg)]) == 2
+    @pytest.mark.parametrize("command, flag, text, kind", [
+        ("trial", "--max-iters", "2.5", "int"),
+        ("trial", "--n", "nan", "int"),
+        ("trial", "--seed", "abc", "int"),
+        ("phase", "--trials", "2.5", "int"),
+        ("phase", "--workers", "2.5", "int"),
+        ("bench", "--repeats", "2.5", "int"),
+        ("diag rscrss", "--sparsity", "2.5", "int"),
+        ("diag rscrss", "--num-supports", "2.5", "int"),
+        ("trial", "--tau", "abc", "float"),
+        ("trial", "--threshold", "x", "float"),
+        ("trial", "--rel-tol", "", "float"),
+        ("trial", "--lasso-radius", "[1]", "float"),
+        ("trial", "--dst-beta", "true", "float"),
+    ])
+    def test_value_that_does_not_parse_is_usage_error(self, capsys, given, command, flag, text,
+                                                      kind):
+        # Read from a file or typed, a value is text that argparse converts.
+        assert main(given([*command.split(), flag, text])) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"nldemix: error: {setting} must be an integer")
-        assert captured.err.count("\n") == 1
+        assert captured.err.splitlines()[-1] == (
+            f"nldemix {command}: error: argument {flag}: invalid {kind} value: {text!r}")
 
-    @pytest.mark.parametrize("setting, config", [
-        ("tau", {"tau": "abc"}),
-        ("tau", {"tau": None}),
-        ("tau", {"tau": True}),
-        ("success_threshold", {"success_threshold": "x"}),
-        ("rel_tol", {"solver": {"rel_tol": "1e-6"}}),
-        ("lasso_radius", {"solver": {"lasso_radius": [1]}}),
-        ("lasso_radius", {"solver": {"lasso_radius": True}}),
-        ("step_size", {"solver": {"step_size": True}}),
-        ("dst_beta", {"solver": {"dst_beta": True}}),
-    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
-    def test_non_real_config_value_exits_2(self, tmp_path, capsys, setting, config):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 64, "s": 2, "m": 80, **config}))
-        assert main(["trial", "--config", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"nldemix: error: {setting} must be finite and")
-        assert captured.err.count("\n") == 1
-
-    @pytest.mark.parametrize("command, config, message", [
+    @pytest.mark.parametrize("command, message", [
         (["bench", "--n", "64", "--s", "2", "--m", "60", "--algorithm", "oneshot",
-          "--repeats", "0"], None, "repeats must be >= 1, got 0"),
+          "--repeats", "0"], "repeats must be >= 1, got 0"),
         (["phase", "--n", "64", "--algorithm", "oneshot", "--s-list", "2", "--m-list", "60",
-          "--trials", "1", "--workers", "0"], None, "workers must be >= 1, got 0"),
-        (["trial", "--n", "64", "--s", "2", "--m", "80", "--seed", "-1"], None,
+          "--trials", "1", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["trial", "--n", "64", "--s", "2", "--m", "80", "--seed", "-1"],
          "seed must be >= 0, got -1"),
-        (["trial"], {"n": 64, "s": 2, "m": 80, "seed": -1}, "seed must be >= 0, got -1"),
-        (["trial"], {"n": 64, "s": 2, "m": 80, "link": ["linsin"]},
-         "unknown link ['linsin']; expected one of "
-         "('sign', 'linsin', 'logistic', 'shifted-logistic')"),
         # The noise overflows: observe rejects the y it would return, without a warning.
-        (["trial", "--n", "64", "--s", "2", "--m", "40", "--tau", "1e308"], None,
+        (["trial", "--n", "64", "--s", "2", "--m", "40", "--tau", "1e308"],
          "y must be finite; it holds NaN or infinite entries"),
-    ], ids=["bench-repeats", "phase-workers", "trial-seed-flag",
-            "trial-seed-config", "trial-link-list", "trial-tau-overflow"])
-    def test_rejected_setting_exits_2_with_one_line(self, tmp_path, capsys, command, config,
-                                                    message):
-        if config is not None:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(config))
-            command = [*command, "--config", str(cfg)]
-        assert main(command) == 2
+    ], ids=["bench-repeats", "phase-workers", "trial-seed-flag", "trial-tau-overflow"])
+    def test_rejected_setting_exits_2_with_one_line(self, capsys, given, command, message):
+        assert main(given(command)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"nldemix: error: {message}\n"
 
-    @pytest.mark.parametrize("command, config, message", [
-        (["phase"], {**PHASE_CONFIG, "s_list": 2}, "s_values must be a sequence of integers, got 2"),
-        (["phase"], {**PHASE_CONFIG, "s_list": 0}, "s_values must be a sequence of integers, got 0"),
-        (["bench"], {"n": 64, "s": 2, "m": 60, "algorithms": 5},
-         "algorithms must be a sequence of names, got 5"),
-        (["bench"], {"n": 64, "s": 2, "m": 60, "algorithms": {"dht": 1}},
-         "algorithms must be a sequence of names, got {'dht': 1}"),
-    ], ids=["phase-s_list-int", "phase-s_list-zero", "bench-algorithms-int",
-            "bench-algorithms-object"])
-    def test_list_setting_of_wrong_type_fails_cleanly(self, tmp_path, capsys, command, config,
-                                                      message):
-        # A list that is given but bad gets the list rule; only an absent
-        # phase list is reported as missing.
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        assert main([*command, "--config", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"nldemix: error: {message}\n"
-
-    @pytest.mark.parametrize("source, key, value, message", list(LIST_RULE.values()),
+    @pytest.mark.parametrize("key, value, message", list(LIST_RULE.values()),
                              ids=list(LIST_RULE))
-    def test_one_list_rule(self, tmp_path, capsys, monkeypatch, source, key, value, message):
-        # A list that parses and is then rejected exits 2, from a flag or the
-        # file alike, before any build: unchecked, each repeat redid a build
-        # or a solve and wrote a second row.
-        command, config, flag = LIST_SETTINGS[key]
-        flags = [flag, value] if source == "flag" else []
-        if source == "config":
-            config = {**config, key: value}
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+    def test_one_list_rule(self, capsys, monkeypatch, given, key, value, message):
+        # A list that parses and is then rejected exits 2 before any build:
+        # unchecked, each repeat redid a build or a solve and wrote a second row.
+        command, flags, flag = LIST_SETTINGS[key]
         monkeypatch.setattr(harness, "_build_instance", None)  # any build would raise TypeError
-        assert main([command, "--config", str(cfg), *flags]) == 2
+        assert main(given([command, *flags, flag, value])) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"nldemix: error: {message}\n"
@@ -740,10 +615,10 @@ def _checkout_env() -> dict:
 
 class TestEntryPoint:
     def test_cli_import_loads_no_scipy(self):
-        # Nor the modules only some commands use: json (--config),
-        # concurrent.futures and multiprocessing (phase --workers > 1) and
-        # numpy.polynomial (the quadrature nodes of link_constants).  Nor
-        # sysconfig, which no path in nldemix imports.
+        # Nor the modules only some commands use: concurrent.futures and
+        # multiprocessing (phase --workers > 1) and numpy.polynomial (the
+        # quadrature nodes of link_constants).  Nor json or sysconfig, which
+        # no path in nldemix imports.
         code = (
             "import sys; before = set(sys.modules); import nldemix.cli; "
             "new = set(sys.modules) - before; "
