@@ -74,7 +74,8 @@ _FLAGS = {
     "projection_mode": ("--projection", {"choices": PROJECTION_MODES}),
     "lasso_radius": ("--lasso-radius", {"type": float}),
     "dst_beta": ("--dst-beta", {"type": float}),
-    "s_list": ("--s-list", {"type": _int_list}), "m_list": ("--m-list", {"type": _int_list}),
+    "s_list": ("--s-list", {"type": _int_list, "required": True}),
+    "m_list": ("--m-list", {"type": _int_list, "required": True}),
     "trials": ("--trials", {"type": int}), "workers": ("--workers", {"type": int}),
     "algorithms": ("--algorithms", {"type": _names, "help": "comma-separated algorithm names"}),
     "repeats": ("--repeats", {"type": int}),
@@ -135,8 +136,6 @@ def _cmd_trial(settings: dict, parser):
 
 
 def _cmd_phase(settings: dict, parser):
-    if "s_list" not in settings or "m_list" not in settings:
-        parser.error("phase requires --s-list and --m-list")
     # Every cell sets its own s and m; the base's are placeholders any n allows.
     grid = run_phase_grid(settings["s_list"], settings["m_list"],
                           trials=settings.get("trials", 20),

@@ -50,13 +50,14 @@ class RscRssEstimate:
 
 
 def cosine_similarity(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """x^T x_hat / (||x|| ||x_hat||); errors on zero vectors."""
+    """x^T x_hat / (||x|| ||x_hat||), or 0.0 when either vector is zero: a
+    zero estimate scores as a total miss."""
     x = _check_vector(x, np.size(x), "x")
     x_hat = _check_vector(x_hat, x.size, "x_hat")
     nx = np.linalg.norm(x)
     nh = np.linalg.norm(x_hat)
     if nx == 0 or nh == 0:
-        raise ValueError("cosine similarity is undefined for zero vectors")
+        return 0.0
     return float(x @ x_hat / (nx * nh))
 
 
@@ -151,7 +152,7 @@ def _restricted_gram_factor(problem: DemixProblem, idx: np.ndarray) -> np.ndarra
 
 def estimate_rsc_rss(
     problem: DemixProblem,
-    t_ref: np.ndarray | None = None,
+    t_ref: np.ndarray,
     sparsity: int | None = None,
     num_supports: int = 8,
     seed: int = 0,
@@ -160,13 +161,11 @@ def estimate_rsc_rss(
 ) -> RscRssEstimate:
     """Sampled restricted strong convexity/smoothness bounds.
 
-    Probes the top-|sparsity| support of t_ref whenever t_ref is given (an
-    all-zero t_ref included), then num_supports random supports drawn from
-    seed, and nothing else; a call that names no support raises ValueError.
-    Each H_xi takes g' at u_ref = A Gamma t_ref, with t_ref = 0 when
-    omitted; a caller that already holds u_ref passes it, and it is used as
-    is instead of being recomputed.  Returns the min/max eigenvalues across
-    probes.
+    Probes the top-|sparsity| support of t_ref (an all-zero t_ref included),
+    then num_supports random supports drawn from seed, and nothing else.
+    Each H_xi takes g' at u_ref = A Gamma t_ref; a caller that already holds
+    u_ref passes it, and it is used as is instead of being recomputed.
+    Returns the min/max eigenvalues across probes.
     """
     _require(problem.link, "estimate_rsc_rss")
     two_n = 2 * problem.n
@@ -176,15 +175,9 @@ def estimate_rsc_rss(
         sparsity = min(6 * problem.s, two_n)
     sparsity = _check_int("sparsity", sparsity, 1, two_n)
     num_supports, seed = _check_int("num_supports", num_supports, 0), _check_int("seed", seed, 0)
-    if t_ref is None and num_supports == 0:
-        raise ValueError("estimate_rsc_rss probes no support: pass t_ref or num_supports >= 1")
+    t_ref = _check_vector(t_ref, two_n, "t_ref", finite=True)
 
-    supports: list[np.ndarray] = []
-    if t_ref is None:
-        t_ref = np.zeros(two_n)
-    else:
-        t_ref = _check_vector(t_ref, two_n, "t_ref", finite=True)
-        supports.append(np.argsort(-np.abs(t_ref), kind="stable")[:sparsity])
+    supports = [np.argsort(-np.abs(t_ref), kind="stable")[:sparsity]]
     rng = np.random.default_rng(seed)
     supports += [rng.choice(two_n, size=sparsity, replace=False) for _ in range(num_supports)]
     if u_ref is None:

@@ -180,13 +180,6 @@ def _solve(problem: DemixProblem, spec: TrialSpec) -> SolveResult:
     return nlcd_lasso(problem, spec.solver)
 
 
-def _safe_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    # Zero estimates count as total misses, not errors.
-    if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
-        return 0.0
-    return cosine_similarity(a, b)
-
-
 # (key, instance) of the last instance run_trial built, or None.
 _last_instance: tuple | None = None
 
@@ -222,9 +215,9 @@ def run_trial(spec: TrialSpec) -> TrialRecord:
     start = time.perf_counter()
     result = _solve(problem, spec)
     wall_ms = (time.perf_counter() - start) * 1e3
-    cos = _safe_cosine(x, result.x_hat)
-    cos_w = _safe_cosine(t_star[:spec.n], result.w_hat)
-    cos_z = _safe_cosine(t_star[spec.n:], result.z_hat)
+    cos = cosine_similarity(x, result.x_hat)
+    cos_w = cosine_similarity(t_star[:spec.n], result.w_hat)
+    cos_z = cosine_similarity(t_star[spec.n:], result.z_hat)
     if problem.link.known:
         denom = np.linalg.norm(t_star)
         l2_err = float(np.linalg.norm(result.t_hat - t_star) / denom) if denom > 0 else 0.0
@@ -304,13 +297,11 @@ def run_phase_grid(
         import concurrent.futures
         import multiprocessing
 
-        # Each worker gets its share of the CPUs and about four contiguous
-        # chunks of cells.
+        # Each worker gets its share of the CPUs.
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
                 initializer=_share_cpus, initargs=(workers,)) as pool:
-            outcomes = list(pool.map(_successes, cells, itertools.repeat(names),
-                                     chunksize=-(-len(cells) // (4 * workers))))
+            outcomes = list(pool.map(_successes, cells, itertools.repeat(names)))
     else:
         outcomes = list(map(_successes, cells, itertools.repeat(names)))
     # Cells run s, then m, then trial: sum each (s, m)'s trials per algorithm.

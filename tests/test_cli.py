@@ -165,12 +165,15 @@ class TestPhaseCommand:
         assert main(args + ["--workers", "2"]) == 0
         assert capsys.readouterr().out == serial
 
-    @pytest.mark.parametrize("lists", [[], ["--s-list", "2"], ["--m-list", "60"]],
-                             ids=["neither", "no-m-list", "no-s-list"])
-    def test_missing_lists_is_usage_error(self, capsys, given, lists):
+    @pytest.mark.parametrize("lists, missing", [
+        ([], "--s-list, --m-list"),
+        (["--s-list", "2"], "--m-list"),
+        (["--m-list", "60"], "--s-list"),
+    ], ids=["neither", "no-m-list", "no-s-list"])
+    def test_missing_lists_is_usage_error(self, capsys, given, lists, missing):
         assert main(given(["phase", "--n", "64", *lists])) == 1
         assert capsys.readouterr().err.splitlines()[-1] == (
-            "nldemix phase: error: phase requires --s-list and --m-list")
+            f"nldemix phase: error: the following arguments are required: {missing}")
 
     @pytest.mark.parametrize("flag", ["--s-list", "--m-list"])
     @pytest.mark.parametrize("text", ["2,x", "2.5", "2;3"])
@@ -319,23 +322,30 @@ IGNORED = [
     ("diag linkconst", "--seed", "0"),
     ("diag linkconst", "--trials", "1000"),
 ]
+# The flags a command cannot run without.
+REQUIRED = {"phase": ["--s-list", "2", "--m-list", "60"]}
+
+
+def command_line(command: str, *flags: str) -> list[str]:
+    """`command`'s words, then its required flags, then `flags`."""
+    return [*command.split(), *REQUIRED.get(command, []), *flags]
 
 
 class TestFlags:
     @pytest.mark.parametrize("command", list(COMMAND_DESTS))
     def test_each_command_takes_only_the_flags_it_reads(self, command):
-        args = cli.build_parser().parse_args(command.split())
+        args = cli.build_parser().parse_args(command_line(command))
         assert sorted(set(vars(args)) - {"command"}) == sorted(COMMAND_DESTS[command])
 
     @pytest.mark.parametrize("command", list(COMMAND_DESTS))
     def test_link_radius_is_gone(self, capsys, given, command):
-        assert main(given([*command.split(), "--link-radius", "20"])) == 1
+        assert main(given(command_line(command, "--link-radius", "20"))) == 1
         assert "unrecognized arguments: --link-radius 20" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", list(COMMAND_DESTS))
     def test_config_is_gone(self, capsys, given, command):
         # Settings come from a file as @FILE, read as flags.
-        assert main(given([*command.split(), "--config", "x.json"])) == 1
+        assert main(given(command_line(command, "--config", "x.json"))) == 1
         assert "unrecognized arguments: --config x.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
@@ -347,8 +357,9 @@ class TestFlags:
     ])
     def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, given, argv):
         # Never a prefix of another flag either: --s is not --seed, nor --s-list.
-        flags = argv[2:] if argv[0] == "diag" else argv[1:]
-        assert main(given(argv)) == 1
+        words = 2 if argv[0] == "diag" else 1
+        flags = argv[words:]
+        assert main(given(command_line(" ".join(argv[:words]), *flags))) == 1
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
     def test_every_spec_and_solver_field_reaches_the_spec(self, capsys, monkeypatch, given):

@@ -38,11 +38,11 @@ class TestCosineSimilarity:
             assert cosine_similarity(3.5 * x, 0.2 * y) == pytest.approx(c)
             assert abs(c) <= 1.0 + 1e-12
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_similarity(np.zeros(4), np.ones(4))
-        with pytest.raises(ValueError):
-            cosine_similarity(np.ones(4), np.zeros(4))
+    def test_zero_vector_scores_zero(self):
+        # A zero estimate (or truth) is a total miss, scored 0.0, not an error.
+        assert cosine_similarity(np.zeros(4), np.ones(4)) == 0.0
+        assert cosine_similarity(np.ones(4), np.zeros(4)) == 0.0
+        assert cosine_similarity(np.zeros(4), np.zeros(4)) == 0.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -241,12 +241,12 @@ class TestRscRssEstimate:
         problem, t_star = planted_instance(16, 2, 20, seed=66)
         est = estimate_rsc_rss(problem, t_ref=np.zeros(32), num_supports=3)
         assert est.supports_probed == 4
-        assert estimate_rsc_rss(problem, num_supports=3).supports_probed == 3
         assert estimate_rsc_rss(problem, t_star, num_supports=0).supports_probed == 1
-        with pytest.raises(ValueError, match="probes no support"):
-            estimate_rsc_rss(problem, num_supports=0)
-        with pytest.raises(ValueError, match="probes no support"):
-            estimate_rsc_rss(problem, num_supports=0, u_ref=np.zeros(20))
+
+    def test_t_ref_is_required(self):
+        problem, _ = planted_instance(16, 2, 20, seed=66)
+        with pytest.raises(TypeError):
+            estimate_rsc_rss(problem, num_supports=3)
 
     def test_interval_sane_and_ordered(self):
         problem, t_star = planted_instance(64, 3, 200, seed=63)
@@ -281,17 +281,17 @@ class TestRscRssEstimate:
     def test_validation(self):
         problem, t_star = planted_instance(16, 2, 20, seed=66)
         with pytest.raises(ValueError):
-            estimate_rsc_rss(problem, sparsity=0)
+            estimate_rsc_rss(problem, t_star, sparsity=0)
         with pytest.raises(ValueError):
-            estimate_rsc_rss(problem, sparsity=33)
+            estimate_rsc_rss(problem, t_star, sparsity=33)
         with pytest.raises(ValueError):
             estimate_rsc_rss(problem, t_ref=np.zeros(5))
         with pytest.raises(ValueError, match="num_supports must be >= 0, got -1"):
-            estimate_rsc_rss(problem, num_supports=-1)
+            estimate_rsc_rss(problem, t_star, num_supports=-1)
         for bad in (True, 2.5, np.nan, "4"):
             for name in ("sparsity", "num_supports"):
                 with pytest.raises(ValueError, match=f"{name} must be an integer"):
-                    estimate_rsc_rss(problem, **{name: bad})
+                    estimate_rsc_rss(problem, t_star, **{name: bad})
         est = estimate_rsc_rss(problem, t_star, sparsity=np.int64(4), num_supports=np.int32(2))
         assert est == estimate_rsc_rss(problem, t_star, sparsity=4, num_supports=2)
         assert type(est.sparsity_level) is int
@@ -306,9 +306,9 @@ class TestRscRssEstimate:
         assert estimate_rsc_rss(problem, t_ref=t_star, sparsity=2).sparsity_level == 2
 
     def test_sign_link_rejected(self):
-        problem, _ = planted_instance(16, 2, 20, link_name="sign", seed=67)
+        problem, t_star = planted_instance(16, 2, 20, link_name="sign", seed=67)
         with pytest.raises(CapabilityError):
-            estimate_rsc_rss(problem)
+            estimate_rsc_rss(problem, t_star)
 
     @pytest.mark.xfail(
         strict=True,

@@ -560,7 +560,7 @@ class TestRunPhaseGrid:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, *iterables, chunksize):
+            def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)

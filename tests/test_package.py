@@ -104,7 +104,8 @@ VECTOR_ENTRIES = {
     "dict_adjoint": (lambda p, v: nldemix.dict_adjoint(p.dictionary, v), "x", N),
     "observe": (lambda p, v: nldemix.observe(p.A, p.link, v, tau=0.5, seed=1), "x", N),
     "estimate_rsc_rss-t_ref": (lambda p, v: nldemix.estimate_rsc_rss(p, t_ref=v), "t_ref", 2 * N),
-    "estimate_rsc_rss-u_ref": (lambda p, v: nldemix.estimate_rsc_rss(p, u_ref=v), "u_ref", M),
+    "estimate_rsc_rss-u_ref": (lambda p, v: nldemix.estimate_rsc_rss(p, np.zeros(2 * N), u_ref=v),
+                               "u_ref", M),
     "DemixProblem-y": (
         lambda p, v: nldemix.DemixProblem(A=p.A, dictionary=p.dictionary, link=p.link,
                                           y=v, s=2), "y", M),
@@ -180,9 +181,11 @@ def test_per_iteration_entries_do_not_check_finiteness():
      "seed must be >= 0, got -1"),
     (lambda: nldemix.observe(_problem().A, nldemix.make_link("linsin"), np.zeros(N), seed=-1),
      "seed must be >= 0, got -1"),
-    (lambda: nldemix.estimate_rsc_rss(_problem(), seed=-1), "seed must be >= 0, got -1"),
+    (lambda: nldemix.estimate_rsc_rss(_problem(), np.zeros(2 * N), seed=-1),
+     "seed must be >= 0, got -1"),
     (lambda: nldemix.generate_signal(0, 0, 0, _problem().dictionary), "n must be >= 1, got 0"),
-    (lambda: nldemix.estimate_rsc_rss(_problem(), sparsity=0), "sparsity must be >= 1, got 0"),
+    (lambda: nldemix.estimate_rsc_rss(_problem(), np.zeros(2 * N), sparsity=0),
+     "sparsity must be >= 1, got 0"),
 ], ids=["Basis-n", "operator-m", "operator-n", "TrialSpec-n", "TrialSpec-m", "TrialSpec-s",
         "TrialSpec-seed", "operator-seed", "generate_signal-seed", "observe-seed",
         "estimate_rsc_rss-seed", "generate_signal-n",
@@ -199,7 +202,7 @@ def test_sizes_below_minimum_rejected(build, message):
     (lambda: nldemix.DemixProblem(A=_problem().A, dictionary=_problem().dictionary,
                                   link=_problem().link, y=np.zeros(M), s=N + 1),
      "s must be <= 16, got 17"),
-    (lambda: nldemix.estimate_rsc_rss(_problem(), sparsity=2 * N + 1),
+    (lambda: nldemix.estimate_rsc_rss(_problem(), np.zeros(2 * N), sparsity=2 * N + 1),
      "sparsity must be <= 32, got 33"),
 ], ids=["TrialSpec-s", "generate_signal-s", "DemixProblem-s", "estimate_rsc_rss-sparsity"])
 def test_counts_above_maximum_rejected(build, message):
@@ -336,7 +339,7 @@ def test_list_entries_follow_one_rule(entry, bad):
 @pytest.mark.parametrize("call", [
     lambda p: nldemix.link_deriv(p.link, 0.0),
     lambda p: nldemix.link_potential(p.link, 0.0),
-    lambda p: nldemix.estimate_rsc_rss(p),
+    lambda p: nldemix.estimate_rsc_rss(p, np.zeros(2 * N)),
     lambda p: nldemix.loss(p, np.zeros(2 * N)),
     lambda p: nldemix.dht(p),
 ], ids=["link_deriv", "link_potential", "estimate_rsc_rss", "loss", "dht"])

@@ -787,7 +787,8 @@ class TestDescentWork:
     def test_step_estimate_rejects_misshaped_u_ref(self):
         problem, _ = planted_instance(64, 3, 90, seed=46)
         with pytest.raises(ValueError, match="u_ref"):
-            diagnostics.estimate_rsc_rss(problem, u_ref=np.zeros(problem.A.m + 1))
+            diagnostics.estimate_rsc_rss(problem, np.zeros(2 * problem.n),
+                                          u_ref=np.zeros(problem.A.m + 1))
 
 
 SOLVE = {"oneshot": lambda problem, config: oneshot(problem),
