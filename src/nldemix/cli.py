@@ -34,7 +34,7 @@ from .harness import (
 )
 from .links import CapabilityError, LINK_KINDS, make_link
 from .measurement import ENSEMBLE_KINDS
-from .solvers import INIT_MODES, PROJECTION_MODES, SolverConfig
+from .solvers import INIT_MODES, SolverConfig
 from .transforms import _check_list, BASIS_KINDS, Basis, Dictionary
 
 def _step_size(text: str):
@@ -71,7 +71,6 @@ _FLAGS = {
     "max_iters": ("--max-iters", {"type": int}),
     "rel_tol": ("--rel-tol", {"type": float}),
     "init": ("--init", {"choices": INIT_MODES}),
-    "projection_mode": ("--projection", {"choices": PROJECTION_MODES}),
     "lasso_radius": ("--lasso-radius", {"type": float}),
     "dst_beta": ("--dst-beta", {"type": float}),
     "s_list": ("--s-list", {"type": _int_list, "required": True}),
@@ -129,13 +128,13 @@ def _emit(rows, out: str | None) -> None:
         write_csv(rows, sys.stdout)
 
 
-# Each command maps (the settings its flags set, parser) to the rows it writes:
-# dicts or records.
-def _cmd_trial(settings: dict, parser):
+# Each command maps the settings its flags set to the rows it writes: dicts
+# or records.
+def _cmd_trial(settings: dict):
     return [run_trial(_make_spec(settings))]
 
 
-def _cmd_phase(settings: dict, parser):
+def _cmd_phase(settings: dict):
     # Every cell sets its own s and m; the base's are placeholders any n allows.
     grid = run_phase_grid(settings["s_list"], settings["m_list"],
                           trials=settings.get("trials", 20),
@@ -144,16 +143,14 @@ def _cmd_phase(settings: dict, parser):
     return grid.rows()
 
 
-def _cmd_bench(settings: dict, parser):
-    if "algorithm" in settings and "algorithms" in settings:
-        parser.error("bench takes --algorithm or --algorithms, not both")
+def _cmd_bench(settings: dict):
     base = _make_spec(settings)
-    names = settings.get("algorithms", [base.algorithm])
+    names = settings.get("algorithms", [base.algorithm])  # the spec's default: dht
     specs = _check_list("algorithms", names, "names", lambda name: replace(base, algorithm=name))
     return run_benchmark(specs, **_given(settings, "repeats"))
 
 
-def _cmd_coherence(settings: dict, parser):
+def _cmd_coherence(settings: dict):
     spec = _make_spec(settings)
     d = Dictionary(Basis(spec.basis_phi, spec.n), Basis(spec.basis_psi, spec.n))
     gamma = mutual_coherence(d)
@@ -165,7 +162,7 @@ def _cmd_coherence(settings: dict, parser):
              "epsilon_bound": spec.s * gamma, "vartheta": vartheta}]
 
 
-def _cmd_rscrss(settings: dict, parser):
+def _cmd_rscrss(settings: dict):
     spec = _make_spec(settings)
     problem, t_star, _ = _build_instance(spec)
     est = estimate_rsc_rss(problem, t_ref=t_star, seed=spec.seed,
@@ -176,21 +173,22 @@ def _cmd_rscrss(settings: dict, parser):
              "ratio": est.M_hat / est.m_hat if est.m_hat > 0 else float("inf")}]
 
 
-def _cmd_linkconst(settings: dict, parser):
+def _cmd_linkconst(settings: dict):
     link = _make_spec(settings).link
     mu, sigma2, eta2 = link_constants(make_link(link))
     return [{"link": link, "mu": mu, "sigma2": sigma2, "eta2": eta2}]
 
 
-# The flags that trial, phase and bench all take.
-_SOLVE = ("seed out n basis_phi basis_psi ensemble link tau algorithm "
-          "step_size max_iters rel_tol init projection_mode lasso_radius dst_beta")
+# The flags that trial, phase and bench all take; bench names its algorithms
+# with --algorithms alone, the other two take one --algorithm.
+_SOLVE = ("seed out n basis_phi basis_psi ensemble link tau "
+          "step_size max_iters rel_tol init lasso_radius dst_beta")
 # Each command: (help, the dests of the flags it takes, which are the settings
 # it reads, handler).  build_parser hands each entry to its subparser.
 _COMMANDS = {
-    "trial": ("run one recovery trial", _SOLVE + " s m success_threshold", _cmd_trial),
+    "trial": ("run one recovery trial", _SOLVE + " algorithm s m success_threshold", _cmd_trial),
     "phase": ("success probabilities over an (s, m) grid",
-              _SOLVE + " success_threshold s_list m_list trials workers", _cmd_phase),
+              _SOLVE + " algorithm success_threshold s_list m_list trials workers", _cmd_phase),
     "bench": ("median solve wall times", _SOLVE + " s m algorithms repeats", _cmd_bench),
     "diag coherence": ("dictionary and operator coherence",
                        "seed out n s m basis_phi basis_psi ensemble", _cmd_coherence),
@@ -208,7 +206,7 @@ def main(argv=None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
         settings = {dest: value for dest in dests.split()
                     if (value := getattr(args, dest)) is not None}
-        _emit(handler(settings, parser), args.out)
+        _emit(handler(settings), args.out)
         return 0
     except SystemExit as exc:  # argparse exits 2 on a usage error; the contract says 1
         return 1 if exc.code == 2 else int(exc.code or 0)

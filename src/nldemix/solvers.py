@@ -14,7 +14,7 @@ Algorithms:
 * ``oneshot``   - non-iterative: hard-threshold the analysis coefficients of
                   the linear estimator x_lin = (1/m) A^T y.
 * ``dht``       - projected gradient with hard thresholding to the 2s
-                  largest entries (or s per block).
+                  largest entries.
 * ``dst``       - iterative soft thresholding, t <- S_{beta eta}(t - eta grad),
                   i.e. ISTA on F(t) + beta ||t||_1.
 * ``nlcd_lasso``- l1-constrained least squares on the linear estimator:
@@ -52,7 +52,6 @@ __all__ = ["DemixProblem", "SolverConfig", "SolveResult", "TraceRecord", "hard_t
            "soft_threshold", "project_l1_ball", "oneshot", "loss", "loss_gradient",
            "loss_hessian_matvec", "dht", "dst", "nlcd_lasso"]
 
-PROJECTION_MODES = ("stacked2s", "perblocks")
 INIT_MODES = ("oneshot", "zero")
 
 _MAX_HALVINGS = 30
@@ -94,8 +93,6 @@ class SolverConfig:
     step_size: positive float, or "auto" for 1/M_hat.
     init: "oneshot", "zero", or an explicit length-2n array, stored as a
         tuple of floats so that configs compare and hash.
-    projection_mode: "stacked2s" projects t jointly onto 2s-sparse vectors
-        (may split unevenly across the halves); "perblocks" keeps s per half.
     lasso_radius: l1 budget for nlcd_lasso; None means 2 sqrt(s).
     dst_beta: soft-threshold tuning parameter beta; the per-step threshold
         is beta times the step actually taken.  None means 0.5 in the link's
@@ -108,7 +105,6 @@ class SolverConfig:
     max_iters: int = 1000
     rel_tol: float = 1e-7
     init: str | tuple[float, ...] = "oneshot"
-    projection_mode: str = "stacked2s"
     lasso_radius: float | None = None
     dst_beta: float | None = None
     keep_iterates: bool = False
@@ -124,7 +120,6 @@ class SolverConfig:
         else:
             init = _check_vector(init, init.size, "init", finite=True)
             object.__setattr__(self, "init", tuple(init.tolist()))
-        _check_choice("projection mode", self.projection_mode, PROJECTION_MODES)
         if self.lasso_radius is not None:
             _check_real("lasso_radius", self.lasso_radius, positive=True)
         if self.dst_beta is not None:
@@ -295,19 +290,12 @@ def _zero_result(problem: DemixProblem, keep: bool) -> SolveResult:
     return _finish(problem, np.zeros(2 * problem.n), (TraceRecord(0, None, 0.0, 0),), True, its)
 
 
-def _project(t: np.ndarray, problem: DemixProblem, mode: str) -> np.ndarray:
-    """t hard-thresholded to 2s entries ("stacked2s") or s per block ("perblocks")."""
-    if mode == "perblocks":
-        n, s = problem.n, problem.s
-        return np.concatenate([hard_threshold(t[:n], s), hard_threshold(t[n:], s)])
-    return hard_threshold(t, 2 * problem.s)
-
-
 def oneshot(problem: DemixProblem) -> SolveResult:
     """Non-iterative estimator: per-block hard thresholding of the analysis
     coefficients of x_lin = (1/m) A^T y.  Works for any link, including sign.
     """
-    t = _project(dict_adjoint(problem.dictionary, _x_lin(problem)), problem, "perblocks")
+    v, n, s = dict_adjoint(problem.dictionary, _x_lin(problem)), problem.n, problem.s
+    t = np.concatenate([hard_threshold(v[:n], s), hard_threshold(v[n:], s)])
     rec = TraceRecord(0, None, 0.0, int(np.count_nonzero(t)))
     return _finish(problem, t, (rec,), True)
 
@@ -409,9 +397,10 @@ def _descend(problem: DemixProblem, config: SolverConfig, algorithm: str, prox: 
 
 
 def dht(problem: DemixProblem, config: SolverConfig = SolverConfig()) -> SolveResult:
-    """Gradient descent on F with hard-threshold projection each step."""
-    return _descend(problem, config, "dht",
-                    lambda v, h: _project(v, problem, config.projection_mode), lambda t: 0.0)
+    """Gradient descent on F, keeping the 2s largest entries of t each step.
+    The kept entries may split unevenly across the halves."""
+    return _descend(problem, config, "dht", lambda v, h: hard_threshold(v, 2 * problem.s),
+                    lambda t: 0.0)
 
 
 @functools.cache

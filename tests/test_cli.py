@@ -3,6 +3,8 @@
 import csv
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 import types
@@ -210,19 +212,20 @@ class TestBenchCommand:
         ["@{file}", "--algorithms", "oneshot"],
     ], ids=["flags", "file-and-flag"])
     def test_algorithm_and_algorithms_together_is_usage_error(self, tmp_path, capsys, flags):
+        # bench names what it times with --algorithms alone.
         path = tmp_path / "flags.txt"
-        path.write_text("--algorithm=dht\n")
+        path.write_text("--algorithm\ndht\n")
         argv = ["bench", "--n", "64", "--s", "2", "--m", "60", "--repeats", "1",
                 *(flag.format(file=path) for flag in flags)]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
-            "nldemix bench: error: bench takes --algorithm or --algorithms, not both")
+            "nldemix bench: error: unrecognized arguments: --algorithm dht")
 
     def test_default_algorithm_is_the_spec_default(self, capsys):
-        # Neither --algorithm nor --algorithms: bench times the algorithm
-        # every other command defaults to.
+        # No --algorithms: bench times the algorithm every other command
+        # defaults to.
         assert main(["bench", "--n", "64", "--s", "2", "--m", "60", "--repeats", "1"]) == 0
         rows = rows_from(capsys.readouterr().out)
         assert [r["algorithm"] for r in rows] == [TrialSpec().algorithm] == ["dht"]
@@ -301,11 +304,12 @@ class TestDiagCommand:
 
 _RUN = ["seed", "out"]
 _BASES = ["n", "basis_phi", "basis_psi", "ensemble"]
-_SOLVE = _RUN + _BASES + ["link", "tau", "algorithm", "step_size", "max_iters", "rel_tol",
-                          "init", "projection_mode", "lasso_radius", "dst_beta"]
-COMMAND_DESTS = {  # every flag of each command, by dest: 19 + 21 + 20 + 8 + 11 + 2 = 81
-    "trial": _SOLVE + ["s", "m", "success_threshold"],
-    "phase": _SOLVE + ["success_threshold", "s_list", "m_list", "trials", "workers"],
+_SOLVE = _RUN + _BASES + ["link", "tau", "step_size", "max_iters", "rel_tol", "init",
+                          "lasso_radius", "dst_beta"]
+COMMAND_DESTS = {  # every flag of each command, by dest: 18 + 20 + 18 + 8 + 11 + 2 = 77
+    "trial": _SOLVE + ["algorithm", "s", "m", "success_threshold"],
+    "phase": _SOLVE + ["algorithm", "success_threshold", "s_list", "m_list", "trials",
+                       "workers"],
     "bench": _SOLVE + ["s", "m", "algorithms", "repeats"],
     "diag coherence": _RUN + _BASES + ["s", "m"],
     "diag rscrss": _RUN + _BASES + ["s", "m", "link", "sparsity", "num_supports"],
@@ -321,6 +325,10 @@ IGNORED = [
     ("diag rscrss", "--tau", "0.5"),
     ("diag linkconst", "--seed", "0"),
     ("diag linkconst", "--trials", "1000"),
+    ("bench", "--algorithm", "dht"),
+    ("trial", "--projection", "stacked2s"),
+    ("phase", "--projection", "stacked2s"),
+    ("bench", "--projection", "stacked2s"),
 ]
 # The flags a command cannot run without.
 REQUIRED = {"phase": ["--s-list", "2", "--m-list", "60"]}
@@ -368,8 +376,8 @@ class TestFlags:
         values = dict(
             n=64, s=2, m=48, basis_phi="haar", basis_psi="identity", ensemble="rademacher",
             link="logistic", tau=0.25, algorithm="dst", seed=11, success_threshold=0.5,
-            step_size=0.125, max_iters=3, rel_tol=1e-3, init="zero",
-            projection_mode="perblocks", lasso_radius=2.5, dst_beta=0.75,
+            step_size=0.125, max_iters=3, rel_tol=1e-3, init="zero", lasso_radius=2.5,
+            dst_beta=0.75,
         )
         spec_names = [f.name for f in fields(TrialSpec) if f.name != "solver"]
         solver_names = [f.name for f in fields(SolverConfig) if f.name != "keep_iterates"]
@@ -457,7 +465,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", list(COMMAND_USAGE_ERRORS.values()),
                              ids=list(COMMAND_USAGE_ERRORS))
     def test_usage_error_prints_the_commands_usage(self, capsys, given, argv):
-        # From argparse or a handler alike.
+        # From argparse, or from main for a flag the command does not take.
         command = " ".join(argv[:2] if argv[0] == "diag" else argv[:1])
         assert main(given(argv)) == 1
         captured = capsys.readouterr()
@@ -527,7 +535,7 @@ class TestExitCodes:
             f"nldemix {command}: error: argument {flag}: invalid {kind} value: {text!r}")
 
     @pytest.mark.parametrize("command, message", [
-        (["bench", "--n", "64", "--s", "2", "--m", "60", "--algorithm", "oneshot",
+        (["bench", "--n", "64", "--s", "2", "--m", "60", "--algorithms", "oneshot",
           "--repeats", "0"], "repeats must be >= 1, got 0"),
         (["phase", "--n", "64", "--algorithm", "oneshot", "--s-list", "2", "--m-list", "60",
           "--trials", "1", "--workers", "0"], "workers must be >= 1, got 0"),
@@ -584,7 +592,7 @@ GOLDEN_ARGS = {
     "trial": FAST_TRIAL,
     "phase": ["--n", "64", "--algorithm", "oneshot", "--s-list", "2", "--m-list", "60",
               "--trials", "1"],
-    "bench": ["--n", "64", "--s", "2", "--m", "60", "--algorithm", "oneshot", "--repeats", "1"],
+    "bench": ["--n", "64", "--s", "2", "--m", "60", "--algorithms", "oneshot", "--repeats", "1"],
     "diag coherence": ["--n", "64", "--s", "2"],
     "diag rscrss": ["--n", "64", "--s", "2", "--m", "80"],
     "diag linkconst": ["--link", "sign"],
@@ -651,3 +659,41 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0].startswith("algorithm,")
+
+
+def _readme_command_line() -> str:
+    """README's "Command line" section, up to the next "## " heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+class TestReadme:
+    def test_example_command_lines_parse(self):
+        # The section's first sh block, with its continuation lines joined.
+        block = _readme_command_line().split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True)
+                 for line in block.replace("\\\n", " ").splitlines()]
+        argvs = [words for words in lines if words]
+        assert all(words[0] == "nldemix" for words in argvs)
+        shown = set()
+        for words in argvs:
+            _, extra = cli.build_parser().parse_known_args(words[1:])
+            assert extra == [], words
+            shown.add(" ".join(words[1:3] if words[1] == "diag" else words[1:2]))
+        assert shown == set(COMMAND_DESTS)
+
+    def test_flag_table_lists_each_commands_flags(self):
+        section = " ".join(_readme_command_line().split())
+        # The sentences that complete the table: what every command takes, and the knobs.
+        assert ("All six take `--out`, and all but `diag linkconst` take `--seed`; "
+                "beyond those:") in section
+        knobs = re.search(r"The solver knobs are `([^`]*)`", section).group(1).split()
+        rows = re.findall(r"\| `([a-z ]+)` \| (.*?) \|", section)
+        assert [command for command, _ in rows] == list(COMMAND_DESTS)
+        for command, cell in rows:
+            listed = re.findall(r"--[a-z-]+", cell)
+            listed += knobs if "solver knobs" in cell else []
+            listed += ["--out"] + ([] if command == "diag linkconst" else ["--seed"])
+            args = cli.build_parser().parse_args(command_line(command))
+            flags = [cli._FLAGS[dest][0] for dest in vars(args) if dest != "command"]
+            assert sorted(listed) == sorted(flags), command

@@ -287,8 +287,6 @@ CHOICE_ENTRIES = {
     "Basis": (lambda v: nldemix.Basis(v, N), "basis kind", ("identity", "dct", "haar")),
     "SolverConfig-init": (lambda v: nldemix.SolverConfig(init=v), "init mode",
                           ("oneshot", "zero")),
-    "SolverConfig-projection_mode": (lambda v: nldemix.SolverConfig(projection_mode=v),
-                                     "projection mode", ("stacked2s", "perblocks")),
 }
 
 
