@@ -66,7 +66,6 @@ _FLAGS = {
     "ensemble": ("--ensemble", {"choices": ENSEMBLE_KINDS}),
     "link": ("--link", {"choices": LINK_KINDS}), "tau": ("--tau", {"type": float}),
     "algorithm": ("--algorithm", {"choices": ALGORITHMS}),
-    "success_threshold": ("--threshold", {"type": float}),
     "step_size": ("--step-size", {"type": _step_size}),
     "max_iters": ("--max-iters", {"type": int}),
     "rel_tol": ("--rel-tol", {"type": float}),
@@ -186,9 +185,9 @@ _SOLVE = ("seed out n basis_phi basis_psi ensemble link tau "
 # Each command: (help, the dests of the flags it takes, which are the settings
 # it reads, handler).  build_parser hands each entry to its subparser.
 _COMMANDS = {
-    "trial": ("run one recovery trial", _SOLVE + " algorithm s m success_threshold", _cmd_trial),
+    "trial": ("run one recovery trial", _SOLVE + " algorithm s m", _cmd_trial),
     "phase": ("success probabilities over an (s, m) grid",
-              _SOLVE + " algorithm success_threshold s_list m_list trials workers", _cmd_phase),
+              _SOLVE + " algorithm s_list m_list trials workers", _cmd_phase),
     "bench": ("median solve wall times", _SOLVE + " s m algorithms repeats", _cmd_bench),
     "diag coherence": ("dictionary and operator coherence",
                        "seed out n s m basis_phi basis_psi ensemble", _cmd_coherence),

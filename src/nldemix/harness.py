@@ -16,6 +16,7 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -64,16 +65,13 @@ class TrialSpec:
     algorithm: str = "dht"
     solver: SolverConfig = field(default_factory=SolverConfig)
     seed: int = 0
-    success_threshold: float = 0.99
+    success_threshold: ClassVar[float] = 0.99  # every trial's success rule
 
     def __post_init__(self) -> None:
         _check_int("n", self.n, 1)
         _check_int("m", self.m, 1)
         _check_int("seed", self.seed, 0)
         _check_int("s", self.s, 0, self.n)
-        _check_real("success_threshold", self.success_threshold, positive=True)
-        if self.success_threshold > 1.0:
-            raise ValueError(f"success threshold must be in (0, 1], got {self.success_threshold}")
         _check_choice("algorithm", self.algorithm, ALGORITHMS)
         _check_instance("solver", self.solver, SolverConfig)
         if not isinstance(self.solver.init, str):
@@ -87,7 +85,7 @@ class TrialSpec:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one trial; success means cosine >= threshold."""
+    """Outcome of one trial; success means cosine >= 0.99 (TrialSpec.success_threshold)."""
 
     spec: TrialSpec
     cosine: float
@@ -186,7 +184,7 @@ _last_instance: tuple | None = None
 
 def _instance(spec: TrialSpec):
     """The instance of `spec`, reusing the last one built when only the
-    algorithm, solver or success threshold differ.
+    algorithm or solver differ.
 
     The key is the spec with those fields reset, so a field added to
     TrialSpec later causes a rebuild, never a wrong reuse.  An instance's
@@ -196,7 +194,7 @@ def _instance(spec: TrialSpec):
     when nothing else holds it (see measurement).
     """
     global _last_instance
-    key = replace(spec, algorithm=ALGORITHMS[0], solver=SolverConfig(), success_threshold=1.0)
+    key = replace(spec, algorithm=ALGORITHMS[0], solver=SolverConfig())
     if _last_instance is None or _last_instance[0] != key:
         _last_instance = None  # dropped before the build, so the draw may refill it
         _last_instance = (key, _build_instance(spec))
@@ -206,10 +204,10 @@ def _instance(spec: TrialSpec):
 def run_trial(spec: TrialSpec) -> TrialRecord:
     """Generate an instance, solve it, and score the estimate.
 
-    Consecutive trials whose specs differ only in algorithm, solver or
-    success threshold share one read-only instance.  dht and dst need a
-    known link and raise CapabilityError on an unknown one (sign); oneshot
-    and nlcdlasso take either.  l2_err is reported for a known link only.
+    Consecutive trials whose specs differ only in algorithm or solver share
+    one read-only instance.  dht and dst need a known link and raise
+    CapabilityError on an unknown one (sign); oneshot and nlcdlasso take
+    either.  l2_err is reported for a known link only.
     """
     problem, t_star, x = _instance(spec)
     start = time.perf_counter()

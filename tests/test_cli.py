@@ -306,10 +306,9 @@ _RUN = ["seed", "out"]
 _BASES = ["n", "basis_phi", "basis_psi", "ensemble"]
 _SOLVE = _RUN + _BASES + ["link", "tau", "step_size", "max_iters", "rel_tol", "init",
                           "lasso_radius", "dst_beta"]
-COMMAND_DESTS = {  # every flag of each command, by dest: 18 + 20 + 18 + 8 + 11 + 2 = 77
-    "trial": _SOLVE + ["algorithm", "s", "m", "success_threshold"],
-    "phase": _SOLVE + ["algorithm", "success_threshold", "s_list", "m_list", "trials",
-                       "workers"],
+COMMAND_DESTS = {  # every flag of each command, by dest: 17 + 19 + 18 + 8 + 11 + 2 = 75
+    "trial": _SOLVE + ["algorithm", "s", "m"],
+    "phase": _SOLVE + ["algorithm", "s_list", "m_list", "trials", "workers"],
     "bench": _SOLVE + ["s", "m", "algorithms", "repeats"],
     "diag coherence": _RUN + _BASES + ["s", "m"],
     "diag rscrss": _RUN + _BASES + ["s", "m", "link", "sparsity", "num_supports"],
@@ -329,6 +328,8 @@ IGNORED = [
     ("trial", "--projection", "stacked2s"),
     ("phase", "--projection", "stacked2s"),
     ("bench", "--projection", "stacked2s"),
+    ("trial", "--threshold", "0.5"),
+    ("phase", "--threshold", "0.5"),
 ]
 # The flags a command cannot run without.
 REQUIRED = {"phase": ["--s-list", "2", "--m-list", "60"]}
@@ -375,9 +376,8 @@ class TestFlags:
         # a field added later without a value here or a trial flag fails with its name.
         values = dict(
             n=64, s=2, m=48, basis_phi="haar", basis_psi="identity", ensemble="rademacher",
-            link="logistic", tau=0.25, algorithm="dst", seed=11, success_threshold=0.5,
-            step_size=0.125, max_iters=3, rel_tol=1e-3, init="zero", lasso_radius=2.5,
-            dst_beta=0.75,
+            link="logistic", tau=0.25, algorithm="dst", seed=11, step_size=0.125, max_iters=3,
+            rel_tol=1e-3, init="zero", lasso_radius=2.5, dst_beta=0.75,
         )
         spec_names = [f.name for f in fields(TrialSpec) if f.name != "solver"]
         solver_names = [f.name for f in fields(SolverConfig) if f.name != "keep_iterates"]
@@ -520,7 +520,6 @@ class TestExitCodes:
         ("diag rscrss", "--sparsity", "2.5", "int"),
         ("diag rscrss", "--num-supports", "2.5", "int"),
         ("trial", "--tau", "abc", "float"),
-        ("trial", "--threshold", "x", "float"),
         ("trial", "--rel-tol", "", "float"),
         ("trial", "--lasso-radius", "[1]", "float"),
         ("trial", "--dst-beta", "true", "float"),

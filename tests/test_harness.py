@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -125,27 +125,27 @@ class TestTrialSpecValidation:
         with pytest.raises(ValueError):
             TrialSpec(n=16, s=17)
         with pytest.raises(ValueError):
-            TrialSpec(success_threshold=0.0)
-        for bad in (1.5, 1.0 + 1e-12, 2):
-            message = f"success threshold must be in (0, 1], got {bad}"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                TrialSpec(success_threshold=bad)
-        assert TrialSpec(success_threshold=1.0).success_threshold == 1.0
-        with pytest.raises(ValueError):
             TrialSpec(algorithm="omp")
         with pytest.raises(ValueError):
             TrialSpec(tau=-0.1)
         for bad in (np.nan, np.inf, -np.inf, True, "0.1", None, 10**400, np.longdouble("1e400")):
             with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
                 TrialSpec(tau=bad)
-            with pytest.raises(ValueError, match="success_threshold must be finite and positive"):
-                TrialSpec(success_threshold=bad)
         for name in ("n", "s", "m", "seed"):
             for bad in (2.5, 3.0, np.nan, True, "abc"):
                 with pytest.raises(ValueError, match=f"{name} must be an integer"):
                     TrialSpec(**{name: bad})
         spec = TrialSpec(n=np.int64(16), s=np.int32(2), m=np.uint16(8), seed=np.uint64(7))
         assert (spec.n, spec.s, spec.m, spec.seed) == (16, 2, 8, 7)
+
+    def test_success_rule_is_a_constant(self):
+        # A class constant, not a field: perfbench reads it off a default spec.
+        assert "success_threshold" not in {f.name for f in fields(TrialSpec)}
+        assert TrialSpec().success_threshold == 0.99
+        with pytest.raises(TypeError):
+            TrialSpec(success_threshold=0.5)
+        with pytest.raises(TypeError):
+            replace(TrialSpec(), success_threshold=0.5)
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(link="foo"), "unknown link 'foo'; expected one of"),
@@ -231,11 +231,12 @@ class TestRunTrial:
         assert np.isfinite(rec.cosine)
         assert np.isfinite(rec.l2_err)
 
-    def test_success_threshold_applied(self):
-        strict = run_trial(small_spec(algorithm="oneshot", success_threshold=0.999))
-        lax = run_trial(small_spec(algorithm="oneshot", success_threshold=0.05))
-        assert not strict.success
-        assert lax.success
+    def test_success_is_cosine_at_least_0_99(self):
+        records = [run_trial(small_spec(algorithm="oneshot", m=m)) for m in (40, 80, 120, 160)]
+        cosines = [rec.cosine for rec in records]
+        assert min(cosines) < 0.99 <= max(cosines)  # both sides of the rule
+        for rec in records:
+            assert rec.success == (rec.cosine >= 0.99)
 
     @pytest.mark.parametrize("algorithm", ["oneshot", "dht", "dst", "nlcdlasso"])
     def test_all_algorithms_run(self, algorithm):
@@ -471,7 +472,6 @@ class TestInstanceReuse:
             dict(algorithm="dst"),
             dict(solver=SolverConfig(max_iters=5)),
             dict(algorithm="dht", solver=SolverConfig(init=np.zeros(2 * base.n))),
-            dict(success_threshold=0.5),
         ):
             run_trial(replace(base, **kw))
         assert len(builds) == 1
@@ -488,7 +488,7 @@ class TestInstanceReuse:
 
 class TestRunPhaseGrid:
     def test_counts_and_probabilities(self):
-        base = small_spec(algorithm="oneshot", success_threshold=0.5)
+        base = small_spec(algorithm="oneshot")
         grid = run_phase_grid([2, 3], [80, 160], trials=3, base=base)
         assert grid.successes.shape == (2, 2)
         assert grid.prob.shape == (2, 2)
@@ -527,7 +527,7 @@ class TestRunPhaseGrid:
 
     def test_cells_keyed_by_values_not_position(self):
         # dropping rows or columns must not change the surviving cells
-        base = small_spec(algorithm="oneshot", success_threshold=0.9)
+        base = small_spec(algorithm="oneshot")
         full = run_phase_grid([2, 3], [80, 160], trials=4, base=base)
         col = run_phase_grid([2, 3], [160], trials=4, base=base)
         np.testing.assert_array_equal(full.successes[:, 1], col.successes[:, 0])
@@ -615,8 +615,7 @@ class TestRunPhaseGrid:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_algorithms_match_separate_grids(self, workers):
-        base = small_spec(n=64, success_threshold=0.95,
-                          solver=SolverConfig(max_iters=30, rel_tol=1e-6))
+        base = small_spec(n=64, solver=SolverConfig(max_iters=30, rel_tol=1e-6))
         grids = run_phase_grid([2, 4], [40, 90], trials=3, base=base,
                                workers=workers, algorithms=ALGORITHMS)
         assert list(grids) == list(ALGORITHMS)
@@ -753,8 +752,8 @@ class TestRunBenchmark:
     @pytest.mark.parametrize("specs, message", [
         ([small_spec(), "dht"], "spec must be a TrialSpec, got str"),
         ([small_spec(), small_spec(algorithm="dst"), small_spec()],
-         "specs must be distinct and non-empty, got [TrialSpec(n=1...hreshold=0.99), "
-         "TrialSpec(n=1...hreshold=0.99), TrialSpec(n=1...hreshold=0.99)]; "
+         "specs must be distinct and non-empty, got [TrialSpec(n=1...lse), seed=42), "
+         "TrialSpec(n=1...lse), seed=42), TrialSpec(n=1...lse), seed=42)]; "
          "entry 2 repeats entry 0"),
     ], ids=["not-a-spec", "repeated"])
     def test_specs_are_checked_before_any_build(self, builds, specs, message):
