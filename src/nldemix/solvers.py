@@ -26,6 +26,13 @@ estimate on the initializer's top-6s support, with per-iteration halving
 whenever the objective would increase (composite F + beta ||t||_1 for dst).
 When no halving lowers it, the solve keeps its iterate and stops unconverged.
 
+Settled supports: on a dense A, a dht/dst candidate whose support S (at
+most 2s entries) is that of the two candidates before it takes its forward
+product from the m x |S| factor A Gamma_S, built once per solve, instead of
+an m x n product.  The gradient stays the full one, so every threshold
+decision sees all of t - h grad as before; only the rounding of A Gamma t
+moves.  (On subfast, G would cost two transforms per atom.)
+
 Solves on one problem share what they derive from it alone: x_lin (oneshot,
 nlcd_lasso) and, for each (init, step_size), the descent start t0,
 A Gamma t0, the step and grad F(t0) (dht, dst).  They are kept, read-only,
@@ -55,6 +62,9 @@ __all__ = ["DemixProblem", "SolverConfig", "SolveResult", "TraceRecord", "hard_t
 INIT_MODES = ("oneshot", "zero")
 
 _MAX_HALVINGS = 30
+# Candidates in a row on one support before the next one on it reads that
+# support's factor A Gamma_S (see _settled_forward).
+_SETTLE = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,6 +387,31 @@ def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, 
     return _finish(problem, t, trace, converged, iterates)
 
 
+def _settled_forward(problem: DemixProblem) -> Callable:
+    """forward(t) = A Gamma t for one descent's candidates: G @ t[S], equal in
+    exact arithmetic, once t's support S is that of the _SETTLE candidates
+    before it, else _forward.  G = A Gamma_S is built at most once, for the
+    first such S with |S| <= 2s, and dies with the solve."""
+    if problem.A.kind == "subfast":
+        return lambda t: _forward(problem, t)
+    last, run, factor = None, 0, None
+
+    def forward(t: np.ndarray) -> np.ndarray:
+        nonlocal last, run, factor
+        S = np.flatnonzero(t)
+        # run: the candidates in a row before this one whose support is S
+        run = run + 1 if last is not None and np.array_equal(S, last) else 0
+        last = S
+        if run >= _SETTLE:
+            if factor is None and S.size <= 2 * problem.s:
+                factor = (S, diagnostics._restricted_gram_factor(problem, S))
+            if factor is not None and np.array_equal(S, factor[0]):
+                return factor[1] @ t[S]
+        return _forward(problem, t)
+
+    return forward
+
+
 def _descend(problem: DemixProblem, config: SolverConfig, algorithm: str, prox: Callable,
              penalty: Callable) -> SolveResult:
     """Proximal gradient on F from the shared descent start."""
@@ -385,7 +420,7 @@ def _descend(problem: DemixProblem, config: SolverConfig, algorithm: str, prox: 
         return _zero_result(problem, config.keep_iterates)
     return _prox_gradient(
         problem, config, algorithm, _descent_start(problem, config),
-        forward=lambda t: _forward(problem, t),
+        forward=_settled_forward(problem),
         loss=lambda u: _loss_at(problem, u),
         gradient=lambda u: _gradient_at(problem, u),
         prox=prox,

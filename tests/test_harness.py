@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nldemix import diagnostics, harness, measurement
+from nldemix import diagnostics, harness, measurement, solvers
 from nldemix.harness import (
     ALGORITHMS,
     PHASE_CSV_FIELDS,
@@ -204,6 +204,32 @@ class TestRunTrial:
         assert rec.l2_err < 1e-3
         assert rec.iterations >= 1
         assert rec.wall_time_ms > 0
+
+    @pytest.mark.parametrize("run", [run_trial, lambda spec: run_benchmark([spec], repeats=1)],
+                             ids=["trial", "bench"])
+    def test_dst_default_beta_is_computed_outside_the_timed_solve(self, monkeypatch, run):
+        # the default beta reads link_constants of the link and of linsin;
+        # each is a quadrature, cached after the first dst solve per link
+        calls = []
+        timing = []
+        quadrature, solve = diagnostics.link_constants, harness._solve
+
+        def counted(link):
+            calls.append(bool(timing))
+            return quadrature(link)
+
+        def timed(*args):
+            timing.append(True)
+            try:
+                return solve(*args)
+            finally:
+                timing.clear()
+
+        monkeypatch.setattr(diagnostics, "link_constants", counted)
+        monkeypatch.setattr(harness, "_solve", timed)
+        solvers._default_dst_beta.cache_clear()
+        run(small_spec(algorithm="dst", link="logistic"))
+        assert calls == [False, False]
 
     def test_scores_are_reproducible(self):
         a = run_trial(small_spec())

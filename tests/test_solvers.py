@@ -47,9 +47,10 @@ def stable_argsort_threshold(v, k):
     return out
 
 
-def reference_descent(problem, config, soft, init=None):
+def reference_descent(problem, config, soft, init=None, supports=None):
     """dht/dst iterates from a plain loop over the public loss and gradient,
-    started at `init` when given."""
+    started at `init` when given.  A `supports` list gets (iteration,
+    support) for every candidate tried, rejected ones included."""
     if init is not None:
         t = np.array(init, dtype=float)
     else:
@@ -70,6 +71,8 @@ def reference_descent(problem, config, soft, init=None):
                 cand = soft_threshold(t - step * grad, beta * step)
             else:
                 cand = hard_threshold(t - step * grad, 2 * problem.s)
+            if supports is not None:
+                supports.append((len(iterates), np.flatnonzero(cand)))
             cand_obj = objective(cand)
             if np.isfinite(cand_obj) and cand_obj <= obj + 1e-12:
                 break
@@ -82,6 +85,43 @@ def reference_descent(problem, config, soft, init=None):
         if delta <= config.rel_tol * max(1.0, float(np.linalg.norm(t))):
             break
     return iterates
+
+
+def factor_iteration(problem, supports):
+    """The iteration of the first candidate whose forward product should come
+    from the factor A Gamma_S: its support S is that of the solvers._SETTLE
+    candidates before it, |S| <= 2s, and A is dense.  None when none does."""
+    if problem.A.kind == "subfast":
+        return None
+    run, last = 0, None
+    for k, S in supports:
+        run = run + 1 if last is not None and np.array_equal(S, last) else 0
+        last = S
+        if run >= solvers._SETTLE and S.size <= 2 * problem.s:
+            return k
+    return None
+
+
+def count_factors(monkeypatch) -> dict:
+    """Count each later diagnostics._restricted_gram_factor call ("built"),
+    the step estimate's included, and each product of a factor it returns
+    with a vector ("forwards"); keep a weakref to every factor ("refs")."""
+    counts = {"built": 0, "forwards": 0, "refs": []}
+    build = diagnostics._restricted_gram_factor
+
+    class Factor(np.ndarray):
+        def __matmul__(self, other):
+            counts["forwards"] += np.ndim(other) == 1
+            return np.asarray(self) @ other
+
+    def counted(*args, **kwargs):
+        counts["built"] += 1
+        G = build(*args, **kwargs).view(Factor)
+        counts["refs"].append(weakref.ref(G))
+        return G
+
+    monkeypatch.setattr(diagnostics, "_restricted_gram_factor", counted)
+    return counts
 
 
 def reference_nlcd_lasso(problem, config):
@@ -684,26 +724,46 @@ class TestDescentWork:
         "options", [{}, {"init": "zero"}, {"rel_tol": 1e-2}],
         ids=["default", "zero-init", "loose-tol"],
     )
-    def test_iterates_match_reference_loop_bit_for_bit(self, algorithm, link_name, step,
-                                                       options):
+    def test_iterates_match_reference_loop_bit_for_bit(self, monkeypatch, algorithm, link_name,
+                                                       step, options):
         problem, _ = planted_instance(128, 4, 150, link_name=link_name, seed=45)
         config = SolverConfig(step_size=step, max_iters=60, keep_iterates=True, **options)
-        res = (dst if algorithm == "dst" else dht)(problem, config)
-        ref = reference_descent(problem, config, soft=algorithm == "dst")
-        assert len(res.iterates) == len(ref)
-        for got, want in zip(res.iterates, ref):
-            assert_bits_equal(got, want)
+        self.assert_reference_path(monkeypatch, problem, config, algorithm)
 
     @pytest.mark.parametrize("algorithm", ["dht", "dst"])
-    def test_array_init_iterates_match_reference_loop_bit_for_bit(self, algorithm):
+    def test_array_init_iterates_match_reference_loop_bit_for_bit(self, monkeypatch, algorithm):
         problem, _ = planted_instance(128, 4, 150, seed=45)
         init = np.random.default_rng(46).standard_normal(256) / 7
         config = SolverConfig(step_size=0.3, max_iters=60, init=init, keep_iterates=True)
+        assert self.assert_reference_path(monkeypatch, problem, config, algorithm, init) > 1
+
+    # Past the factor's first use, a forward product G t_S rounds differently
+    # from A (Gamma t): each may be off by the worst-case rounding of a
+    # length-n inner product, n * 2**-53 = 1.4e-14 relative at n=128.  The
+    # bound allows that for each of the 60 iterations, 8.5e-13, rounded up;
+    # the largest difference measured on these cases is 2.5e-15.
+    FACTOR_RTOL = 1e-12
+
+    def assert_reference_path(self, monkeypatch, problem, config, algorithm, init=None) -> int:
+        """Iterates bit-equal to the reference loop's up to the iteration
+        whose candidates first read the factor; after it, the same number of
+        iterates on the same supports, within FACTOR_RTOL.  Returns the
+        number of iterates."""
+        counts = count_factors(monkeypatch)
         res = (dst if algorithm == "dst" else dht)(problem, config)
-        ref = reference_descent(problem, config, soft=algorithm == "dst", init=init)
-        assert len(res.iterates) == len(ref) > 1
-        for got, want in zip(res.iterates, ref):
+        supports = []
+        ref = reference_descent(problem, config, soft=algorithm == "dst", init=init,
+                                supports=supports)
+        k = factor_iteration(problem, supports)
+        assert counts["built"] == (k is not None)
+        assert len(res.iterates) == len(ref)
+        exact = len(ref) if k is None else k + 1
+        for got, want in zip(res.iterates[:exact], ref[:exact]):
             assert_bits_equal(got, want)
+        for got, want in zip(res.iterates[exact:], ref[exact:]):
+            np.testing.assert_array_equal(np.flatnonzero(got), np.flatnonzero(want))
+            assert np.linalg.norm(got - want) <= self.FACTOR_RTOL * np.linalg.norm(want)
+        return len(ref)
 
     @pytest.mark.parametrize(
         "algorithm, step, prior, outside",
@@ -738,11 +798,17 @@ class TestDescentWork:
                             counted("estimates", diagnostics.estimate_rsc_rss))
         prox = "soft_threshold" if algorithm == "dst" else "hard_threshold"
         monkeypatch.setattr(solvers, prox, counted("candidates", getattr(solvers, prox)))
+        factors = count_factors(monkeypatch)
         res = getattr(solvers, algorithm)(problem, config)
         assert res.iterations_run > 0
         assert counts["adjoint"] == res.iterations_run - 1 + outside
         assert counts["candidates"] >= res.iterations_run
-        assert counts["apply"] == counts["candidates"] + outside
+        # every candidate's forward product is one A.apply or one product
+        # with the settled support's factor, and each of these solves settles
+        assert counts["apply"] + factors["forwards"] == counts["candidates"] + outside
+        # (an auto step estimate here builds one factor too: it probes one support)
+        assert factors["built"] == 1 + counts["estimates"] and factors["forwards"] > 0
+        assert counts["apply"] < counts["candidates"]
         assert counts["estimates"] == (outside if step == "auto" else 0)
 
     @pytest.mark.parametrize("radius", [None, 1.5], ids=["default-radius", "radius-1.5"])
@@ -778,6 +844,67 @@ class TestDescentWork:
         with pytest.raises(ValueError, match="u_ref"):
             diagnostics.estimate_rsc_rss(problem, np.zeros(2 * problem.n),
                                           u_ref=np.zeros(problem.A.m + 1))
+
+
+class TestSettledFactor:
+    """Once a dht/dst support has settled, candidates on it take their forward
+    product from the factor A Gamma_S, built once per solve and dropped with it."""
+
+    def assert_reference_bits(self, problem, config, algorithm):
+        res = (dst if algorithm == "dst" else dht)(problem, config)
+        ref = reference_descent(problem, config, soft=algorithm == "dst")
+        assert len(res.iterates) == len(ref) > 10
+        for got, want in zip(res.iterates, ref):
+            assert_bits_equal(got, want)
+        return res
+
+    def test_a_settled_solve_builds_the_factor_once(self, monkeypatch):
+        problem, _ = planted_instance(128, 4, 150, seed=45)
+        config = SolverConfig(max_iters=60)
+        dht(problem, config)  # the shared start: no step estimate below
+        counts = count_factors(monkeypatch)
+        res = dht(problem, config)
+        assert res.converged and res.iterations_run > 10
+        # built again, not kept from the first solve, and used on most candidates
+        assert counts["built"] == 1
+        assert counts["forwards"] > res.iterations_run // 2
+
+    def test_a_support_that_never_settles_keeps_the_reference_bits(self, monkeypatch):
+        # below the transition: 114 candidates in 60 iterations, and no
+        # support is that of the two candidates before it
+        problem, _ = planted_instance(128, 4, 40, seed=50)
+        counts = count_factors(monkeypatch)
+        config = SolverConfig(step_size=0.3, max_iters=60, keep_iterates=True)
+        res = self.assert_reference_bits(problem, config, "dht")
+        assert res.iterations_run == 60 and counts["built"] == 0
+
+    def test_dst_on_more_than_2s_atoms_never_builds_the_factor(self, monkeypatch):
+        problem, _ = planted_instance(128, 4, 150, link_name="logistic", seed=45)
+        counts = count_factors(monkeypatch)
+        config = SolverConfig(step_size=0.3, max_iters=60, keep_iterates=True)
+        res = self.assert_reference_bits(problem, config, "dst")
+        assert min(rec.support_size for rec in res.trace) > 2 * problem.s
+        assert counts["built"] == 0
+
+    @pytest.mark.parametrize("algorithm", ["dht", "dst"])
+    def test_subfast_never_builds_the_factor(self, monkeypatch, algorithm):
+        problem, _ = planted_instance(128, 4, 100, seed=45, ensemble="subfast")
+        counts = count_factors(monkeypatch)
+        config = SolverConfig(step_size=0.3, max_iters=60, keep_iterates=True)
+        res = self.assert_reference_bits(problem, config, algorithm)
+        assert res.converged and counts["built"] == 0
+
+    def test_the_factor_is_not_shared_and_dies_with_the_solve(self, monkeypatch):
+        problem, _ = planted_instance(128, 4, 150, seed=45)
+        config = SolverConfig(max_iters=60)
+        solvers._descent_start(problem, config)  # the start is shared: no step estimate below
+        keys = set(problem._shared)
+        counts = count_factors(monkeypatch)
+        res = dht(problem, config)
+        assert counts["built"] == 1 and set(problem._shared) == keys
+        gc.collect()
+        assert [ref() for ref in counts["refs"]] == [None]
+        assert res.converged
 
 
 SOLVE = {"oneshot": lambda problem, config: oneshot(problem),
