@@ -124,6 +124,12 @@ def _atoms(d: Dictionary, idx: np.ndarray) -> np.ndarray:
     return atoms
 
 
+def _identity_atoms(d: Dictionary, idx: np.ndarray) -> np.ndarray:
+    """Which stacked indices idx fall in an identity basis: on a dense A, the
+    column of A Gamma at such an index is a column of A."""
+    return np.where(idx < d.n, d.phi.kind == "identity", d.psi.kind == "identity")
+
+
 # Atoms per block of a subfast restricted Gram factor: 4 x n floats at a time.
 _GRAM_BLOCK = 4
 
@@ -143,7 +149,7 @@ def _restricted_gram_factor(problem: DemixProblem, idx: np.ndarray) -> np.ndarra
         for lo in range(0, idx.size, _GRAM_BLOCK):
             G[:, lo : lo + _GRAM_BLOCK] = A.apply(_atoms(d, idx[lo : lo + _GRAM_BLOCK])).T
         return G
-    ident = np.where(idx < d.n, d.phi.kind == "identity", d.psi.kind == "identity")
+    ident = _identity_atoms(d, idx)
     G[:, ident] = A.dense()[:, idx[ident] % d.n]
     # The n x k atom matrix must be C-ordered: GEMM on the transposed view rounds differently.
     G[:, ~ident] = A.dense() @ np.ascontiguousarray(_atoms(d, idx[~ident]).T)
@@ -158,13 +164,16 @@ def estimate_rsc_rss(
     seed: int = 0,
     *,
     u_ref: np.ndarray | None = None,
+    factors: list | None = None,
 ) -> RscRssEstimate:
     """Sampled restricted strong convexity/smoothness bounds.
 
     Probes the top-|sparsity| support of t_ref (an all-zero t_ref included),
     then num_supports random supports drawn from seed, and nothing else.
     Each H_xi takes g' at u_ref = A Gamma t_ref; a caller that already holds
-    u_ref passes it, and it is used as is instead of being recomputed.
+    u_ref passes it, and it is used as is instead of being recomputed.  A
+    caller that passes a list as factors gets each probe's (xi, A Gamma_xi)
+    appended to it, in probe order, the very arrays the estimate used.
     Returns the min/max eigenvalues across probes.
     """
     _require(problem.link, "estimate_rsc_rss")
@@ -189,6 +198,8 @@ def estimate_rsc_rss(
     m_hat, M_hat = np.inf, -np.inf
     for idx in supports:
         G = _restricted_gram_factor(problem, idx)
+        if factors is not None:
+            factors.append((idx, G))
         eigs = np.linalg.eigvalsh((G.T * gp) @ G / problem.A.m)
         m_hat, M_hat = min(m_hat, float(eigs[0])), max(M_hat, float(eigs[-1]))
     return RscRssEstimate(m_hat, M_hat, len(supports), sparsity)

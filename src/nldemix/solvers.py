@@ -28,15 +28,22 @@ When no halving lowers it, the solve keeps its iterate and stops unconverged.
 
 Settled supports: on a dense A, a dht/dst candidate whose support S (at
 most 2s entries) is that of the two candidates before it takes its forward
-product from the m x |S| factor A Gamma_S, built once per solve, instead of
-an m x n product.  The gradient stays the full one, so every threshold
-decision sees all of t - h grad as before; only the rounding of A Gamma t
-moves.  (On subfast, G would cost two transforms per atom.)
+product from the m x |S| factor A Gamma_S instead of an m x n product.
+Each support that settles gets its own factor, assembled from columns
+already at hand: identity-basis atoms are columns of A, and the auto
+step's columns and those of the factor it replaces are copied; only the
+atoms in none of these are multiplied through.  The gradient stays the
+full one, so every threshold decision sees all of t - h grad as before;
+only the rounding of A Gamma t moves.  (On subfast, G would cost two
+transforms per atom.)
 
 Solves on one problem share what they derive from it alone: x_lin (oneshot,
 nlcd_lasso) and, for each (init, step_size), the descent start t0,
-A Gamma t0, the step and grad F(t0) (dht, dst).  They are kept, read-only,
-on the problem itself and die with it.
+A Gamma t0, the step and grad F(t0) (dht, dst).  An auto step on a dense A
+also keeps the columns A Gamma_j its estimate built for t0's nonzero atoms
+j outside an identity basis: at most m x min(nnz(t0), 6s) floats, m x s
+on an identity/dct oneshot start.  They are kept, read-only, on the
+problem itself and die with it.
 """
 
 from __future__ import annotations
@@ -311,7 +318,10 @@ def oneshot(problem: DemixProblem) -> SolveResult:
 
 
 def _descent_start(problem: DemixProblem, config: SolverConfig) -> tuple:
-    """(t0, A Gamma t0, step, grad F(t0)) for config's init and step size."""
+    """(t0, A Gamma t0, step, grad F(t0), kept) for config's init and step
+    size.  kept = (atoms, columns) holds the columns of the auto step
+    estimate's A Gamma_xi for t0's nonzero atoms that are not columns of A,
+    on a dense A; otherwise, or when there are none, kept is None."""
     shared = problem._shared
     init, step = config.init, config.step_size
     # Equal tuples may differ in the sign of a zero, which the iterates keep.
@@ -324,14 +334,22 @@ def _descent_start(problem: DemixProblem, config: SolverConfig) -> tuple:
         else:
             t = _check_vector(init, 2 * problem.n, "init")
         u = _forward(problem, t)
+        kept = None
         if isinstance(step, str):  # "auto": 1/M_hat, with u sparing a forward product
-            est = diagnostics.estimate_rsc_rss(problem, t_ref=t, num_supports=0, u_ref=u)
+            probes: list = []
+            est = diagnostics.estimate_rsc_rss(problem, t_ref=t, num_supports=0, u_ref=u,
+                                               factors=probes)
             if not np.isfinite(est.M_hat) or est.M_hat <= 1e-12:
                 raise RuntimeError(
                     f"auto step failed: smoothness estimate M_hat={est.M_hat} is not usable"
                 )
             step = 1.0 / est.M_hat
-        shared[key] = (_frozen(t), _frozen(u), float(step), _frozen(_gradient_at(problem, u)))
+            xi, G = probes[0]
+            keep = (t[xi] != 0) & ~diagnostics._identity_atoms(problem.dictionary, xi)
+            if problem.A.kind != "subfast" and keep.any():
+                kept = (_frozen(xi[keep]), _frozen(G[:, keep]))
+        shared[key] = (_frozen(t), _frozen(u), float(step), _frozen(_gradient_at(problem, u)),
+                       kept)
     return shared[key]
 
 
@@ -387,13 +405,34 @@ def _prox_gradient(problem: DemixProblem, config: SolverConfig, algorithm: str, 
     return _finish(problem, t, trace, converged, iterates)
 
 
-def _settled_forward(problem: DemixProblem) -> Callable:
+def _settled_factor(problem: DemixProblem, S: np.ndarray, columns: dict) -> np.ndarray:
+    """G = A Gamma_S (m x |S|) on a dense A.  Identity-basis atoms are columns
+    of A and atoms in columns (atom -> its column of A Gamma) are copied; only
+    the rest go through one diagnostics._restricted_gram_factor call."""
+    ident = diagnostics._identity_atoms(problem.dictionary, S)
+    G = np.empty((problem.A.m, S.size))
+    G[:, ident] = problem.A.dense()[:, S[ident] % problem.n]
+    fresh = []
+    for j in np.flatnonzero(~ident):
+        column = columns.get(int(S[j]))
+        if column is None:
+            fresh.append(j)
+        else:
+            G[:, j] = column
+    if fresh:
+        G[:, fresh] = diagnostics._restricted_gram_factor(problem, S[fresh])
+    return G
+
+
+def _settled_forward(problem: DemixProblem, kept: tuple | None) -> Callable:
     """forward(t) = A Gamma t for one descent's candidates: G @ t[S], equal in
     exact arithmetic, once t's support S is that of the _SETTLE candidates
-    before it, else _forward.  G = A Gamma_S is built at most once, for the
-    first such S with |S| <= 2s, and dies with the solve."""
+    before it and |S| <= 2s, else _forward.  Each newly settled S gets its
+    own G = A Gamma_S from _settled_factor, given the start's kept (atoms,
+    columns) and the columns of the G it replaces; the G dies with the solve."""
     if problem.A.kind == "subfast":
         return lambda t: _forward(problem, t)
+    start = {} if kept is None else dict(zip(kept[0].tolist(), kept[1].T))
     last, run, factor = None, 0, None
 
     def forward(t: np.ndarray) -> np.ndarray:
@@ -402,12 +441,14 @@ def _settled_forward(problem: DemixProblem) -> Callable:
         # run: the candidates in a row before this one whose support is S
         run = run + 1 if last is not None and np.array_equal(S, last) else 0
         last = S
-        if run >= _SETTLE:
-            if factor is None and S.size <= 2 * problem.s:
-                factor = (S, diagnostics._restricted_gram_factor(problem, S))
-            if factor is not None and np.array_equal(S, factor[0]):
-                return factor[1] @ t[S]
-        return _forward(problem, t)
+        if run < _SETTLE or S.size > 2 * problem.s:
+            return _forward(problem, t)
+        if factor is None or not np.array_equal(S, factor[0]):
+            columns = dict(start)
+            if factor is not None:
+                columns.update(zip(factor[0].tolist(), factor[1].T))
+            factor = (S, _settled_factor(problem, S, columns))
+        return factor[1] @ t[S]
 
     return forward
 
@@ -418,9 +459,10 @@ def _descend(problem: DemixProblem, config: SolverConfig, algorithm: str, prox: 
     _require(problem.link, algorithm)
     if problem.s == 0:
         return _zero_result(problem, config.keep_iterates)
+    t, u, step, grad, kept = _descent_start(problem, config)
     return _prox_gradient(
-        problem, config, algorithm, _descent_start(problem, config),
-        forward=_settled_forward(problem),
+        problem, config, algorithm, (t, u, step, grad),
+        forward=_settled_forward(problem, kept),
         loss=lambda u: _loss_at(problem, u),
         gradient=lambda u: _gradient_at(problem, u),
         prox=prox,

@@ -243,6 +243,18 @@ class TestRscRssEstimate:
         assert est.supports_probed == 4
         assert estimate_rsc_rss(problem, t_star, num_supports=0).supports_probed == 1
 
+    def test_factors_receives_each_probes_factor(self):
+        problem, t_star = planted_instance(16, 2, 20, seed=66)
+        factors = []
+        est = estimate_rsc_rss(problem, t_star, num_supports=2, seed=3, factors=factors)
+        assert est == estimate_rsc_rss(problem, t_star, num_supports=2, seed=3)
+        supports = [np.argsort(-np.abs(t_star), kind="stable")[:12]] + random_supports(32, 12, 2, 3)
+        assert len(factors) == est.supports_probed == 3
+        for (xi, G), want in zip(factors, supports):
+            np.testing.assert_array_equal(xi, want)
+            np.testing.assert_array_equal(G.view(np.int64),
+                                          _restricted_gram_factor(problem, xi).view(np.int64))
+
     def test_t_ref_is_required(self):
         problem, _ = planted_instance(16, 2, 20, seed=66)
         with pytest.raises(TypeError):

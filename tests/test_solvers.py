@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,40 +88,64 @@ def reference_descent(problem, config, soft, init=None, supports=None):
     return iterates
 
 
-def factor_iteration(problem, supports):
-    """The iteration of the first candidate whose forward product should come
-    from the factor A Gamma_S: its support S is that of the solvers._SETTLE
-    candidates before it, |S| <= 2s, and A is dense.  None when none does."""
+def identity_atoms(problem, idx):
+    """Which stacked indices idx fall in an identity basis, whose column of
+    A Gamma is a column of A."""
+    d = problem.dictionary
+    return np.array([(d.phi if j < problem.n else d.psi).kind == "identity" for j in idx],
+                    dtype=bool)
+
+
+def settled_factors(problem, supports, kept=()):
+    """The settle rule, written out: candidate (k, S) in `supports` reads a
+    factor A Gamma_S when S is the support of the solvers._SETTLE candidates
+    before it, |S| <= 2s and A is dense, and a new factor is assembled
+    whenever the one in hand is not S's.  Returns (k, S, fresh) for each
+    factor assembled, in order, where fresh lists the atoms of S that must
+    be multiplied through: those outside an identity basis that neither
+    `kept` (the start's atoms) nor the factor it replaces holds."""
     if problem.A.kind == "subfast":
-        return None
-    run, last = 0, None
+        return []
+    run, last, held, factors = 0, None, [], []
     for k, S in supports:
         run = run + 1 if last is not None and np.array_equal(S, last) else 0
         last = S
-        if run >= solvers._SETTLE and S.size <= 2 * problem.s:
-            return k
-    return None
+        if run >= solvers._SETTLE and S.size <= 2 * problem.s and S.tolist() != held:
+            known = set(kept) | set(held)
+            fresh = [j for j, ident in zip(S.tolist(), identity_atoms(problem, S))
+                     if not ident and j not in known]
+            factors.append((k, S, fresh))
+            held = S.tolist()
+    return factors
 
 
 def count_factors(monkeypatch) -> dict:
-    """Count each later diagnostics._restricted_gram_factor call ("built"),
-    the step estimate's included, and each product of a factor it returns
-    with a vector ("forwards"); keep a weakref to every factor ("refs")."""
-    counts = {"built": 0, "forwards": 0, "refs": []}
-    build = diagnostics._restricted_gram_factor
+    """Record each later diagnostics._restricted_gram_factor call, the step
+    estimate's included: "built" counts them and "calls" lists the atoms
+    each multiplied through.  Count each factor solvers._settled_factor
+    assembles ("factors") and each product of one with a vector
+    ("forwards"), and keep a weakref to each factor ("refs")."""
+    counts = {"built": 0, "calls": [], "factors": 0, "forwards": 0, "refs": []}
+    build, assemble = diagnostics._restricted_gram_factor, solvers._settled_factor
 
     class Factor(np.ndarray):
         def __matmul__(self, other):
             counts["forwards"] += np.ndim(other) == 1
             return np.asarray(self) @ other
 
-    def counted(*args, **kwargs):
+    def built(problem, idx):
         counts["built"] += 1
-        G = build(*args, **kwargs).view(Factor)
+        counts["calls"].append(np.asarray(idx).tolist())
+        return build(problem, idx)
+
+    def assembled(*args):
+        counts["factors"] += 1
+        G = assemble(*args).view(Factor)
         counts["refs"].append(weakref.ref(G))
         return G
 
-    monkeypatch.setattr(diagnostics, "_restricted_gram_factor", counted)
+    monkeypatch.setattr(diagnostics, "_restricted_gram_factor", built)
+    monkeypatch.setattr(solvers, "_settled_factor", assembled)
     return counts
 
 
@@ -754,8 +779,12 @@ class TestDescentWork:
         supports = []
         ref = reference_descent(problem, config, soft=algorithm == "dst", init=init,
                                 supports=supports)
-        k = factor_iteration(problem, supports)
-        assert counts["built"] == (k is not None)
+        rule = settled_factors(problem, supports)
+        k = rule[0][0] if rule else None
+        # a fixed step keeps no start columns: every factor takes only the
+        # columns of the one it replaces
+        assert counts["factors"] == len(rule)
+        assert counts["calls"] == [fresh for _, _, fresh in rule if fresh]
         assert len(res.iterates) == len(ref)
         exact = len(ref) if k is None else k + 1
         for got, want in zip(res.iterates[:exact], ref[:exact]):
@@ -797,7 +826,14 @@ class TestDescentWork:
         monkeypatch.setattr(diagnostics, "estimate_rsc_rss",
                             counted("estimates", diagnostics.estimate_rsc_rss))
         prox = "soft_threshold" if algorithm == "dst" else "hard_threshold"
-        monkeypatch.setattr(solvers, prox, counted("candidates", getattr(solvers, prox)))
+        threshold, supports = getattr(solvers, prox), []
+
+        def candidate(*args):
+            cand = threshold(*args)
+            supports.append((None, np.flatnonzero(cand)))
+            return cand
+
+        monkeypatch.setattr(solvers, prox, counted("candidates", candidate))
         factors = count_factors(monkeypatch)
         res = getattr(solvers, algorithm)(problem, config)
         assert res.iterations_run > 0
@@ -806,8 +842,12 @@ class TestDescentWork:
         # every candidate's forward product is one A.apply or one product
         # with the settled support's factor, and each of these solves settles
         assert counts["apply"] + factors["forwards"] == counts["candidates"] + outside
-        # (an auto step estimate here builds one factor too: it probes one support)
-        assert factors["built"] == 1 + counts["estimates"] and factors["forwards"] > 0
+        # one factor per settled support; an auto step estimate here builds
+        # one factor too (it probes one support), and a zero start keeps none
+        # of its columns
+        rule = settled_factors(problem, supports)
+        assert factors["factors"] == len(rule) > 0 and factors["forwards"] > 0
+        assert factors["built"] == counts["estimates"] + sum(bool(fresh) for *_, fresh in rule)
         assert counts["apply"] < counts["candidates"]
         assert counts["estimates"] == (outside if step == "auto" else 0)
 
@@ -846,9 +886,20 @@ class TestDescentWork:
                                           u_ref=np.zeros(problem.A.m + 1))
 
 
+def auto_step_rule(problem, config, algorithm):
+    """settled_factors for an auto-step solve: the supports of the reference
+    loop at the start's step, with the start's kept atoms."""
+    _, _, step, _, kept = solvers._descent_start(problem, config)
+    supports = []
+    reference_descent(problem, replace(config, step_size=step), soft=algorithm == "dst",
+                      supports=supports)
+    return settled_factors(problem, supports, () if kept is None else kept[0].tolist())
+
+
 class TestSettledFactor:
     """Once a dht/dst support has settled, candidates on it take their forward
-    product from the factor A Gamma_S, built once per solve and dropped with it."""
+    product from the factor A Gamma_S, assembled once for each support that
+    settles and dropped with the solve."""
 
     def assert_reference_bits(self, problem, config, algorithm):
         res = (dst if algorithm == "dst" else dht)(problem, config)
@@ -862,11 +913,14 @@ class TestSettledFactor:
         problem, _ = planted_instance(128, 4, 150, seed=45)
         config = SolverConfig(max_iters=60)
         dht(problem, config)  # the shared start: no step estimate below
+        rule = auto_step_rule(problem, config, "dht")
         counts = count_factors(monkeypatch)
         res = dht(problem, config)
         assert res.converged and res.iterations_run > 10
-        # built again, not kept from the first solve, and used on most candidates
-        assert counts["built"] == 1
+        # assembled again, not kept from the first solve, and used on most
+        # candidates; one atom of the support is not among the start's columns
+        assert counts["factors"] == len(rule) == 1
+        assert counts["calls"] == [rule[0][2]] and len(rule[0][2]) == 1
         assert counts["forwards"] > res.iterations_run // 2
 
     def test_a_support_that_never_settles_keeps_the_reference_bits(self, monkeypatch):
@@ -901,10 +955,57 @@ class TestSettledFactor:
         keys = set(problem._shared)
         counts = count_factors(monkeypatch)
         res = dht(problem, config)
-        assert counts["built"] == 1 and set(problem._shared) == keys
+        assert counts["factors"] == 1 and set(problem._shared) == keys
         gc.collect()
         assert [ref() for ref in counts["refs"]] == [None]
         assert res.converged
+
+
+class TestStartColumns:
+    """An auto step on a dense A keeps, with the shared start, the columns of
+    its estimate's factor A Gamma_xi for t0's nonzero atoms outside an
+    identity basis, and each settled factor copies them."""
+
+    def test_auto_step_keeps_its_bits(self):
+        problem, _ = planted_instance(128, 4, 150, seed=45)
+        step = solvers._descent_start(problem, SolverConfig())[2]
+        est = diagnostics.estimate_rsc_rss(problem, oneshot(problem).t_hat, num_supports=0)
+        assert step == 1.0 / est.M_hat
+        assert step.hex() == "0x1.ba00cdee542cbp-3"  # as before the start kept columns
+
+    @pytest.mark.parametrize("phi, psi", [("identity", "dct"), ("haar", "dct")])
+    def test_columns_are_the_estimates_for_t0s_atoms_outside_an_identity_basis(self, phi, psi):
+        problem, _ = planted_instance(128, 4, 150, seed=45, phi=phi, psi=psi)
+        t0, _, _, _, (atoms, columns) = solvers._descent_start(problem, SolverConfig())
+        nonzero = np.flatnonzero(t0)
+        want = nonzero[~identity_atoms(problem, nonzero)]
+        assert sorted(atoms.tolist()) == want.tolist()
+        assert atoms.size == (problem.s if phi == "identity" else 2 * problem.s)
+        xi = np.argsort(-np.abs(t0), kind="stable")[:6 * problem.s]
+        G = diagnostics._restricted_gram_factor(problem, xi)
+        assert_bits_equal(columns, G[:, [list(xi).index(j) for j in atoms]])
+        for array in (atoms, columns):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    @pytest.mark.parametrize("ensemble, options", [
+        ("subfast", {}), ("gaussian", {"step_size": 0.3}), ("gaussian", {"init": "zero"}),
+    ], ids=["subfast", "fixed-step", "zero-init"])
+    def test_no_columns_on_subfast_a_fixed_step_or_a_zero_init(self, ensemble, options):
+        problem, _ = planted_instance(128, 4, 100, seed=45, ensemble=ensemble)
+        assert solvers._descent_start(problem, SolverConfig(**options))[4] is None
+
+    @pytest.mark.parametrize("algorithm", ["dht", "dst"])
+    def test_a_support_inside_the_start_columns_multiplies_nothing(self, monkeypatch,
+                                                                  algorithm):
+        problem, _ = planted_instance(128, 4, 150, seed=43)
+        config = SolverConfig(max_iters=60)
+        rule = auto_step_rule(problem, config, algorithm)
+        counts = count_factors(monkeypatch)
+        res = getattr(solvers, algorithm)(problem, config)
+        assert res.converged and rule and all(not fresh for *_, fresh in rule)
+        assert counts["factors"] == len(rule) and counts["forwards"] > res.iterations_run // 2
+        assert counts["built"] == 0
 
 
 SOLVE = {"oneshot": lambda problem, config: oneshot(problem),
@@ -989,14 +1090,14 @@ class TestSharedStart:
         dht(problem, SolverConfig(max_iters=5))
         nlcd_lasso(problem, SolverConfig(max_iters=5))
         shared = problem._shared
-        t0, u0, _, grad0 = shared[("oneshot", "auto")]
-        for array in (shared["x_lin"], t0, u0, grad0):
+        t0, u0, _, grad0, (atoms, columns) = shared[("oneshot", "auto")]
+        for array in (shared["x_lin"], t0, u0, grad0, atoms, columns):
             with pytest.raises(ValueError):
                 array[0] = 1.0
-        alive = weakref.ref(problem), weakref.ref(problem.A)
-        del problem, shared
+        alive = weakref.ref(problem), weakref.ref(problem.A), weakref.ref(columns)
+        del problem, shared, atoms, columns, array
         gc.collect()
-        assert [ref() for ref in alive] == [None, None]
+        assert [ref() for ref in alive] == [None, None, None]
 
 
 @pytest.mark.parametrize("s", [3, 0])
