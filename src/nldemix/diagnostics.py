@@ -130,6 +130,12 @@ def _identity_atoms(d: Dictionary, idx: np.ndarray) -> np.ndarray:
     return np.where(idx < d.n, d.phi.kind == "identity", d.psi.kind == "identity")
 
 
+def _probe_size(problem: DemixProblem) -> int:
+    """min(6s, 2n): estimate_rsc_rss's default sparsity, so the atoms of the
+    auto step's one probe, and the most a settled factor may hold."""
+    return min(6 * problem.s, 2 * problem.n)
+
+
 # Atoms per block of a subfast restricted Gram factor: 4 x n floats at a time.
 _GRAM_BLOCK = 4
 
@@ -181,7 +187,7 @@ def estimate_rsc_rss(
     if sparsity is None:
         if problem.s == 0:
             raise ValueError("s=0 makes the default sparsity min(6s, 2n) 0; pass sparsity >= 1")
-        sparsity = min(6 * problem.s, two_n)
+        sparsity = _probe_size(problem)
     sparsity = _check_int("sparsity", sparsity, 1, two_n)
     num_supports, seed = _check_int("num_supports", num_supports, 0), _check_int("seed", seed, 0)
     t_ref = _check_vector(t_ref, two_n, "t_ref", finite=True)

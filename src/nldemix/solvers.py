@@ -26,9 +26,12 @@ estimate on the initializer's top-6s support, with per-iteration halving
 whenever the objective would increase (composite F + beta ||t||_1 for dst).
 When no halving lowers it, the solve keeps its iterate and stops unconverged.
 
-Settled supports: on a dense A, a dht/dst candidate whose support S (at
-most 2s entries) is that of the two candidates before it takes its forward
-product from the m x |S| factor A Gamma_S instead of an m x n product.
+Settled supports: on a dense A, a dht/dst candidate whose support S is
+that of the two candidates before it takes its forward product from the
+m x |S| factor A Gamma_S instead of an m x n product.  S may hold at most
+min(6s, 2n) atoms, the size of the auto step's probe: a factor is never
+larger than the m x min(6s, 2n) array every auto step already builds, so
+dst's supports, which soft thresholding does not cut to 2s, settle too.
 Each support that settles gets its own factor, assembled from columns
 already at hand: identity-basis atoms are columns of A, and the auto
 step's columns and those of the factor it replaces are copied; only the
@@ -427,21 +430,24 @@ def _settled_factor(problem: DemixProblem, S: np.ndarray, columns: dict) -> np.n
 def _settled_forward(problem: DemixProblem, kept: tuple | None) -> Callable:
     """forward(t) = A Gamma t for one descent's candidates: G @ t[S], equal in
     exact arithmetic, once t's support S is that of the _SETTLE candidates
-    before it and |S| <= 2s, else _forward.  Each newly settled S gets its
-    own G = A Gamma_S from _settled_factor, given the start's kept (atoms,
-    columns) and the columns of the G it replaces; the G dies with the solve."""
+    before it and |S| <= min(6s, 2n), else _forward.  The cap is the auto
+    step's probe size (diagnostics._probe_size), so a factor and the atoms
+    it multiplies through take no more memory than that probe already did.
+    Each newly settled S gets its own G = A Gamma_S from _settled_factor,
+    given the start's kept (atoms, columns) and the columns of the G it
+    replaces; the G dies with the solve."""
     if problem.A.kind == "subfast":
         return lambda t: _forward(problem, t)
     start = {} if kept is None else dict(zip(kept[0].tolist(), kept[1].T))
-    last, run, factor = None, 0, None
+    last, run, factor, cap = None, 0, None, diagnostics._probe_size(problem)
 
     def forward(t: np.ndarray) -> np.ndarray:
         nonlocal last, run, factor
-        S = np.flatnonzero(t)
+        S = np.flatnonzero(t != 0)  # the same indices, by a faster bool scan
         # run: the candidates in a row before this one whose support is S
         run = run + 1 if last is not None and np.array_equal(S, last) else 0
         last = S
-        if run < _SETTLE or S.size > 2 * problem.s:
+        if run < _SETTLE or S.size > cap:
             return _forward(problem, t)
         if factor is None or not np.array_equal(S, factor[0]):
             columns = dict(start)

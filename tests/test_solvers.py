@@ -99,8 +99,9 @@ def identity_atoms(problem, idx):
 def settled_factors(problem, supports, kept=()):
     """The settle rule, written out: candidate (k, S) in `supports` reads a
     factor A Gamma_S when S is the support of the solvers._SETTLE candidates
-    before it, |S| <= 2s and A is dense, and a new factor is assembled
-    whenever the one in hand is not S's.  Returns (k, S, fresh) for each
+    before it, |S| <= min(6s, 2n) (the auto step's probe size) and A is
+    dense, and a new factor is assembled whenever the one in hand is not
+    S's.  Returns (k, S, fresh) for each
     factor assembled, in order, where fresh lists the atoms of S that must
     be multiplied through: those outside an identity basis that neither
     `kept` (the start's atoms) nor the factor it replaces holds."""
@@ -110,7 +111,8 @@ def settled_factors(problem, supports, kept=()):
     for k, S in supports:
         run = run + 1 if last is not None and np.array_equal(S, last) else 0
         last = S
-        if run >= solvers._SETTLE and S.size <= 2 * problem.s and S.tolist() != held:
+        if (run >= solvers._SETTLE and S.size <= min(6 * problem.s, 2 * problem.n)
+                and S.tolist() != held):
             known = set(kept) | set(held)
             fresh = [j for j, ident in zip(S.tolist(), identity_atoms(problem, S))
                      if not ident and j not in known]
@@ -762,6 +764,18 @@ class TestDescentWork:
         config = SolverConfig(step_size=0.3, max_iters=60, init=init, keep_iterates=True)
         assert self.assert_reference_path(monkeypatch, problem, config, algorithm, init) > 1
 
+    def test_dst_settled_between_2s_and_6s_atoms_reads_its_factors(self, monkeypatch):
+        # soft thresholding does not cut dst's support to 2s = 8: this solve
+        # settles on 14-24 atoms, each within the auto step's probe size
+        problem, _ = planted_instance(128, 4, 150, link_name="logistic", seed=45)
+        config = SolverConfig(step_size=0.3, max_iters=60, keep_iterates=True)
+        assert self.assert_reference_path(monkeypatch, problem, config, "dst") > 10
+        supports = []
+        reference_descent(problem, config, soft=True, supports=supports)
+        rule = settled_factors(problem, supports)
+        assert len(rule) == 7
+        assert all(2 * problem.s < S.size <= 6 * problem.s for _, S, _ in rule)
+
     # Past the factor's first use, a forward product G t_S rounds differently
     # from A (Gamma t): each may be off by the worst-case rounding of a
     # length-n inner product, n * 2**-53 = 1.4e-14 relative at n=128.  The
@@ -932,12 +946,13 @@ class TestSettledFactor:
         res = self.assert_reference_bits(problem, config, "dht")
         assert res.iterations_run == 60 and counts["built"] == 0
 
-    def test_dst_on_more_than_2s_atoms_never_builds_the_factor(self, monkeypatch):
-        problem, _ = planted_instance(128, 4, 150, link_name="logistic", seed=45)
+    def test_dst_on_more_than_6s_atoms_never_builds_the_factor(self, monkeypatch):
+        # below the transition, dst's support never drops to min(6s, 2n) = 24
+        problem, _ = planted_instance(128, 4, 40, link_name="logistic", seed=45)
         counts = count_factors(monkeypatch)
         config = SolverConfig(step_size=0.3, max_iters=60, keep_iterates=True)
         res = self.assert_reference_bits(problem, config, "dst")
-        assert min(rec.support_size for rec in res.trace) > 2 * problem.s
+        assert min(rec.support_size for rec in res.trace) > min(6 * problem.s, 2 * problem.n)
         assert counts["built"] == 0
 
     @pytest.mark.parametrize("algorithm", ["dht", "dst"])

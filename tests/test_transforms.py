@@ -13,7 +13,7 @@ from nldemix.transforms import (
     dict_adjoint,
     dict_apply,
 )
-from nldemix.transforms import _dct2, _dct3
+from nldemix.transforms import _dct2, _dct3, _dct_order, _dct_twiddle
 
 from planted import dct_matrix
 
@@ -222,6 +222,66 @@ class TestFastDct:
         _dct2(x)
         _dct3(x)
         np.testing.assert_array_equal(x, keep)
+
+
+def concatenate_dct2(x):
+    """_dct2 as it read with the reorder built by np.concatenate."""
+    n = x.shape[-1]
+    h = n // 2 + 1
+    y = np.fft.rfft(np.concatenate([x[..., 0::2], x[..., 1::2][..., ::-1]], axis=-1), axis=-1)
+    y *= _dct_twiddle(n)[0]
+    out = np.empty(x.shape)
+    out[..., :h] = y.real
+    np.negative(y.imag[..., 1 : (n + 1) // 2][..., ::-1], out=out[..., h:])
+    return out
+
+
+def scatter_dct3(c):
+    """_dct3 as it read with the inverse reorder written as two strided scatters."""
+    n = c.shape[-1]
+    h = n // 2 + 1
+    y = np.empty(c.shape[:-1] + (h,), dtype=complex)
+    y.real = c[..., :h]
+    y.imag[..., 0] = 0.0
+    np.negative(c[..., (n + 1) // 2 :][..., ::-1], out=y.imag[..., 1:])
+    y *= _dct_twiddle(n)[1]
+    v = np.fft.irfft(y, n=n, axis=-1)
+    x = np.empty_like(v)
+    x[..., 0::2] = v[..., : (n + 1) // 2]
+    x[..., 1::2] = v[..., (n + 1) // 2 :][..., ::-1]
+    return x
+
+
+class TestDctGathers:
+    """The DCT reorders are one gather each through a cached index, with the
+    bits of the concatenate and scatter they replace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 4096, 4097])
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=["vector", "rows", "batch"])
+    def test_bits_match_the_concatenate_and_scatter_forms(self, n, shape):
+        x = np.random.default_rng(n).standard_normal(shape + (n,))
+        for got, want in ((_dct2(x), concatenate_dct2(x)), (_dct3(x), scatter_dct3(x)),
+                          (_dct2(x[..., ::-1]), concatenate_dct2(x[..., ::-1]))):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_index_is_cached_read_only_and_inverted(self, n):
+        order, inverse = _dct_order(n)
+        assert _dct_order(n)[0] is order
+        assert order.tolist() == list(range(0, n, 2)) + list(range(1, n, 2))[::-1]
+        assert order[inverse].tolist() == list(range(n))
+        for index in (order, inverse):
+            with pytest.raises(ValueError):
+                index[0] = 0
+
+    @pytest.mark.parametrize("phi, psi", [("identity", "dct"), ("haar", "dct"),
+                                          ("dct", "identity")])
+    def test_dict_adjoint_matches_concatenated_halves(self, phi, psi):
+        d = Dictionary(Basis(phi, 64), Basis(psi, 64))
+        x = np.random.default_rng(8).standard_normal(64)
+        want = np.concatenate([basis_adjoint(d.phi, x), basis_adjoint(d.psi, x)])
+        np.testing.assert_array_equal(dict_adjoint(d, x).view(np.int64), want.view(np.int64))
 
 
 class TestDictionary:
